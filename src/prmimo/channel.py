@@ -14,6 +14,9 @@ from .errors import InvalidInputError
 
 HALF_PI = np.pi / 2.0
 
+# Fewest clusters the ill-conditioned power profile is defined for.
+ILL_MIN_CLUSTERS = 4
+
 
 @dataclass(frozen=True)
 class ArrayGeometry:
@@ -170,8 +173,10 @@ def condition_profile(kind, geometry, n_cl, n_ray, angle_spread, rng):
         raise InvalidInputError("cluster and ray counts must be >= 1")
     budget = geometry.n_t * geometry.n_r / n_ray
     if kind == "ill":
-        if n_cl < 4:
-            raise InvalidInputError("ill-conditioned profile needs n_cl >= 4")
+        if n_cl < ILL_MIN_CLUSTERS:
+            raise InvalidInputError(
+                f"ill-conditioned profile needs n_cl >= {ILL_MIN_CLUSTERS}"
+            )
         ratios = np.ones(n_cl)
         ratios[0] = 100.0
         ratios[1:3] = 50.0

@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cfpa import design_pattern
-from .channel import ArrayGeometry, assemble_physical, condition_profile, sample_cluster_paths
+from .channel import (
+    ILL_MIN_CLUSTERS,
+    ArrayGeometry,
+    assemble_physical,
+    condition_profile,
+    sample_cluster_paths,
+)
 from .errors import CampaignError, InvalidInputError
 from .pattern import assemble_pattern_channel, capacity
 
@@ -55,6 +61,10 @@ class Scenario:
             raise InvalidInputError(f"unknown condition {self.condition!r}")
         if self.n_cl < 1 or self.n_ray < 1:
             raise InvalidInputError("cluster and ray counts must be >= 1")
+        if self.condition == "ill" and self.n_cl < ILL_MIN_CLUSTERS:
+            raise InvalidInputError(
+                f"ill-conditioned profile needs n_cl >= {ILL_MIN_CLUSTERS}"
+            )
 
 
 @dataclass
@@ -142,11 +152,11 @@ def run_trial(scenario, trial_index, safeguard=False):
     snr = 10.0 ** (scenario.snr_db / 10.0)
 
     h_physical = assemble_physical(geometry, paths)
-    physical = np.array([capacity(h_physical, s) for s in snr])
+    physical = capacity(h_physical, snr)
 
     pattern, _, _ = design_pattern(geometry, paths)
     h_pattern = assemble_pattern_channel(geometry, paths, pattern)
-    designed = np.array([capacity(h_pattern, s) for s in snr])
+    designed = capacity(h_pattern, snr)
 
     if safeguard:
         reference = int(np.argmax(snr))
@@ -168,8 +178,9 @@ def run_campaign(scenario, schemes=SCHEMES, workers=1, safeguard=False):
     """Run all trials and aggregate one capacity curve per scheme.
 
     Trials execute on a pool of ``workers`` processes (serially for
-    ``workers <= 1``) and are reduced in trial order, so the output is
-    byte-reproducible for a fixed scenario regardless of parallelism.
+    ``workers <= 1``), which receive them in contiguous chunks, and are
+    reduced in trial order, so the output is byte-reproducible for a
+    fixed scenario regardless of parallelism.
     Trials that raise are excluded and counted; more than 1% of failures
     aborts with ``CampaignError``.
     """
@@ -189,8 +200,11 @@ def run_campaign(scenario, schemes=SCHEMES, workers=1, safeguard=False):
                 result = _safe_trial(job)
                 outcomes[result[0]] = result
         else:
+            # Contiguous chunks, about eight per worker: few enough tasks
+            # that dispatch stays cheap, enough to balance uneven trials.
+            chunk = -(-scenario.trials // (8 * workers))
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for result in pool.map(_safe_trial, jobs):
+                for result in pool.map(_safe_trial, jobs, chunksize=chunk):
                     outcomes[result[0]] = result
 
         physical_rows, pattern_rows, failures = [], [], []

@@ -42,7 +42,7 @@ def _require_square(a, name):
 
 
 def _require_finite(a, name):
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
 
 
@@ -110,11 +110,18 @@ def logdet_capacity_kernel(g, gamma):
     Eigenvalues in ``[-PSD_CLAMP_REL * ||G||_F, 0)`` are treated as
     round-off on a PSD matrix and clamped to zero; anything more negative
     raises ``InvalidInputError``.
+
+    ``gamma`` may be a scalar (a ``float`` is returned) or an array of
+    positive values (an array of the same shape is returned). The
+    eigenvalues do not depend on ``gamma``, so they are computed once for
+    the whole array, and entry ``k`` equals the scalar call at
+    ``gamma[k]`` bit for bit.
     """
     g = np.asarray(g, dtype=complex)
     _require_square(g, "gram matrix")
     _require_finite(g, "gram matrix")
-    if gamma <= 0:
+    gamma = np.asarray(gamma, dtype=float)
+    if np.any(gamma <= 0):
         raise InvalidInputError(f"gamma must be positive, got {gamma}")
     try:
         lam = np.linalg.eigvalsh(g)
@@ -129,5 +136,6 @@ def logdet_capacity_kernel(g, gamma):
         raise InvalidInputError(
             f"gram matrix has eigenvalue {lam[0]:.6g}, below the PSD tolerance {floor:.6g}"
         )
-    lam = np.clip(lam, 0.0, None)
-    return float(np.sum(np.log2(1.0 + gamma * lam)))
+    lam = np.maximum(lam, 0.0)
+    capacities = np.log2(1.0 + gamma[..., None] * lam).sum(axis=-1)
+    return float(capacities) if capacities.ndim == 0 else capacities

@@ -101,12 +101,15 @@ def capacity(h, snr):
     """Channel capacity ``log2 det(I + snr/n_r * H H^H)`` in bits/s/Hz.
 
     ``snr`` is the transmit signal-to-noise ratio in linear units; equal
-    power is radiated from every transmit antenna (no precoder).
+    power is radiated from every transmit antenna (no precoder). A scalar
+    ``snr`` gives a ``float``; an array gives one capacity per entry from a
+    single eigendecomposition, bit-identical to the scalar calls.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2:
         raise InvalidInputError(f"expected a channel matrix, got shape {h.shape}")
-    if snr <= 0:
+    snr = np.asarray(snr, dtype=float)
+    if np.any(snr <= 0):
         raise InvalidInputError(f"snr must be positive, got {snr}")
     n_r = h.shape[0]
     return logdet_capacity_kernel(h @ h.conj().T, snr / n_r)

@@ -19,7 +19,6 @@ from .numerics import eig_sym
 from .pattern import (
     SubchannelGram,
     _transmit_basis,
-    correlation_indicator,
     receiver_factor_matrix,
     subchannel_gram,
 )
@@ -95,8 +94,8 @@ def solve_modification_vector(b_sum, n_t):
         )
     pair = eig_sym(b_sum)
     u = pair.vectors[:, 0]
-    pos_mass = float(np.clip(u, 0.0, None).sum())
-    neg_mass = float(np.clip(-u, 0.0, None).sum())
+    pos_mass = float(np.maximum(u, 0.0).sum())
+    neg_mass = float(np.maximum(-u, 0.0).sum())
     if neg_mass > pos_mass:
         u = -u
     elif neg_mass == pos_mass:
@@ -104,7 +103,7 @@ def solve_modification_vector(b_sum, n_t):
         nonzero = np.flatnonzero(u)
         if nonzero.size and u[nonzero[0]] < 0:
             u = -u
-    candidate = np.clip(np.sqrt(n_t) * u, 0.0, None)
+    candidate = np.maximum(np.sqrt(n_t) * u, 0.0)
     norm_sq = float(candidate @ candidate)
     if norm_sq == 0.0:
         raise NumericalFailureError(
@@ -127,6 +126,12 @@ def run_sof(geometry, paths):
 
     Returns the completed state; the Gram inside it matches a from-
     scratch recomputation to tight tolerance, which the tests check.
+
+    In the early steps the smallest eigenvalue of the penalty matrix is
+    often degenerate, so a round-off change in that matrix can pick a
+    different null vector and a visibly different design; the result is
+    reproducible bit for bit only with the same arithmetic on the same
+    LAPACK build.
     """
     n_paths = len(paths)
     n_t, n_r = geometry.n_t, geometry.n_r
@@ -136,22 +141,28 @@ def run_sof(geometry, paths):
     indicator = initial.indicator.copy()
 
     recv = receiver_factor_matrix(geometry, paths.aoa)
+    recv_sq = np.abs(recv / n_r) ** 2
     basis = _transmit_basis(geometry, paths.aod, m_hat)
     sin_aod = np.sin(paths.aod)
     k = np.arange(n_t)
 
-    first = int(np.argmax(indicator))
-    order = [first]
-    selected = np.zeros(n_paths, dtype=bool)
-    selected[first] = True
+    # Squared Gram magnitudes with a zero diagonal: the indicator is their
+    # row sum, and each step changes only the target row and column.
+    sq = np.abs(g) ** 2
+    np.fill_diagonal(sq, 0.0)
 
-    for _ in range(1, n_paths):
+    order = np.empty(n_paths, dtype=int)
+    order[0] = int(np.argmax(indicator))
+    selected = np.zeros(n_paths, dtype=bool)
+    selected[order[0]] = True
+
+    for step in range(1, n_paths):
         masked = np.where(selected, -np.inf, indicator)
         target = int(np.argmax(masked))
-        prior = np.asarray(order, dtype=int)
+        prior = order[:step]
 
         # |rho^R|^2 weights against each previously designed column.
-        weights = np.abs(recv[target, prior] / n_r) ** 2
+        weights = recv_sq[target, prior]
         phase = np.exp(
             2j
             * np.pi
@@ -171,10 +182,13 @@ def run_sof(geometry, paths):
         g[target, :] = row
         g[:, target] = row.conj()
         g[target, target] = row[target].real
-        indicator = correlation_indicator(g)
+        sq[target, :] = np.abs(row) ** 2
+        sq[target, target] = 0.0
+        sq[:, target] = sq[target, :]
+        indicator = sq.sum(axis=1)
 
-        order.append(target)
+        order[step] = target
         selected[target] = True
 
     gram = SubchannelGram(g=g, indicator=indicator)
-    return SofState(order=np.asarray(order), m_hat=m_hat, gram=gram, iteration=n_paths)
+    return SofState(order=order, m_hat=m_hat, gram=gram, iteration=n_paths)

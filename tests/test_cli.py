@@ -161,6 +161,15 @@ class TestMain:
         assert script.startswith("#!/usr/bin/env python3")
         assert "capacity.csv" in script
 
+    def test_ill_with_too_few_clusters_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "ncl3"
+        assert main(["--ncl", "3", "--trials", "5", "--out", str(out)]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_good_with_few_clusters_runs(self, tmp_path):
+        assert main(run_args(tmp_path / "good", "--ncl", "3", "--condition", "good")) == 0
+
     def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")

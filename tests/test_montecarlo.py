@@ -51,6 +51,13 @@ class TestScenario:
         with pytest.raises(InvalidInputError):
             small_scenario(angle_spread=-0.1)
 
+    def test_rejects_ill_with_too_few_clusters(self):
+        with pytest.raises(InvalidInputError):
+            small_scenario(n_cl=3)
+
+    def test_good_accepts_few_clusters(self):
+        assert small_scenario(n_cl=1, condition="good").n_cl == 1
+
 
 class TestTrialRng:
     def test_reproducible(self):
@@ -143,6 +150,17 @@ class TestRunCampaign:
         serial = {c.scheme: c for c in run_campaign(scenario, workers=1)}
         parallel = {c.scheme: c for c in run_campaign(scenario, workers=3)}
         for scheme in ("physical", "pattern", "ideal"):
+            assert np.array_equal(serial[scheme].mean, parallel[scheme].mean)
+            assert np.array_equal(serial[scheme].std, parallel[scheme].std)
+
+    @pytest.mark.parametrize("workers,trials", [(2, 13), (3, 13), (2, 21)])
+    def test_chunked_workers_match_serial_bits(self, workers, trials):
+        # 21 trials on 2 workers go out in chunks of 2 with a short last one.
+        scenario = small_scenario(trials=trials)
+        serial = {c.scheme: c for c in run_campaign(scenario, workers=1)}
+        parallel = {c.scheme: c for c in run_campaign(scenario, workers=workers)}
+        for scheme in ("physical", "pattern"):
+            assert parallel[scheme].trials == trials
             assert np.array_equal(serial[scheme].mean, parallel[scheme].mean)
             assert np.array_equal(serial[scheme].std, parallel[scheme].std)
 

@@ -84,6 +84,21 @@ class TestCapacity:
         with pytest.raises(InvalidInputError):
             capacity(np.ones((2, 2)), 0.0)
 
+    def test_snr_array_matches_scalar_calls(self):
+        rng = np.random.default_rng(54)
+        h = rng.standard_normal((8, 32)) + 1j * rng.standard_normal((8, 32))
+        snr = 10.0 ** (np.arange(-10.0, 31.0) / 10.0)
+        assert np.array_equal(capacity(h, snr), [capacity(h, s) for s in snr])
+
+    def test_scalar_snr_returns_float(self):
+        h = np.eye(2, 4)
+        assert type(capacity(h, 10.0)) is float
+        assert type(capacity(h, np.float64(10.0))) is float
+
+    def test_rejects_nonpositive_entry_in_snr_array(self):
+        with pytest.raises(InvalidInputError):
+            capacity(np.ones((2, 2)), np.array([1.0, 0.0, 2.0]))
+
 
 class TestAssemblePatternChannel:
     def test_all_ones_reproduces_physical(self):

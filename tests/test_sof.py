@@ -7,6 +7,7 @@ from prmimo import (
     ArrayGeometry,
     PathSet,
     b_vector,
+    correlation_indicator,
     quadratic_matrix,
     receiver_correlation,
     run_sof,
@@ -193,6 +194,15 @@ class TestRunSof:
         fresh = subchannel_gram(geom, paths, state.m_hat)
         assert np.max(np.abs(state.gram.g - fresh.g)) <= 1e-10
         assert np.max(np.abs(state.gram.indicator - fresh.indicator)) <= 1e-10
+
+    def test_final_indicator_equals_full_recompute(self):
+        # The loop refreshes only the changed row and column of the squared
+        # magnitudes; the row sums must equal a full recompute bit for bit.
+        rng = np.random.default_rng(81)
+        geom = ArrayGeometry(n_t=32, n_r=8)
+        paths = random_paths(rng, 80)
+        state = run_sof(geom, paths)
+        assert np.array_equal(state.gram.indicator, correlation_indicator(state.gram.g))
 
     def test_objective_matches_gram_definition(self):
         # Columns are designed once and never revisited, so the penalty
