@@ -12,7 +12,6 @@ from .cfpa import (
     allocate_power,
     cfpa_weights,
     design_pattern,
-    finalize_pattern,
     power_factors,
     power_scaling,
 )
@@ -25,7 +24,6 @@ from .channel import (
     sample_cluster_paths,
     steering_matrices,
     steering_matrix,
-    steering_vector,
 )
 from .errors import (
     CampaignError,
@@ -43,21 +41,17 @@ from .montecarlo import (
     run_trial,
     trial_rng,
 )
-from .numerics import EigenPair, eig_sym, logdet_capacity_kernel, singular_values
+from .numerics import eig_sym, logdet_capacity_kernel
 from .pattern import (
     PatternMatrix,
     SubchannelGram,
     assemble_pattern_channel,
     capacity,
     correlation_indicator,
-    modified_subchannels,
     subchannel_gram,
 )
 from .sof import (
     SofState,
-    b_vector,
-    quadratic_matrix,
-    receiver_correlation,
     run_sof,
     solve_modification_vector,
 )
@@ -70,7 +64,6 @@ __all__ = [
     "CapacityCurve",
     "ClusterProfile",
     "DegenerateChannelError",
-    "EigenPair",
     "InvalidInputError",
     "NumericalFailureError",
     "PathSet",
@@ -83,7 +76,6 @@ __all__ = [
     "allocate_power",
     "assemble_pattern_channel",
     "assemble_physical",
-    "b_vector",
     "capacity",
     "cfpa_weights",
     "condition_profile",
@@ -91,23 +83,17 @@ __all__ = [
     "design_pattern",
     "draw_paths",
     "eig_sym",
-    "finalize_pattern",
     "ideal_capacity",
     "logdet_capacity_kernel",
-    "modified_subchannels",
     "power_factors",
     "power_scaling",
-    "quadratic_matrix",
-    "receiver_correlation",
     "run_campaign",
     "run_sof",
     "run_trial",
     "sample_cluster_paths",
-    "singular_values",
     "solve_modification_vector",
     "steering_matrices",
     "steering_matrix",
-    "steering_vector",
     "subchannel_gram",
     "trial_rng",
 ]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateChannelError, InvalidInputError
-from .pattern import PatternMatrix, assemble_pattern_channel, modified_subchannels
+from .pattern import PatternMatrix, assemble_pattern_channel
 from .sof import run_sof
 
 # Indicator entries below this fraction of the maximum are floored before
@@ -67,22 +67,23 @@ def cfpa_weights(indicator):
     return w_hat, w_hat / w_hat.sum()
 
 
-def power_scaling(geometry, subchannels, w):
+def power_scaling(geometry, g, w):
     """Scale factor putting the proportion-weighted sum at the power budget.
 
-    ``sqrt(n_t*n_r / tr(S^H S))`` for ``S`` the w-weighted subchannel
-    sum. Raises if the sum cancels exactly.
+    ``sqrt(n_t*n_r / tr(S^H S))`` for ``S`` the w-weighted sum of the
+    modified subchannels. They have unit Frobenius norm and ``g`` is their
+    Gram matrix, so ``tr(S^H S) = w^T Re(G) w``. Raises if the sum
+    cancels.
     """
-    subchannels = np.asarray(subchannels, dtype=complex)
+    g = np.asarray(g, dtype=complex)
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    if subchannels.ndim != 3 or subchannels.shape[0] != w.size:
-        raise InvalidInputError("need one (n_r, n_t) subchannel slab per weight")
+    if g.shape != (w.size, w.size):
+        raise InvalidInputError("need one gram row and column per weight")
     if abs(w.sum() - 1.0) > 1e-9:
         raise InvalidInputError("proportions must sum to 1")
-    combined = np.tensordot(w, subchannels, axes=(0, 0))
-    power = float(np.sum(np.abs(combined) ** 2))
-    if power == 0.0:
-        raise DegenerateChannelError("weighted subchannel sum is identically zero")
+    power = float(w @ g.real @ w)
+    if power <= 0.0:
+        raise DegenerateChannelError("weighted subchannel sum cancels to zero")
     return float(np.sqrt(geometry.n_t * geometry.n_r / power))
 
 
@@ -101,21 +102,19 @@ def power_factors(gains, w, delta):
     return np.atleast_1d(np.asarray(w, dtype=float)) * delta / magnitudes
 
 
-def finalize_pattern(m_hat, p):
-    """Fold per-path factors into the final pattern matrix."""
-    return PatternMatrix(m_hat=np.asarray(m_hat, dtype=float), p=p)
-
-
-def allocate_power(geometry, paths, m_hat, indicator, renormalize=True):
+def allocate_power(geometry, paths, m_hat, gram, renormalize=True):
     """Run the closed-form allocation and assemble the final pattern.
 
-    Paths with zero gain are excluded from the allocation and receive a
-    zero power factor. With ``renormalize=True`` (the default) the
-    factors are afterwards rescaled uniformly so the assembled channel
-    meets the power budget ``tr(H H^H) = n_t*n_r`` exactly; the scale
-    factor alone only guarantees this for the phase-free subchannel
-    combination, and the gain phases perturb it. The returned
-    ``PowerAllocation`` keeps the unrescaled closed-form quantities.
+    ``gram`` is the ``SubchannelGram`` of the columns ``m_hat``: its
+    indicator sets the power proportions and its Gram matrix the budget
+    scale factor. Paths with zero gain are excluded from the allocation
+    and receive a zero power factor. With ``renormalize=True`` (the
+    default) the factors are afterwards rescaled uniformly so the
+    assembled channel meets the power budget ``tr(H H^H) = n_t*n_r``
+    exactly; the scale factor alone only guarantees this for the
+    phase-free subchannel combination, and the gain phases perturb it.
+    The returned ``PowerAllocation`` keeps the unrescaled closed-form
+    quantities.
 
     Returns ``(pattern, allocation)``.
     """
@@ -123,26 +122,25 @@ def allocate_power(geometry, paths, m_hat, indicator, renormalize=True):
     keep = np.abs(gains) > 0.0
     if not keep.any():
         raise DegenerateChannelError("every path gain is zero")
-    indicator = np.atleast_1d(np.asarray(indicator, dtype=float))
-    if indicator.shape != (len(paths),):
-        raise InvalidInputError("indicator length must match the path count")
+    n_paths = len(paths)
+    if np.shape(m_hat) != (geometry.n_t, n_paths) or gram.indicator.shape != (n_paths,):
+        raise InvalidInputError("m_hat and gram must match the geometry and path count")
 
-    w_hat, w = cfpa_weights(indicator[keep])
-    subchannels = modified_subchannels(geometry, paths, m_hat)[keep]
-    delta = power_scaling(geometry, subchannels, w)
+    w_hat, w = cfpa_weights(gram.indicator[keep])
+    delta = power_scaling(geometry, gram.g[np.ix_(keep, keep)], w)
     p_kept = power_factors(gains[keep], w, delta)
     allocation = PowerAllocation(w_hat=w_hat, w=w, delta=delta, p=p_kept)
 
-    p_full = np.zeros(len(paths))
+    p_full = np.zeros(n_paths)
     p_full[keep] = p_kept
-    pattern = finalize_pattern(m_hat, p_full)
+    pattern = PatternMatrix(m_hat=m_hat, p=p_full)
     if renormalize:
         h = assemble_pattern_channel(geometry, paths, pattern)
         power = float(np.sum(np.abs(h) ** 2))
         if power == 0.0:
             raise DegenerateChannelError("assembled pattern channel is zero")
         scale = np.sqrt(geometry.n_t * geometry.n_r / power)
-        pattern = finalize_pattern(m_hat, p_full * scale)
+        pattern = PatternMatrix(m_hat=m_hat, p=p_full * scale)
     return pattern, allocation
 
 
@@ -154,6 +152,6 @@ def design_pattern(geometry, paths, renormalize=True):
     """
     state = run_sof(geometry, paths)
     pattern, allocation = allocate_power(
-        geometry, paths, state.m_hat, state.gram.indicator, renormalize=renormalize
+        geometry, paths, state.m_hat, state.gram, renormalize=renormalize
     )
     return pattern, allocation, state

@@ -85,21 +85,12 @@ class ClusterProfile:
             raise InvalidInputError("angle spread must be nonnegative")
 
 
-def steering_vector(n, spacing, angle):
-    """Unit-norm response of an n-element ULA toward one azimuth.
-
-    Entry k (0-based) is ``exp(-j*2*pi*spacing*k*sin(angle)) / sqrt(n)``.
-    """
-    if n < 1:
-        raise InvalidInputError("antenna count must be >= 1")
-    if spacing <= 0:
-        raise InvalidInputError("spacing must be positive")
-    phase = -2j * np.pi * spacing * np.sin(angle) * np.arange(n)
-    return np.exp(phase) / np.sqrt(n)
-
-
 def steering_matrix(n, spacing, angles):
-    """Steering vectors for several azimuths stacked as matrix columns."""
+    """Unit-norm n-element ULA responses, one column per azimuth.
+
+    Entry (k, l) (0-based) is
+    ``exp(-j*2*pi*spacing*k*sin(angles[l])) / sqrt(n)``.
+    """
     if n < 1:
         raise InvalidInputError("antenna count must be >= 1")
     if spacing <= 0:

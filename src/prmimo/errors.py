@@ -26,4 +26,4 @@ class DegenerateChannelError(PrMimoError):
 
 
 class CampaignError(PrMimoError, RuntimeError):
-    """Too many Monte Carlo trials failed for the campaign to be trusted."""
+    """Too many Monte Carlo trials failed, or one raised a non-package error."""

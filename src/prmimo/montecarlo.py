@@ -22,7 +22,7 @@ from .channel import (
     condition_profile,
     sample_cluster_paths,
 )
-from .errors import CampaignError, InvalidInputError
+from .errors import CampaignError, InvalidInputError, PrMimoError
 from .pattern import assemble_pattern_channel, capacity
 
 SCHEMES = ("physical", "pattern", "ideal")
@@ -169,9 +169,14 @@ def _safe_trial(args):
     scenario, index, safeguard = args
     try:
         physical, designed = run_trial(scenario, index, safeguard=safeguard)
-        return index, physical, designed, None
-    except Exception as exc:  # failed trials are counted, never averaged
+    except PrMimoError as exc:  # failed trials are counted, never averaged
         return index, None, None, f"{type(exc).__name__}: {exc}"
+    except Exception as exc:  # anything else is a bug: stop and say where
+        raise CampaignError(
+            f"trial {index} (master_seed {scenario.master_seed}) raised "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
+    return index, physical, designed, None
 
 
 def run_campaign(scenario, schemes=SCHEMES, workers=1, safeguard=False):
@@ -181,8 +186,9 @@ def run_campaign(scenario, schemes=SCHEMES, workers=1, safeguard=False):
     ``workers <= 1``), which receive them in contiguous chunks, and are
     reduced in trial order, so the output is byte-reproducible for a
     fixed scenario regardless of parallelism.
-    Trials that raise are excluded and counted; more than 1% of failures
-    aborts with ``CampaignError``.
+    Trials that raise a ``PrMimoError`` are excluded and counted; more
+    than 1% of failures aborts with ``CampaignError``, and so does any
+    other exception at once, naming the master seed and the trial index.
     """
     schemes = tuple(schemes)
     if not schemes:

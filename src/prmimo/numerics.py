@@ -5,8 +5,6 @@ the package can rely on a fixed eigenvalue ordering, explicit handling
 of nearly-PSD Gram matrices, and uniform error reporting.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
@@ -16,18 +14,11 @@ from .errors import InvalidInputError, NumericalFailureError
 # negative is rejected as a genuinely non-PSD input.
 PSD_CLAMP_REL = 1e-8
 
-
-class EigenPair(NamedTuple):
-    """Eigendecomposition of a real symmetric matrix, eigenvalues ascending.
-
-    ``vectors[:, k]`` is the unit eigenvector paired with ``values[k]``.
-    Within a degenerate eigenvalue subspace the basis is whatever the
-    backing decomposition produced; callers must not depend on the
-    identity of individual columns there.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
+# Relative tolerance on the unit-power invariant of modification columns:
+# a column's squared norm must lie within COLUMN_NORM_RTOL * n_t of n_t
+# (equivalently, a subchannel Gram diagonal within COLUMN_NORM_RTOL of 1).
+# The design's own round-off stays below 1e-15.
+COLUMN_NORM_RTOL = 1e-13
 
 
 def symmetrize(b):
@@ -46,6 +37,22 @@ def _require_finite(a, name):
         raise InvalidInputError(f"{name} contains non-finite entries")
 
 
+def require_unit_power_columns(m_hat):
+    """Check a modification matrix: nonnegative columns of squared norm n_t.
+
+    ``n_t`` is the row count. Non-finite entries fail the norm check.
+    """
+    if np.any(m_hat < 0):
+        raise InvalidInputError("m_hat entries must be nonnegative")
+    n_t = m_hat.shape[0]
+    deviation = np.abs(np.sum(m_hat**2, axis=0) - n_t)
+    if not np.all(deviation <= COLUMN_NORM_RTOL * n_t):
+        raise InvalidInputError(
+            f"every m_hat column needs squared norm {n_t}, "
+            f"worst deviation {float(np.max(deviation)):.3g}"
+        )
+
+
 def eig_sym(b):
     """Eigendecomposition of a real symmetric matrix.
 
@@ -57,8 +64,10 @@ def eig_sym(b):
 
     Returns
     -------
-    EigenPair
-        Ascending eigenvalues and the matching orthonormal eigenvectors.
+    (eigenvalues, eigenvectors)
+        numpy's ``eigh`` result: ascending eigenvalues and the matching
+        orthonormal eigenvectors as columns. Within a degenerate
+        eigenvalue the basis is whatever LAPACK produced.
 
     Raises
     ------
@@ -72,32 +81,11 @@ def eig_sym(b):
     _require_finite(b, "matrix")
     sym = symmetrize(b)
     try:
-        values, vectors = np.linalg.eigh(sym)
+        return np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         norm = float(np.linalg.norm(sym))
         raise NumericalFailureError(
             f"symmetric eigendecomposition did not converge (norm {norm:.6g})",
-            matrix_norm=norm,
-        ) from exc
-    return EigenPair(values=values, vectors=vectors)
-
-
-def singular_values(a):
-    """Singular values of a complex matrix, descending.
-
-    The values satisfy ``sum(s**2) == ||A||_F**2`` up to round-off, which
-    the test suite uses as an independent check.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise InvalidInputError(f"expected a matrix, got shape {a.shape}")
-    _require_finite(a, "matrix")
-    try:
-        return np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        norm = float(np.linalg.norm(a))
-        raise NumericalFailureError(
-            f"singular value decomposition did not converge (norm {norm:.6g})",
             matrix_norm=norm,
         ) from exc
 

@@ -6,17 +6,15 @@ evaluates its capacity, and quantifies inter-subchannel correlation
 through the Gram matrix of the normalized modified subchannels.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import steering_matrices
 from .errors import InvalidInputError
-from .numerics import logdet_capacity_kernel
+from .numerics import COLUMN_NORM_RTOL, logdet_capacity_kernel, require_unit_power_columns
 
-# Absolute tolerances for the factored-pattern invariants.
-COLUMN_NORM_TOL = 1e-10
-FACTOR_TOL = 1e-10
+# Absolute tolerance on the Hermitian symmetry of a Gram matrix.
 HERMITIAN_TOL = 1e-12
 
 
@@ -33,37 +31,22 @@ class PatternMatrix:
 
     m_hat: np.ndarray
     p: np.ndarray
-    m: np.ndarray = None
+    m: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.m_hat = np.asarray(self.m_hat, dtype=float)
         self.p = np.atleast_1d(np.asarray(self.p, dtype=float))
         if self.m_hat.ndim != 2:
             raise InvalidInputError("m_hat must be a 2-D matrix")
-        n_t, n_paths = self.m_hat.shape
+        n_paths = self.m_hat.shape[1]
         if self.p.shape != (n_paths,):
             raise InvalidInputError(
                 f"p must have one entry per column, got {self.p.shape} for {n_paths} columns"
             )
-        if np.any(self.m_hat < 0) or np.any(self.p < 0):
-            raise InvalidInputError("pattern entries must be nonnegative")
-        norms = np.sum(self.m_hat**2, axis=0)
-        if np.any(np.abs(norms - n_t) > COLUMN_NORM_TOL):
-            worst = float(np.max(np.abs(norms - n_t)))
-            raise InvalidInputError(
-                f"every m_hat column needs squared norm {n_t}, worst deviation {worst:.3g}"
-            )
-        product = self.m_hat * self.p
-        if self.m is None:
-            self.m = product
-        else:
-            self.m = np.asarray(self.m, dtype=float)
-            if self.m.shape != self.m_hat.shape:
-                raise InvalidInputError("m and m_hat shapes differ")
-            if np.any(np.abs(self.m - product) > FACTOR_TOL):
-                raise InvalidInputError("m does not factor as m_hat * diag(p)")
-            if np.any(self.m < 0):
-                raise InvalidInputError("pattern entries must be nonnegative")
+        require_unit_power_columns(self.m_hat)
+        if np.any(self.p < 0):
+            raise InvalidInputError("power factors must be nonnegative")
+        self.m = self.m_hat * self.p
 
     @classmethod
     def all_ones(cls, n_t, n_paths):
@@ -91,7 +74,7 @@ class SubchannelGram:
             raise InvalidInputError("indicator length must match the gram dimension")
         if np.max(np.abs(self.g - self.g.conj().T)) > HERMITIAN_TOL:
             raise InvalidInputError("gram matrix is not Hermitian within tolerance")
-        if np.any(np.abs(np.diag(self.g) - 1.0) > 1e-10):
+        if not np.all(np.abs(np.diag(self.g) - 1.0) <= COLUMN_NORM_RTOL):
             raise InvalidInputError("gram diagonal must be 1 for normalized subchannels")
         if np.any(self.indicator < 0):
             raise InvalidInputError("indicator entries must be nonnegative")
@@ -133,17 +116,6 @@ def assemble_pattern_channel(geometry, paths, pattern):
     return (a_r * paths.gains) @ (a_t * pattern.m).conj().T
 
 
-def modified_subchannels(geometry, paths, m_hat):
-    """Unit-power modified subchannels, one (n_r, n_t) slab per path.
-
-    Slab i is the rank-one outer product of the i-th receive steering
-    vector with the pattern-modified i-th transmit steering vector.
-    """
-    m_hat = _check_m_hat(geometry, paths, m_hat)
-    a_r, a_t = steering_matrices(geometry, paths)
-    return np.einsum("ri,ti->irt", a_r, (a_t * m_hat).conj())
-
-
 def receiver_factor_matrix(geometry, aoa):
     """Pairwise receive-side phase sums.
 
@@ -181,13 +153,7 @@ def _check_m_hat(geometry, paths, m_hat):
         raise InvalidInputError(
             f"m_hat shape {m_hat.shape} does not match ({geometry.n_t}, {len(paths)})"
         )
-    if np.any(m_hat < 0):
-        raise InvalidInputError("m_hat entries must be nonnegative")
-    norms = np.sum(m_hat**2, axis=0)
-    if np.any(np.abs(norms - geometry.n_t) > 1e-8 * max(1.0, geometry.n_t)):
-        raise InvalidInputError(
-            "m_hat columns must have squared norm n_t; renormalize before calling"
-        )
+    require_unit_power_columns(m_hat)
     return m_hat
 
 
@@ -196,9 +162,9 @@ def subchannel_gram(geometry, paths, m_hat):
 
     Entry (i, j) is the trace inner product of subchannels i and j,
     evaluated as the product of a receive-side phase sum and a
-    transmit-side weighted phase sum divided by ``n_r * n_t``. The
-    equivalent direct trace over explicitly assembled subchannels is kept
-    as a test oracle only; this factored form is O(L^2 * n_t) instead.
+    transmit-side weighted phase sum divided by ``n_r * n_t``. The tests
+    check it against the direct trace over explicitly assembled
+    subchannels; this factored form is O(L^2 * n_t) instead.
     """
     m_hat = _check_m_hat(geometry, paths, m_hat)
     recv = receiver_factor_matrix(geometry, paths.aoa)

@@ -31,52 +31,12 @@ class SofState:
     order: np.ndarray
     m_hat: np.ndarray
     gram: SubchannelGram
-    iteration: int
 
     def __post_init__(self):
         self.order = np.asarray(self.order, dtype=int)
         n_paths = self.m_hat.shape[1]
         if sorted(self.order.tolist()) != list(range(n_paths)):
             raise InvalidInputError("order must be a permutation of the path indices")
-
-
-def receiver_correlation(geometry, theta_i, theta_k):
-    """Receive-side correlation between two arrival angles.
-
-    ``(1/n_r) * sum_n exp(j*2*pi*d_r*n*(sin theta_k - sin theta_i))``;
-    magnitude is at most 1, with equality at identical angles.
-    """
-    n = np.arange(geometry.n_r)
-    phases = 2.0 * np.pi * geometry.spacing_r * (np.sin(theta_k) - np.sin(theta_i)) * n
-    return complex(np.exp(1j * phases).sum() / geometry.n_r)
-
-
-def b_vector(geometry, m_hat_k, phi_i, phi_k):
-    """Transmit-side coupling of a fixed column toward a new departure.
-
-    Entry n is ``(1/n_t) * m_hat_k(n) *
-    exp(j*2*pi*d_t*n*(sin phi_i - sin phi_k))``. Its inner product with
-    the redesigned column gives the transmit part of the pair's Gram
-    entry, which is what the quadratic objective penalizes.
-    """
-    m_hat_k = np.asarray(m_hat_k, dtype=float)
-    n = np.arange(geometry.n_t)
-    phase = np.exp(
-        2j * np.pi * geometry.spacing_t * (np.sin(phi_i) - np.sin(phi_k)) * n
-    )
-    return m_hat_k * phase / geometry.n_t
-
-
-def quadratic_matrix(rho_r, b):
-    """Real symmetric PSD coefficient matrix of one squared-correlation term.
-
-    ``real(|rho_r|^2 * conj(b) b^T)``, symmetrized. For any real m the
-    quadratic form equals ``|rho_r|^2 * |b^T m|^2``, the squared
-    magnitude of the corresponding Gram entry.
-    """
-    b = np.asarray(b, dtype=complex)
-    m = (abs(rho_r) ** 2) * np.outer(b.conj(), b).real
-    return 0.5 * (m + m.T)
 
 
 def solve_modification_vector(b_sum, n_t):
@@ -92,8 +52,8 @@ def solve_modification_vector(b_sum, n_t):
         raise InvalidInputError(
             f"coefficient matrix shape {b_sum.shape} does not match n_t={n_t}"
         )
-    pair = eig_sym(b_sum)
-    u = pair.vectors[:, 0]
+    _, vectors = eig_sym(b_sum)
+    u = vectors[:, 0]
     pos_mass = float(np.maximum(u, 0.0).sum())
     neg_mass = float(np.maximum(-u, 0.0).sum())
     if neg_mass > pos_mass:
@@ -191,4 +151,4 @@ def run_sof(geometry, paths):
         selected[target] = True
 
     gram = SubchannelGram(g=g, indicator=indicator)
-    return SofState(order=order, m_hat=m_hat, gram=gram, iteration=n_paths)
+    return SofState(order=order, m_hat=m_hat, gram=gram)

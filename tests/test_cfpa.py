@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import feasible_m_hat, random_paths
+from oracles import modified_subchannels, tensor_power_scaling
 from prmimo import (
     ArrayGeometry,
     DegenerateChannelError,
@@ -14,11 +15,10 @@ from prmimo import (
     assemble_pattern_channel,
     cfpa_weights,
     design_pattern,
-    finalize_pattern,
-    modified_subchannels,
     power_factors,
     power_scaling,
     run_sof,
+    subchannel_gram,
 )
 
 
@@ -64,15 +64,15 @@ class TestPowerScaling:
     def test_single_unit_subchannel(self):
         geom = ArrayGeometry(n_t=8, n_r=2)
         paths = PathSet(gains=[1.0], aod=[0.3], aoa=[-0.1])
-        subs = modified_subchannels(geom, paths, np.ones((8, 1)))
-        delta = power_scaling(geom, subs, np.array([1.0]))
+        gram = subchannel_gram(geom, paths, np.ones((8, 1)))
+        delta = power_scaling(geom, gram.g, np.array([1.0]))
         assert_allclose(delta, np.sqrt(16.0), rtol=1e-12)
 
     def test_identical_subchannels_collapse(self):
         geom = ArrayGeometry(n_t=8, n_r=2)
         paths = PathSet(gains=[1.0, 1.0], aod=[0.3, 0.3], aoa=[-0.1, -0.1])
-        subs = modified_subchannels(geom, paths, np.ones((8, 2)))
-        delta = power_scaling(geom, subs, np.array([0.5, 0.5]))
+        gram = subchannel_gram(geom, paths, np.ones((8, 2)))
+        delta = power_scaling(geom, gram.g, np.array([0.5, 0.5]))
         assert_allclose(delta, np.sqrt(16.0), rtol=1e-12)
 
     def test_defining_trace_identity(self):
@@ -80,25 +80,31 @@ class TestPowerScaling:
         geom = ArrayGeometry(n_t=8, n_r=4)
         paths = random_paths(rng, 6)
         m_hat = feasible_m_hat(rng, 8, 6)
+        gram = subchannel_gram(geom, paths, m_hat)
         subs = modified_subchannels(geom, paths, m_hat)
         _, w = cfpa_weights(rng.uniform(0.1, 2.0, 6))
-        delta = power_scaling(geom, subs, w)
+        delta = power_scaling(geom, gram.g, w)
         combined = delta * np.tensordot(w, subs, axes=(0, 0))
         budget = geom.n_t * geom.n_r
         assert abs(np.sum(np.abs(combined) ** 2) - budget) <= 1e-9 * budget
+        assert_allclose(delta, tensor_power_scaling(geom, subs, w), rtol=1e-12)
 
     def test_exact_cancellation_raises(self):
+        # Gram of two unit slabs S and -S: the equal-weight sum is zero.
         geom = ArrayGeometry(n_t=2, n_r=2)
-        slab = np.ones((2, 2), dtype=complex)
-        subs = np.stack([slab, -slab])
+        g = np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex)
         with pytest.raises(DegenerateChannelError):
-            power_scaling(geom, subs, np.array([0.5, 0.5]))
+            power_scaling(geom, g, np.array([0.5, 0.5]))
 
     def test_rejects_unnormalized_proportions(self):
         geom = ArrayGeometry(n_t=2, n_r=2)
-        subs = np.ones((2, 2, 2), dtype=complex)
         with pytest.raises(InvalidInputError):
-            power_scaling(geom, subs, np.array([0.5, 0.7]))
+            power_scaling(geom, np.ones((2, 2), dtype=complex), np.array([0.5, 0.7]))
+
+    def test_rejects_gram_size_mismatch(self):
+        geom = ArrayGeometry(n_t=2, n_r=2)
+        with pytest.raises(InvalidInputError):
+            power_scaling(geom, np.eye(3, dtype=complex), np.array([0.5, 0.5]))
 
 
 class TestPowerFactors:
@@ -117,18 +123,6 @@ class TestPowerFactors:
             power_factors([1.0, 0.0], np.array([0.5, 0.5]), 1.0)
 
 
-class TestFinalizePattern:
-    def test_unit_factors(self):
-        m_hat = np.ones((4, 2))
-        pattern = finalize_pattern(m_hat, np.ones(2))
-        assert np.array_equal(pattern.m, m_hat)
-
-    def test_scalar_factor(self):
-        m_hat = np.ones((4, 2))
-        pattern = finalize_pattern(m_hat, np.full(2, 0.3))
-        assert_allclose(pattern.m, 0.3 * m_hat, rtol=1e-12)
-
-
 class TestPowerAllocationType:
     def test_rejects_bad_proportions(self):
         with pytest.raises(InvalidInputError):
@@ -145,7 +139,7 @@ class TestAllocatePower:
         geom = ArrayGeometry(n_t=16, n_r=4)
         paths = random_paths(rng, 12)
         state = run_sof(geom, paths)
-        pattern, allocation = allocate_power(geom, paths, state.m_hat, state.gram.indicator)
+        pattern, allocation = allocate_power(geom, paths, state.m_hat, state.gram)
         h = assemble_pattern_channel(geom, paths, pattern)
         budget = geom.n_t * geom.n_r
         assert abs(np.sum(np.abs(h) ** 2) - budget) <= 1e-9 * budget
@@ -157,7 +151,7 @@ class TestAllocatePower:
         paths = random_paths(rng, 12)
         state = run_sof(geom, paths)
         pattern, allocation = allocate_power(
-            geom, paths, state.m_hat, state.gram.indicator, renormalize=False
+            geom, paths, state.m_hat, state.gram, renormalize=False
         )
         assert_allclose(pattern.p, allocation.p, rtol=1e-12)
 
@@ -169,7 +163,8 @@ class TestAllocatePower:
         gains[2] = 0.0
         paths = PathSet(gains=gains, aod=base.aod, aoa=base.aoa)
         m_hat = feasible_m_hat(rng, 8, 4)
-        pattern, allocation = allocate_power(geom, paths, m_hat, np.ones(4))
+        gram = subchannel_gram(geom, paths, m_hat)
+        pattern, allocation = allocate_power(geom, paths, m_hat, gram)
         assert pattern.p[2] == 0.0
         assert allocation.p.size == 3
         assert np.all(allocation.p > 0)
@@ -177,8 +172,9 @@ class TestAllocatePower:
     def test_all_zero_gains_raise(self):
         geom = ArrayGeometry(n_t=4, n_r=2)
         paths = PathSet(gains=[0.0, 0.0], aod=[0.1, 0.2], aoa=[0.0, 0.3])
+        gram = subchannel_gram(geom, paths, np.ones((4, 2)))
         with pytest.raises(DegenerateChannelError):
-            allocate_power(geom, paths, np.ones((4, 2)), np.ones(2))
+            allocate_power(geom, paths, np.ones((4, 2)), gram)
 
 
 class TestDesignPattern:

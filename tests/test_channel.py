@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import steering_vector
 from prmimo import (
     ArrayGeometry,
     ClusterProfile,
@@ -10,7 +11,6 @@ from prmimo import (
     assemble_physical,
     condition_profile,
     sample_cluster_paths,
-    steering_vector,
 )
 
 

@@ -8,6 +8,7 @@ from prmimo import (
     CampaignError,
     CapacityCurve,
     InvalidInputError,
+    NumericalFailureError,
     PatternMatrix,
     Scenario,
     capacity,
@@ -188,7 +189,7 @@ class TestRunCampaign:
 
         def flaky(sc, index, safeguard=False):
             if index == 17:
-                raise RuntimeError("synthetic failure")
+                raise NumericalFailureError("synthetic failure")
             return real_run_trial(sc, index, safeguard=safeguard)
 
         monkeypatch.setattr(montecarlo, "run_trial", flaky)
@@ -202,12 +203,35 @@ class TestRunCampaign:
 
         def flaky(sc, index, safeguard=False):
             if index in (3, 11):
-                raise RuntimeError("synthetic failure")
+                raise NumericalFailureError("synthetic failure")
             return real_run_trial(sc, index, safeguard=safeguard)
 
         monkeypatch.setattr(montecarlo, "run_trial", flaky)
         with pytest.raises(CampaignError):
             run_campaign(scenario, schemes=("physical",))
+
+    def test_unexpected_error_aborts_and_names_trial(self, monkeypatch):
+        # A bug is not a numerical failure: one TypeError stops the
+        # campaign instead of being averaged away with the survivors.
+        scenario = small_scenario(trials=200, snr_db=np.array([10.0]))
+        real_run_trial = montecarlo.run_trial
+
+        def buggy(sc, index, safeguard=False):
+            if index == 17:
+                raise TypeError("synthetic bug")
+            return real_run_trial(sc, index, safeguard=safeguard)
+
+        monkeypatch.setattr(montecarlo, "run_trial", buggy)
+        with pytest.raises(CampaignError, match=r"trial 17 \(master_seed 99\) raised TypeError"):
+            run_campaign(scenario, schemes=("physical",))
+
+    def test_unexpected_error_aborts_through_the_pool(self):
+        # A ray count that is not an integer breaks the path draw with a
+        # TypeError inside the worker processes.
+        scenario = small_scenario(trials=6)
+        scenario.n_ray = 2.5
+        with pytest.raises(CampaignError, match=r"trial 0 \(master_seed 99\) raised TypeError"):
+            run_campaign(scenario, workers=2)
 
 
 class TestCapacityCurve:

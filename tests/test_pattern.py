@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import feasible_m_hat, random_paths
+from oracles import modified_subchannels, singular_values
 from prmimo import (
     ArrayGeometry,
     InvalidInputError,
@@ -12,11 +13,10 @@ from prmimo import (
     assemble_physical,
     capacity,
     correlation_indicator,
-    modified_subchannels,
-    singular_values,
     subchannel_gram,
 )
 from prmimo.channel import steering_matrices
+from prmimo.numerics import COLUMN_NORM_RTOL
 
 
 class TestPatternMatrix:
@@ -46,10 +46,26 @@ class TestPatternMatrix:
         with pytest.raises(InvalidInputError):
             PatternMatrix(m_hat=m_hat, p=np.ones(2))
 
-    def test_rejects_inconsistent_product(self):
-        m_hat = np.ones((4, 1))
-        with pytest.raises(InvalidInputError):
-            PatternMatrix(m_hat=m_hat, p=np.array([2.0]), m=np.ones((4, 1)))
+    def test_unit_factors(self):
+        m_hat = np.ones((4, 2))
+        pattern = PatternMatrix(m_hat=m_hat, p=np.ones(2))
+        assert np.array_equal(pattern.m, m_hat)
+
+    def test_scalar_factor(self):
+        m_hat = np.ones((4, 2))
+        pattern = PatternMatrix(m_hat=m_hat, p=np.full(2, 0.3))
+        assert_allclose(pattern.m, 0.3 * m_hat, rtol=1e-12)
+
+    def test_column_norm_tolerance_is_relative(self):
+        # Half the relative tolerance passes and ten times it fails, at
+        # small and large n_t alike.
+        for n_t in (4, 128):
+            column = np.full((n_t, 1), 1.0)
+            ok = column * np.sqrt(1.0 + 0.5 * COLUMN_NORM_RTOL)
+            PatternMatrix(m_hat=ok, p=np.ones(1))
+            bad = column * np.sqrt(1.0 + 10.0 * COLUMN_NORM_RTOL)
+            with pytest.raises(InvalidInputError):
+                PatternMatrix(m_hat=bad, p=np.ones(1))
 
     def test_rejects_negative_power_factor(self):
         with pytest.raises(InvalidInputError):

@@ -3,13 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import feasible_m_hat, random_paths
+from oracles import b_vector, quadratic_matrix, receiver_correlation
 from prmimo import (
     ArrayGeometry,
     PathSet,
-    b_vector,
     correlation_indicator,
-    quadratic_matrix,
-    receiver_correlation,
     run_sof,
     solve_modification_vector,
     subchannel_gram,
