@@ -39,6 +39,7 @@ from .montecarlo import (
     ideal_capacity,
     run_campaign,
     run_trial,
+    run_trials,
     trial_rng,
 )
 from .numerics import eig_sym, logdet_capacity_kernel
@@ -90,6 +91,7 @@ __all__ = [
     "run_campaign",
     "run_sof",
     "run_trial",
+    "run_trials",
     "sample_cluster_paths",
     "solve_modification_vector",
     "steering_matrices",

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateChannelError, InvalidInputError
+from .numerics import PROPORTION_SUM_TOL
 from .pattern import PatternMatrix, assemble_pattern_channel
-from .sof import run_sof
+from .sof import run_sof_batch
 
 # Indicator entries below this fraction of the maximum are floored before
 # inversion, so a perfectly uncorrelated subchannel gets a large but
@@ -38,7 +39,7 @@ class PowerAllocation:
         self.w_hat = np.atleast_1d(np.asarray(self.w_hat, dtype=float))
         self.w = np.atleast_1d(np.asarray(self.w, dtype=float))
         self.p = np.atleast_1d(np.asarray(self.p, dtype=float))
-        if np.any(self.w <= 0) or abs(self.w.sum() - 1.0) > 1e-12:
+        if np.any(self.w <= 0) or abs(self.w.sum() - 1.0) > PROPORTION_SUM_TOL:
             raise InvalidInputError("proportions must be positive and sum to 1")
         if self.delta <= 0:
             raise InvalidInputError("scale factor must be positive")
@@ -79,7 +80,7 @@ def power_scaling(geometry, g, w):
     w = np.atleast_1d(np.asarray(w, dtype=float))
     if g.shape != (w.size, w.size):
         raise InvalidInputError("need one gram row and column per weight")
-    if abs(w.sum() - 1.0) > 1e-9:
+    if abs(w.sum() - 1.0) > PROPORTION_SUM_TOL:
         raise InvalidInputError("proportions must sum to 1")
     power = float(w @ g.real @ w)
     if power <= 0.0:
@@ -144,14 +145,27 @@ def allocate_power(geometry, paths, m_hat, gram, renormalize=True):
     return pattern, allocation
 
 
+def design_patterns(geometry, path_sets, renormalize=True):
+    """Full transmit-pattern design of path sets of one length.
+
+    Correlation modification runs on the whole batch in lockstep
+    (``run_sof_batch``), then power is allocated per path set. Returns
+    one ``(pattern, allocation, state)`` per path set, in order, each
+    bit-identical to ``design_pattern`` on that path set.
+    """
+    designs = []
+    for paths, state in zip(path_sets, run_sof_batch(geometry, path_sets)):
+        pattern, allocation = allocate_power(
+            geometry, paths, state.m_hat, state.gram, renormalize=renormalize
+        )
+        designs.append((pattern, allocation, state))
+    return designs
+
+
 def design_pattern(geometry, paths, renormalize=True):
     """Full transmit-pattern design: correlation modification, then power.
 
     Returns ``(pattern, allocation, state)`` where ``state`` is the
     finished sequential-modification state the allocation was based on.
     """
-    state = run_sof(geometry, paths)
-    pattern, allocation = allocate_power(
-        geometry, paths, state.m_hat, state.gram, renormalize=renormalize
-    )
-    return pattern, allocation, state
+    return design_patterns(geometry, [paths], renormalize=renormalize)[0]

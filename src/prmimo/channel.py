@@ -35,6 +35,8 @@ class ArrayGeometry:
             raise InvalidInputError(
                 f"need n_t >= n_r >= 1, got n_t={self.n_t}, n_r={self.n_r}"
             )
+        if not (np.isfinite(self.spacing_t) and np.isfinite(self.spacing_r)):
+            raise InvalidInputError("antenna spacings must be finite")
         if self.spacing_t <= 0 or self.spacing_r <= 0:
             raise InvalidInputError("antenna spacings must be positive")
 

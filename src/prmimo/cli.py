@@ -145,6 +145,8 @@ def parse_snr_grid(text):
         start, step, stop = (float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"bad snr grid {text!r}: {exc}") from exc
+    if not np.isfinite([start, step, stop]).all():
+        raise UsageError(f"snr grid values must be finite, got {text!r}")
     if step <= 0:
         raise UsageError("snr grid step must be positive")
     if stop < start:

@@ -4,8 +4,9 @@ Each trial draws an independent channel realization from a per-trial
 random stream derived from the campaign master seed, evaluates the bare
 physical channel and the designed pattern channel on a common SNR grid,
 and aggregates per-scheme capacity statistics together with the analytic
-ideal upper bound. Results are a pure function of the scenario; worker
-count and scheduling never change them.
+ideal upper bound. Trials that share a path count run in lockstep
+batches. Results are a pure function of the scenario; worker count,
+batch size and scheduling never change them.
 """
 
 import warnings
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cfpa import design_pattern
+from .cfpa import design_patterns
 from .channel import (
     ILL_MIN_CLUSTERS,
     ArrayGeometry,
@@ -30,6 +31,15 @@ SCHEMES = ("physical", "pattern", "ideal")
 # Campaigns abort when more than this fraction of trials fails; silently
 # averaging over survivors would bias the statistics.
 FAILURE_THRESHOLD = 0.01
+
+# Memory one lockstep batch may hold, in two parts. Each trial keeps four
+# L x L arrays through its design (the Gram and receive factor matrices,
+# complex, and their squared magnitudes, real: 48 L^2 bytes), and each
+# step stacks one n_t x n_t eigenproblem per trial (the complex penalty
+# product, its real part, the symmetrized matrix and the eigenvectors:
+# 40 n_t^2 bytes). The second part is what limits small-L batches.
+BATCH_STATE_BYTES = 1 << 20
+BATCH_STEP_BYTES = 1 << 19
 
 
 def _default_snr_grid():
@@ -53,8 +63,12 @@ class Scenario:
         self.snr_db = np.atleast_1d(np.asarray(self.snr_db, dtype=float))
         if self.snr_db.size < 1:
             raise InvalidInputError("snr grid must be nonempty")
+        if not np.isfinite(self.snr_db).all():
+            raise InvalidInputError("snr grid values must be finite")
         if self.trials < 1:
             raise InvalidInputError("trials must be >= 1")
+        if not np.isfinite(self.angle_spread):
+            raise InvalidInputError("angle spread must be finite")
         if self.angle_spread < 0:
             raise InvalidInputError("angle spread must be nonnegative")
         if self.condition not in ("good", "ill"):
@@ -134,6 +148,58 @@ def ideal_capacity(geometry, snr):
     return geometry.n_r * np.log2(1.0 + snr * geometry.n_t / geometry.n_r)
 
 
+def batch_size(n_paths, n_t):
+    """Trials per lockstep batch for ``n_paths`` paths and ``n_t`` antennas.
+
+    As many as keep the batch's L x L state (48 L^2 bytes per trial)
+    within ``BATCH_STATE_BYTES`` and its per-step eigenproblem stack
+    (40 n_t^2 bytes per trial) within ``BATCH_STEP_BYTES``, and at least
+    one.
+    """
+    return max(
+        1,
+        int(min(BATCH_STATE_BYTES // (48 * n_paths**2), BATCH_STEP_BYTES // (40 * n_t**2))),
+    )
+
+
+def run_trials(scenario, start, stop, safeguard=False):
+    """Evaluate trials ``start .. stop-1`` in lockstep on the SNR grid.
+
+    Returns ``(physical, pattern)`` capacity arrays of shape
+    (stop - start, SNR points) in bits/s/Hz. The trials share their path
+    count, so the design runs as one lockstep batch and each capacity
+    sweep as one stacked eigendecomposition; row ``i`` is bit-identical
+    to ``run_trial(scenario, start + i)``. The batch's memory grows with
+    its size (see ``batch_size``). ``safeguard`` acts as in
+    ``run_trial``.
+    """
+    if not 0 <= start < stop <= scenario.trials:
+        raise InvalidInputError(
+            f"trial range [{start}, {stop}) is empty or outside [0, {scenario.trials})"
+        )
+    geometry = scenario.geometry
+    path_sets = [draw_paths(scenario, index) for index in range(start, stop)]
+    snr = 10.0 ** (scenario.snr_db / 10.0)
+
+    h_physical = np.stack([assemble_physical(geometry, paths) for paths in path_sets])
+    physical = capacity(h_physical, snr)
+
+    designs = design_patterns(geometry, path_sets)
+    h_pattern = np.stack(
+        [
+            assemble_pattern_channel(geometry, paths, pattern)
+            for paths, (pattern, _, _) in zip(path_sets, designs)
+        ]
+    )
+    designed = capacity(h_pattern, snr)
+
+    if safeguard:
+        reference = int(np.argmax(snr))
+        lost = designed[:, reference] < physical[:, reference]
+        designed = np.where(lost[:, None], physical, designed)
+    return physical, designed
+
+
 def run_trial(scenario, trial_index, safeguard=False):
     """Evaluate one channel realization on the scenario's SNR grid.
 
@@ -142,50 +208,80 @@ def run_trial(scenario, trial_index, safeguard=False):
     all-ones pattern (the physical channel) whenever the design loses to
     the physical channel at the highest grid SNR; the default leaves the
     heuristic unguarded so improvements are measured, not enforced.
+    This is ``run_trials`` on the one trial.
     """
-    if not 0 <= trial_index < scenario.trials:
-        raise InvalidInputError(
-            f"trial index {trial_index} outside [0, {scenario.trials})"
-        )
-    geometry = scenario.geometry
-    paths = draw_paths(scenario, trial_index)
-    snr = 10.0 ** (scenario.snr_db / 10.0)
-
-    h_physical = assemble_physical(geometry, paths)
-    physical = capacity(h_physical, snr)
-
-    pattern, _, _ = design_pattern(geometry, paths)
-    h_pattern = assemble_pattern_channel(geometry, paths, pattern)
-    designed = capacity(h_pattern, snr)
-
-    if safeguard:
-        reference = int(np.argmax(snr))
-        if designed[reference] < physical[reference]:
-            designed = physical.copy()
-    return physical, designed
+    physical, designed = run_trials(scenario, trial_index, trial_index + 1, safeguard)
+    return physical[0], designed[0]
 
 
-def _safe_trial(args):
-    scenario, index, safeguard = args
+def _run_batch(scenario, start, stop, safeguard):
+    """Outcome records ``(index, physical, pattern, error)`` of one batch.
+
+    A failing batch is rerun one trial at a time: a ``PrMimoError`` then
+    fails only its own trial, and any other exception is a bug that
+    aborts with the trial index.
+    """
     try:
-        physical, designed = run_trial(scenario, index, safeguard=safeguard)
-    except PrMimoError as exc:  # failed trials are counted, never averaged
-        return index, None, None, f"{type(exc).__name__}: {exc}"
-    except Exception as exc:  # anything else is a bug: stop and say where
+        physical, designed = run_trials(scenario, start, stop, safeguard)
+    except Exception as exc:
+        seed = scenario.master_seed
+        if stop - start > 1:
+            outcomes = []
+            for index in range(start, stop):
+                outcomes += _run_batch(scenario, index, index + 1, safeguard)
+            if isinstance(exc, PrMimoError):
+                return outcomes
+            where = f"trials {start}..{stop - 1} as one batch"
+        elif isinstance(exc, PrMimoError):  # counted, never averaged
+            return [(start, None, None, f"{type(exc).__name__}: {exc}")]
+        else:
+            where = f"trial {start}"
         raise CampaignError(
-            f"trial {index} (master_seed {scenario.master_seed}) raised "
-            f"{type(exc).__name__}: {exc}"
+            f"{where} (master_seed {seed}) raised {type(exc).__name__}: {exc}"
         ) from exc
-    return index, physical, designed, None
+    return [
+        (index, physical[row], designed[row], None)
+        for row, index in enumerate(range(start, stop))
+    ]
+
+
+def _run_range(args):
+    """Outcome records of trials ``start .. stop-1``, in batches."""
+    scenario, start, stop, safeguard = args
+    size = batch_size(scenario.n_cl * scenario.n_ray, scenario.geometry.n_t)
+    outcomes = []
+    for first in range(start, stop, size):
+        outcomes += _run_batch(scenario, first, min(first + size, stop), safeguard)
+    return outcomes
+
+
+def _trial_outcomes(scenario, workers, safeguard):
+    # Contiguous ranges, about eight per worker: few enough tasks that
+    # dispatch stays cheap, enough to balance uneven trials. The serial
+    # path runs the same ranges in this process.
+    trials = scenario.trials
+    chunk = -(-trials // (8 * max(workers, 1)))
+    jobs = [
+        (scenario, start, min(start + chunk, trials), safeguard)
+        for start in range(0, trials, chunk)
+    ]
+    if workers <= 1:
+        ranges = map(_run_range, jobs)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            ranges = list(pool.map(_run_range, jobs))
+    return [outcome for outcomes in ranges for outcome in outcomes]
 
 
 def run_campaign(scenario, schemes=SCHEMES, workers=1, safeguard=False):
     """Run all trials and aggregate one capacity curve per scheme.
 
-    Trials execute on a pool of ``workers`` processes (serially for
-    ``workers <= 1``), which receive them in contiguous chunks, and are
-    reduced in trial order, so the output is byte-reproducible for a
-    fixed scenario regardless of parallelism.
+    Trials run in contiguous ranges of about ``trials / (8 * workers)``,
+    on a pool of ``workers`` processes (in this process for
+    ``workers <= 1``); each range runs in lockstep batches of
+    ``batch_size`` trials. Results are reduced in trial order, so the
+    output is byte-reproducible for a fixed scenario regardless of
+    parallelism and batching.
     Trials that raise a ``PrMimoError`` are excluded and counted; more
     than 1% of failures aborts with ``CampaignError``, and so does any
     other exception at once, naming the master seed and the trial index.
@@ -199,19 +295,7 @@ def run_campaign(scenario, schemes=SCHEMES, workers=1, safeguard=False):
 
     curves = []
     if "physical" in schemes or "pattern" in schemes:
-        outcomes = [None] * scenario.trials
-        jobs = ((scenario, index, safeguard) for index in range(scenario.trials))
-        if workers <= 1:
-            for job in jobs:
-                result = _safe_trial(job)
-                outcomes[result[0]] = result
-        else:
-            # Contiguous chunks, about eight per worker: few enough tasks
-            # that dispatch stays cheap, enough to balance uneven trials.
-            chunk = -(-scenario.trials // (8 * workers))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for result in pool.map(_safe_trial, jobs, chunksize=chunk):
-                    outcomes[result[0]] = result
+        outcomes = _trial_outcomes(scenario, workers, safeguard)
 
         physical_rows, pattern_rows, failures = [], [], []
         for index, physical, designed, error in outcomes:

@@ -20,15 +20,26 @@ PSD_CLAMP_REL = 1e-8
 # The design's own round-off stays below 1e-15.
 COLUMN_NORM_RTOL = 1e-13
 
+# Absolute tolerance on power proportions summing to 1. Normalizing a
+# weight vector leaves a few ulps of round-off; the proportions of any
+# path count used here stay far below this bound.
+PROPORTION_SUM_TOL = 1e-12
+
 
 def symmetrize(b):
-    """Return ``(B + B^T) / 2``; a no-op (bitwise) for symmetric input."""
+    """Return ``(B + B^T) / 2`` for each matrix of a (..., n, n) stack.
+
+    A no-op (bitwise) for symmetric input.
+    """
     b = np.asarray(b, dtype=float)
-    return 0.5 * (b + b.T)
+    sym = b + b.swapaxes(-1, -2)
+    sym *= 0.5
+    return sym
 
 
 def _require_square(a, name):
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    # A single matrix or a stack of them over leading axes.
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InvalidInputError(f"{name} must be square, got shape {a.shape}")
 
 
@@ -58,16 +69,19 @@ def eig_sym(b):
 
     Parameters
     ----------
-    b : (n, n) array_like
-        Real symmetric matrix. The input is symmetrized by averaging
-        first, so accumulation round-off from the caller is tolerated.
+    b : (..., n, n) array_like
+        Real symmetric matrix, or a stack of them. The input is
+        symmetrized by averaging first, so accumulation round-off from
+        the caller is tolerated.
 
     Returns
     -------
     (eigenvalues, eigenvectors)
         numpy's ``eigh`` result: ascending eigenvalues and the matching
         orthonormal eigenvectors as columns. Within a degenerate
-        eigenvalue the basis is whatever LAPACK produced.
+        eigenvalue the basis is whatever LAPACK produced. A stacked call
+        runs LAPACK once per matrix, so each result is bit-identical to
+        the call on that matrix alone.
 
     Raises
     ------
@@ -99,11 +113,13 @@ def logdet_capacity_kernel(g, gamma):
     round-off on a PSD matrix and clamped to zero; anything more negative
     raises ``InvalidInputError``.
 
-    ``gamma`` may be a scalar (a ``float`` is returned) or an array of
-    positive values (an array of the same shape is returned). The
-    eigenvalues do not depend on ``gamma``, so they are computed once for
-    the whole array, and entry ``k`` equals the scalar call at
-    ``gamma[k]`` bit for bit.
+    ``g`` is one (n, n) matrix or a (..., n, n) stack, and ``gamma`` a
+    scalar or an array of positive values; the result has shape
+    ``g.shape[:-2] + gamma.shape``, and a single matrix with a scalar
+    ``gamma`` gives a ``float``. The eigenvalues do not depend on
+    ``gamma``, so there is one stacked ``eigvalsh`` for the whole call,
+    and every entry equals the call on its own matrix and ``gamma``
+    entry bit for bit.
     """
     g = np.asarray(g, dtype=complex)
     _require_square(g, "gram matrix")
@@ -119,11 +135,18 @@ def logdet_capacity_kernel(g, gamma):
             f"Hermitian eigenvalue iteration did not converge (norm {norm:.6g})",
             matrix_norm=norm,
         ) from exc
-    floor = -PSD_CLAMP_REL * float(np.linalg.norm(g))
-    if lam.size and lam[0] < floor:
-        raise InvalidInputError(
-            f"gram matrix has eigenvalue {lam[0]:.6g}, below the PSD tolerance {floor:.6g}"
-        )
-    lam = np.maximum(lam, 0.0)
+    n = lam.shape[-1]
+    if n:
+        # Only a negative eigenvalue can fall below a matrix's floor, and
+        # each floor is that matrix's own Frobenius norm.
+        lowest = lam.reshape(-1, n)[:, 0]
+        for index in np.flatnonzero(lowest < 0.0):
+            floor = -PSD_CLAMP_REL * float(np.linalg.norm(g.reshape(-1, n, n)[index]))
+            if lowest[index] < floor:
+                raise InvalidInputError(
+                    f"gram matrix has eigenvalue {lowest[index]:.6g}, "
+                    f"below the PSD tolerance {floor:.6g}"
+                )
+    lam = np.maximum(lam, 0.0).reshape(lam.shape[:-1] + (1,) * gamma.ndim + (n,))
     capacities = np.log2(1.0 + gamma[..., None] * lam).sum(axis=-1)
     return float(capacities) if capacities.ndim == 0 else capacities

@@ -86,16 +86,18 @@ def capacity(h, snr):
     ``snr`` is the transmit signal-to-noise ratio in linear units; equal
     power is radiated from every transmit antenna (no precoder). A scalar
     ``snr`` gives a ``float``; an array gives one capacity per entry from a
-    single eigendecomposition, bit-identical to the scalar calls.
+    single eigendecomposition, bit-identical to the scalar calls. ``h``
+    may also be a (..., n_r, n_t) stack of channels, which adds its
+    leading axes to the result, each entry bit-identical to its own call.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2:
+    if h.ndim < 2:
         raise InvalidInputError(f"expected a channel matrix, got shape {h.shape}")
     snr = np.asarray(snr, dtype=float)
     if np.any(snr <= 0):
         raise InvalidInputError(f"snr must be positive, got {snr}")
-    n_r = h.shape[0]
-    return logdet_capacity_kernel(h @ h.conj().T, snr / n_r)
+    n_r = h.shape[-2]
+    return logdet_capacity_kernel(h @ h.conj().swapaxes(-1, -2), snr / n_r)
 
 
 def assemble_pattern_channel(geometry, paths, pattern):

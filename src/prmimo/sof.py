@@ -46,31 +46,40 @@ def solve_modification_vector(b_sum, n_t):
     with the larger positive mass (both signs are eigenvectors, and the
     wrong one can be annihilated by the clip), clips negatives to zero,
     and rescales to the required norm.
+
+    ``b_sum`` may be a stack of shape (..., n_t, n_t); the result then
+    has shape (..., n_t), each row bit-identical to its own call.
     """
     b_sum = np.asarray(b_sum, dtype=float)
-    if b_sum.shape != (n_t, n_t):
+    if b_sum.shape[-2:] != (n_t, n_t):
         raise InvalidInputError(
             f"coefficient matrix shape {b_sum.shape} does not match n_t={n_t}"
         )
     _, vectors = eig_sym(b_sum)
-    u = vectors[:, 0]
-    pos_mass = float(np.maximum(u, 0.0).sum())
-    neg_mass = float(np.maximum(-u, 0.0).sum())
-    if neg_mass > pos_mass:
-        u = -u
-    elif neg_mass == pos_mass:
+    u = vectors[..., 0]
+    pos = np.maximum(u, 0.0)
+    neg = np.maximum(-u, 0.0)
+    pos_mass = np.add.reduce(pos, axis=-1)
+    neg_mass = np.add.reduce(neg, axis=-1)
+    flip = neg_mass > pos_mass
+    tie = neg_mass == pos_mass
+    if np.count_nonzero(tie):
         # Exact tie: orient so the first nonzero entry is positive.
-        nonzero = np.flatnonzero(u)
-        if nonzero.size and u[nonzero[0]] < 0:
-            u = -u
-    candidate = np.maximum(np.sqrt(n_t) * u, 0.0)
-    norm_sq = float(candidate @ candidate)
-    if norm_sq == 0.0:
+        first = np.take_along_axis(u, np.argmax(u != 0.0, axis=-1)[..., None], axis=-1)
+        flip |= tie & (first[..., 0] < 0.0)
+    # The clipped oriented vector; sqrt(n_t) > 0 commutes with the clip.
+    candidate = np.where(flip[..., None], neg, pos)
+    candidate *= np.sqrt(n_t)
+    # A stacked (1, n) @ (n, 1) product is one BLAS dot per row, as
+    # ``candidate @ candidate`` is for one vector.
+    norm_sq = (candidate[..., None, :] @ candidate[..., :, None])[..., 0, 0]
+    if np.count_nonzero(norm_sq) < norm_sq.size:
         raise NumericalFailureError(
             "clipped eigenvector collapsed to zero",
-            matrix_norm=float(np.linalg.norm(b_sum)),
+            matrix_norm=float(np.linalg.norm(b_sum[norm_sq == 0.0][0])),
         )
-    return candidate * np.sqrt(n_t / norm_sq)
+    candidate *= np.sqrt(n_t / norm_sq)[..., None]
+    return candidate
 
 
 def run_sof(geometry, paths):
@@ -86,6 +95,7 @@ def run_sof(geometry, paths):
 
     Returns the completed state; the Gram inside it matches a from-
     scratch recomputation to tight tolerance, which the tests check.
+    This is ``run_sof_batch`` on one path set.
 
     In the early steps the smallest eigenvalue of the penalty matrix is
     often degenerate, so a round-off change in that matrix can pick a
@@ -93,62 +103,119 @@ def run_sof(geometry, paths):
     reproducible bit for bit only with the same arithmetic on the same
     LAPACK build.
     """
-    n_paths = len(paths)
+    return run_sof_batch(geometry, [paths])[0]
+
+
+def run_sof_batch(geometry, path_sets):
+    """Run ``run_sof`` on path sets of one length in lockstep.
+
+    Every trial of a batch takes the same number of steps, so each step
+    is one stacked ``exp``, ``matmul`` and ``eigh`` over a leading trial
+    axis. Each stacked call applies the same kernel to each trial's
+    operands as a call on that trial alone, so every returned state is
+    bit-identical to ``run_sof`` on its path set, whatever the batch.
+    Per trial, the batch holds four L x L arrays (48 L^2 bytes) and each
+    step one n_t x n_t eigenproblem (about 40 n_t^2 bytes);
+    ``montecarlo.batch_size`` sizes campaign batches from both.
+
+    Returns one ``SofState`` per path set, in order.
+    """
+    path_sets = list(path_sets)
+    if not path_sets:
+        raise InvalidInputError("need at least one path set")
+    n_paths = len(path_sets[0])
+    if any(len(paths) != n_paths for paths in path_sets):
+        raise InvalidInputError("path sets in one batch must share one length")
     n_t, n_r = geometry.n_t, geometry.n_r
-    m_hat = np.ones((n_t, n_paths))
-    initial = subchannel_gram(geometry, paths, m_hat)
-    g = initial.g.copy()
-    indicator = initial.indicator.copy()
-
-    recv = receiver_factor_matrix(geometry, paths.aoa)
-    recv_sq = np.abs(recv / n_r) ** 2
-    basis = _transmit_basis(geometry, paths.aod, m_hat)
-    sin_aod = np.sin(paths.aod)
-    k = np.arange(n_t)
-
+    n_trials = len(path_sets)
+    trials = np.arange(n_trials)
+    trials_col = trials[:, None]
+    diagonal = np.arange(n_paths)
+    ones = np.ones((n_t, n_paths))
+    # The Gram matrices first: their larger temporaries are freed before
+    # the rest of the state is allocated and filled one trial at a time,
+    # which keeps the fresh memory pages per trial at the loop's level.
+    g = np.stack([subchannel_gram(geometry, paths, ones).g for paths in path_sets])
+    recv = np.empty_like(g)
+    recv_sq = np.empty(g.shape)
+    basis = np.empty((n_trials, n_t, n_paths), dtype=complex)
+    for t, paths in enumerate(path_sets):
+        recv[t] = receiver_factor_matrix(geometry, paths.aoa)
+        recv_sq[t] = np.abs(recv[t] / n_r) ** 2
+        basis[t] = _transmit_basis(geometry, paths.aod, ones)
     # Squared Gram magnitudes with a zero diagonal: the indicator is their
     # row sum, and each step changes only the target row and column.
     sq = np.abs(g) ** 2
-    np.fill_diagonal(sq, 0.0)
+    sq[:, diagonal, diagonal] = 0.0
+    indicator = sq.sum(axis=2)
+    sin_aod = np.sin(np.stack([paths.aod for paths in path_sets]))
+    k = np.arange(n_t)
+    tx_phase = 2j * np.pi * geometry.spacing_t * k
 
-    order = np.empty(n_paths, dtype=int)
-    order[0] = int(np.argmax(indicator))
-    selected = np.zeros(n_paths, dtype=bool)
-    selected[order[0]] = True
+    order = np.empty((n_trials, n_paths), dtype=int)
+    order[:, 0] = np.argmax(indicator, axis=1)
+    # -inf on visited indices, 0 elsewhere: added to the indicator, it
+    # masks them from the argmax without changing any other entry.
+    visited = np.zeros((n_trials, n_paths))
+    visited[trials, order[:, 0]] = -np.inf
+    # Designed columns and departure sines in visiting order, so the
+    # previously visited ones are a slice rather than a gather.
+    m_prior = np.ones((n_trials, n_t, n_paths))
+    sin_prior = np.empty((n_trials, n_paths))
+    sin_prior[:, 0] = sin_aod[trials, order[:, 0]]
 
     for step in range(1, n_paths):
-        masked = np.where(selected, -np.inf, indicator)
-        target = int(np.argmax(masked))
-        prior = order[:step]
+        target = np.argmax(indicator + visited, axis=1)
+        order[:, step] = target
+        visited[trials, target] = -np.inf
+        sin_prior[:, step] = sin_aod[trials, target]
 
         # |rho^R|^2 weights against each previously designed column.
-        weights = recv_sq[target, prior]
-        phase = np.exp(
+        weights = recv_sq[trials_col, target[:, None], order[:, :step]]
+        # Coupling columns m_j exp(j 2 pi d_t k (sin phi_t - sin phi_j)) / n_t,
+        # built in place: these (T, n_t, step) and (T, n_t, n_t) temporaries
+        # are most of a large batch's memory.
+        b_cols = (
             2j
             * np.pi
             * geometry.spacing_t
-            * np.outer(k, sin_aod[target] - sin_aod[prior])
+            * (k[:, None] * (sin_prior[:, step, None, None] - sin_prior[:, None, :step]))
         )
-        b_cols = m_hat[:, prior] * phase / n_t
-        b_sum = ((b_cols.conj() * weights) @ b_cols.T).real
+        np.exp(b_cols, out=b_cols)
+        b_cols *= m_prior[:, :, :step]
+        b_cols /= n_t
+        # A real copy, so the complex product is freed before the eigensolve.
+        b_sum = ((b_cols.conj() * weights[:, None, :]) @ b_cols.swapaxes(1, 2)).real.copy()
 
         new_col = solve_modification_vector(b_sum, n_t)
-        m_hat[:, target] = new_col
+        m_prior[:, :, step] = new_col
 
-        basis[:, target] = new_col * np.exp(
-            2j * np.pi * geometry.spacing_t * k * sin_aod[target]
+        column = new_col * np.exp(tx_phase * sin_prior[:, step, None])
+        basis[trials, :, target] = column
+        row = recv[trials, target] * (column.conj()[:, None, :] @ basis)[:, 0] / (n_r * n_t)
+        g[trials, target, :] = row  # the column follows after the loop
+        row_sq = np.abs(row) ** 2
+        row_sq[trials, target] = 0.0
+        sq[trials, target, :] = row_sq
+        sq[trials, :, target] = row_sq
+        indicator = sq.sum(axis=2)
+
+    # Each step stored only its target's row. Entry (i, j) belongs to the
+    # later-visited of i and j: it is g[i, j] if that is i, else the
+    # conjugate of g[j, i]. The diagonal is real.
+    visit = np.empty_like(order)
+    np.put_along_axis(visit, order, diagonal[None, :], axis=1)
+    for t in trials:
+        np.copyto(g[t], g[t].T.conj(), where=visit[t, :, None] < visit[t, None, :])
+    g[:, diagonal, diagonal] = g[:, diagonal, diagonal].real
+    m_hat = np.empty_like(m_prior)
+    np.put_along_axis(m_hat, order[:, None, :], m_prior, axis=2)
+
+    return [
+        SofState(
+            order=order[t],
+            m_hat=m_hat[t],
+            gram=SubchannelGram(g=g[t], indicator=indicator[t]),
         )
-        row = recv[target, :] * (basis[:, target].conj() @ basis) / (n_r * n_t)
-        g[target, :] = row
-        g[:, target] = row.conj()
-        g[target, target] = row[target].real
-        sq[target, :] = np.abs(row) ** 2
-        sq[target, target] = 0.0
-        sq[:, target] = sq[target, :]
-        indicator = sq.sum(axis=1)
-
-        order[step] = target
-        selected[target] = True
-
-    gram = SubchannelGram(g=g, indicator=indicator)
-    return SofState(order=order, m_hat=m_hat, gram=gram)
+        for t in trials
+    ]

@@ -90,3 +90,13 @@ def quadratic_matrix(rho_r, b):
     b = np.asarray(b, dtype=complex)
     m = (abs(rho_r) ** 2) * np.outer(b.conj(), b).real
     return 0.5 * (m + m.T)
+
+
+def direct_trace_gram(geometry, paths, m_hat):
+    """Gram matrix of the modified subchannels from explicit traces.
+
+    Entry (i, j) is ``tr(S_i^H S_j)`` over the slabs returned by
+    ``modified_subchannels``.
+    """
+    subchannels = modified_subchannels(geometry, paths, m_hat)
+    return np.einsum("irt,jrt->ij", subchannels.conj(), subchannels)

@@ -106,6 +106,22 @@ class TestPowerScaling:
         with pytest.raises(InvalidInputError):
             power_scaling(geom, np.eye(3, dtype=complex), np.array([0.5, 0.5]))
 
+    def test_proportion_sum_bound_is_shared(self):
+        # One bound for one invariant: power_scaling and PowerAllocation
+        # accept and reject the same proportion sums.
+        from prmimo.numerics import PROPORTION_SUM_TOL
+
+        geom = ArrayGeometry(n_t=2, n_r=2)
+        g = np.eye(2, dtype=complex)
+        inside = np.array([0.5, 0.5 + 0.5 * PROPORTION_SUM_TOL])
+        outside = np.array([0.5, 0.5 + 2.0 * PROPORTION_SUM_TOL])
+        delta = power_scaling(geom, g, inside)
+        PowerAllocation(w_hat=inside, w=inside, delta=delta, p=inside)
+        with pytest.raises(InvalidInputError, match="sum to 1"):
+            power_scaling(geom, g, outside)
+        with pytest.raises(InvalidInputError, match="sum to 1"):
+            PowerAllocation(w_hat=outside, w=outside, delta=delta, p=outside)
+
 
 class TestPowerFactors:
     def test_identity_allocation(self):
@@ -188,3 +204,17 @@ class TestDesignPattern:
         assert sorted(state.order.tolist()) == list(range(10))
         assert np.all(pattern.p > 0)
         assert allocation.delta > 0
+
+    def test_batch_matches_single_designs(self):
+        from prmimo.cfpa import design_patterns
+
+        rng = np.random.default_rng(88)
+        geom = ArrayGeometry(n_t=16, n_r=4)
+        path_sets = [random_paths(rng, 10) for _ in range(4)]
+        for paths, (pattern, allocation, state) in zip(
+            path_sets, design_patterns(geom, path_sets)
+        ):
+            single_pattern, single_allocation, single_state = design_pattern(geom, paths)
+            assert np.array_equal(pattern.m, single_pattern.m)
+            assert allocation.delta == single_allocation.delta
+            assert np.array_equal(state.order, single_state.order)

@@ -27,6 +27,13 @@ class TestArrayGeometry:
         with pytest.raises(InvalidInputError):
             ArrayGeometry(n_t=4, n_r=2, spacing_t=0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_spacing(self, value):
+        with pytest.raises(InvalidInputError, match="finite"):
+            ArrayGeometry(n_t=4, n_r=2, spacing_t=value)
+        with pytest.raises(InvalidInputError, match="finite"):
+            ArrayGeometry(n_t=4, n_r=2, spacing_r=value)
+
 
 class TestPathSet:
     def test_rejects_length_mismatch(self):

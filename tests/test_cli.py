@@ -30,6 +30,13 @@ class TestParseSnrGrid:
         with pytest.raises(UsageError):
             parse_snr_grid("10:5:0")
 
+    @pytest.mark.parametrize(
+        "text", ["nan:1:5", "0:nan:5", "0:1:nan", "-inf:1:5", "0:inf:5", "0:1:inf"]
+    )
+    def test_rejects_non_finite_values(self, text):
+        with pytest.raises(UsageError, match="finite"):
+            parse_snr_grid(text)
+
 
 class TestParseConfig:
     def test_defaults(self):
@@ -165,6 +172,23 @@ class TestMain:
         out = tmp_path / "ncl3"
         assert main(["--ncl", "3", "--trials", "5", "--out", str(out)]) == 1
         assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--snr-db", "nan:1:5"],
+            ["--snr-db", "0:inf:5"],
+            ["--spacing", "nan"],
+            ["--spacing", "inf"],
+            ["--xi-deg", "nan"],
+            ["--xi-deg", "inf"],
+        ],
+    )
+    def test_non_finite_value_is_usage_error(self, flags, tmp_path, capsys):
+        out = tmp_path / "non-finite"
+        assert main(flags + ["--trials", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("prmimo: usage error:")
         assert not out.exists()
 
     def test_good_with_few_clusters_runs(self, tmp_path):

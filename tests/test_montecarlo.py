@@ -16,6 +16,7 @@ from prmimo import (
     ideal_capacity,
     run_campaign,
     run_trial,
+    run_trials,
     trial_rng,
 )
 
@@ -55,6 +56,16 @@ class TestScenario:
     def test_rejects_ill_with_too_few_clusters(self):
         with pytest.raises(InvalidInputError):
             small_scenario(n_cl=3)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_spread(self, value):
+        with pytest.raises(InvalidInputError, match="finite"):
+            small_scenario(angle_spread=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_snr(self, value):
+        with pytest.raises(InvalidInputError, match="finite"):
+            small_scenario(snr_db=np.array([0.0, value]))
 
     def test_good_accepts_few_clusters(self):
         assert small_scenario(n_cl=1, condition="good").n_cl == 1
@@ -120,18 +131,87 @@ class TestRunTrial:
     def test_safeguard_floors_at_physical(self, monkeypatch):
         scenario = small_scenario()
 
-        def sabotaged_design(geometry, paths, renormalize=True):
+        def sabotaged_designs(geometry, path_sets, renormalize=True):
             # Put all power on one path: a rank-one channel that loses to
             # the physical baseline at high SNR.
-            p = np.zeros(len(paths))
-            p[0] = 1.0
-            return PatternMatrix(np.ones((geometry.n_t, len(paths))), p), None, None
+            designs = []
+            for paths in path_sets:
+                p = np.zeros(len(paths))
+                p[0] = 1.0
+                designs.append((PatternMatrix(np.ones((geometry.n_t, len(paths))), p), None, None))
+            return designs
 
-        monkeypatch.setattr(montecarlo, "design_pattern", sabotaged_design)
+        monkeypatch.setattr(montecarlo, "design_patterns", sabotaged_designs)
         physical, unguarded = run_trial(scenario, 0, safeguard=False)
         assert unguarded[-1] < physical[-1]
         physical2, guarded = run_trial(scenario, 0, safeguard=True)
         assert np.array_equal(guarded, physical2)
+
+
+def force_batch_size(monkeypatch, scenario, size):
+    """Set the batch byte budgets so batches hold ``size`` trials."""
+    n_paths, n_t = scenario.n_cl * scenario.n_ray, scenario.geometry.n_t
+    monkeypatch.setattr(montecarlo, "BATCH_STATE_BYTES", size * 48 * n_paths**2)
+    monkeypatch.setattr(montecarlo, "BATCH_STEP_BYTES", size * 40 * n_t**2)
+    assert montecarlo.batch_size(n_paths, n_t) == size
+
+
+def single_trial_rows(scenario):
+    return [run_trial(scenario, index) for index in range(scenario.trials)]
+
+
+class TestBatchSize:
+    def test_budget_rule(self):
+        # 48 L^2 bytes per trial within 1 MiB and 40 n_t^2 within 512 KiB,
+        # at the benchmark workloads' n_t = 32 and L = 8, 80, 160.
+        assert montecarlo.BATCH_STATE_BYTES == 1 << 20
+        assert montecarlo.BATCH_STEP_BYTES == 1 << 19
+        assert montecarlo.batch_size(8, 32) == 12
+        assert montecarlo.batch_size(80, 32) == 3
+        assert montecarlo.batch_size(160, 32) == 1
+        assert montecarlo.batch_size(8, 8) == 204
+
+    def test_never_below_one(self):
+        assert montecarlo.batch_size(10_000, 32) == 1
+        assert montecarlo.batch_size(8, 1024) == 1
+
+
+class TestRunTrials:
+    @pytest.mark.parametrize("size", [1, 2, 3, 25])
+    def test_rows_match_single_trials_bit_for_bit(self, size):
+        scenario = small_scenario(trials=30, condition="good", snr_db=np.arange(-10.0, 31.0, 5.0))
+        physical, designed = run_trials(scenario, 2, 2 + size)
+        assert physical.shape == designed.shape == (size, scenario.snr_db.size)
+        for row in range(size):
+            single_physical, single_designed = run_trial(scenario, 2 + row)
+            assert np.array_equal(physical[row], single_physical)
+            assert np.array_equal(designed[row], single_designed)
+
+    def test_safeguard_acts_per_row(self, monkeypatch):
+        scenario = small_scenario(trials=6)
+        real_designs = montecarlo.design_patterns
+
+        def sabotage_odd(geometry, path_sets, renormalize=True):
+            # Odd rows get a rank-one pattern that loses at high SNR.
+            designs = real_designs(geometry, path_sets, renormalize)
+            for row in range(1, len(designs), 2):
+                p = np.zeros(len(path_sets[row]))
+                p[0] = 1.0
+                designs[row] = (PatternMatrix(designs[row][2].m_hat, p), None, None)
+            return designs
+
+        monkeypatch.setattr(montecarlo, "design_patterns", sabotage_odd)
+        physical, unguarded = run_trials(scenario, 0, 6)
+        _, guarded = run_trials(scenario, 0, 6, safeguard=True)
+        lost = unguarded[:, -1] < physical[:, -1]
+        assert lost[1::2].all()
+        assert np.array_equal(guarded[lost], physical[lost])
+        assert np.array_equal(guarded[~lost], unguarded[~lost])
+
+    @pytest.mark.parametrize("start,stop", [(0, 0), (3, 2), (-1, 2), (0, 5)])
+    def test_rejects_bad_ranges(self, start, stop):
+        with pytest.raises(InvalidInputError):
+            run_trials(small_scenario(trials=4), start, stop)
 
 
 class TestRunCampaign:
@@ -165,6 +245,64 @@ class TestRunCampaign:
             assert np.array_equal(serial[scheme].mean, parallel[scheme].mean)
             assert np.array_equal(serial[scheme].std, parallel[scheme].std)
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 25])
+    @pytest.mark.parametrize("workers,trials", [(1, 203), (2, 57), (3, 57)])
+    def test_per_trial_results_independent_of_batches_and_workers(
+        self, monkeypatch, size, workers, trials
+    ):
+        # Serial ranges of 26 trials (203 = 7 x 26 + 21) and pool ranges
+        # of 4 or 3 trials, each with a short last range.
+        scenario = small_scenario(trials=trials, condition="good", snr_db=np.array([0.0, 20.0]))
+        expected = single_trial_rows(scenario)
+        force_batch_size(monkeypatch, scenario, size)
+        outcomes = montecarlo._trial_outcomes(scenario, workers, False)
+        assert [outcome[0] for outcome in outcomes] == list(range(trials))
+        for (_, physical, designed, error), (want_physical, want_designed) in zip(
+            outcomes, expected
+        ):
+            assert error is None
+            assert np.array_equal(physical, want_physical)
+            assert np.array_equal(designed, want_designed)
+
+    def test_failure_in_a_batch_fails_only_its_trial(self, monkeypatch):
+        scenario = small_scenario(trials=12)
+        expected = single_trial_rows(scenario)
+        force_batch_size(monkeypatch, scenario, 3)
+        real_draw_paths = montecarlo.draw_paths
+
+        def flaky(sc, index):
+            if index == 4:
+                raise NumericalFailureError("synthetic failure")
+            return real_draw_paths(sc, index)
+
+        monkeypatch.setattr(montecarlo, "draw_paths", flaky)
+        outcomes = montecarlo._trial_outcomes(scenario, 1, False)
+        assert [outcome[0] for outcome in outcomes] == list(range(12))
+        assert outcomes[4][1:] == (None, None, "NumericalFailureError: synthetic failure")
+        for index, physical, designed, error in outcomes:
+            if index != 4:
+                assert error is None
+                assert np.array_equal(physical, expected[index][0])
+                assert np.array_equal(designed, expected[index][1])
+
+    def test_error_only_in_a_batch_names_the_batch(self, monkeypatch):
+        # A bug that needs several trials in lockstep does not show when
+        # each trial is rerun alone; the campaign still stops.
+        scenario = small_scenario(trials=10)
+        force_batch_size(monkeypatch, scenario, 4)
+        real_designs = montecarlo.design_patterns
+
+        def batch_only_bug(geometry, path_sets, renormalize=True):
+            if len(path_sets) > 1:
+                raise TypeError("synthetic batch bug")
+            return real_designs(geometry, path_sets, renormalize)
+
+        monkeypatch.setattr(montecarlo, "design_patterns", batch_only_bug)
+        with pytest.raises(
+            CampaignError, match=r"trials 0\.\.1 as one batch \(master_seed 99\) raised TypeError"
+        ):
+            run_campaign(scenario)
+
     def test_scheme_subset(self):
         scenario = small_scenario(trials=2)
         curves = run_campaign(scenario, schemes=("ideal",))
@@ -185,28 +323,28 @@ class TestRunCampaign:
 
     def test_rare_failure_excluded_with_warning(self, monkeypatch):
         scenario = small_scenario(trials=200, snr_db=np.array([10.0]))
-        real_run_trial = montecarlo.run_trial
+        real_draw_paths = montecarlo.draw_paths
 
-        def flaky(sc, index, safeguard=False):
+        def flaky(sc, index):
             if index == 17:
                 raise NumericalFailureError("synthetic failure")
-            return real_run_trial(sc, index, safeguard=safeguard)
+            return real_draw_paths(sc, index)
 
-        monkeypatch.setattr(montecarlo, "run_trial", flaky)
+        monkeypatch.setattr(montecarlo, "draw_paths", flaky)
         with pytest.warns(RuntimeWarning, match="excluded 1 failed"):
             curves = {c.scheme: c for c in run_campaign(scenario, schemes=("physical",))}
         assert curves["physical"].trials == 199
 
     def test_excess_failures_abort(self, monkeypatch):
         scenario = small_scenario(trials=50, snr_db=np.array([10.0]))
-        real_run_trial = montecarlo.run_trial
+        real_draw_paths = montecarlo.draw_paths
 
-        def flaky(sc, index, safeguard=False):
+        def flaky(sc, index):
             if index in (3, 11):
                 raise NumericalFailureError("synthetic failure")
-            return real_run_trial(sc, index, safeguard=safeguard)
+            return real_draw_paths(sc, index)
 
-        monkeypatch.setattr(montecarlo, "run_trial", flaky)
+        monkeypatch.setattr(montecarlo, "draw_paths", flaky)
         with pytest.raises(CampaignError):
             run_campaign(scenario, schemes=("physical",))
 
@@ -214,14 +352,14 @@ class TestRunCampaign:
         # A bug is not a numerical failure: one TypeError stops the
         # campaign instead of being averaged away with the survivors.
         scenario = small_scenario(trials=200, snr_db=np.array([10.0]))
-        real_run_trial = montecarlo.run_trial
+        real_draw_paths = montecarlo.draw_paths
 
-        def buggy(sc, index, safeguard=False):
+        def buggy(sc, index):
             if index == 17:
                 raise TypeError("synthetic bug")
-            return real_run_trial(sc, index, safeguard=safeguard)
+            return real_draw_paths(sc, index)
 
-        monkeypatch.setattr(montecarlo, "run_trial", buggy)
+        monkeypatch.setattr(montecarlo, "draw_paths", buggy)
         with pytest.raises(CampaignError, match=r"trial 17 \(master_seed 99\) raised TypeError"):
             run_campaign(scenario, schemes=("physical",))
 

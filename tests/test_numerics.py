@@ -63,6 +63,22 @@ class TestEigSym:
     def test_rejects_non_square(self):
         with pytest.raises(InvalidInputError):
             eig_sym(np.ones((2, 3)))
+        with pytest.raises(InvalidInputError):
+            eig_sym(np.ones((4, 2, 3)))
+
+    def test_stack_matches_single_calls_bit_for_bit(self):
+        rng = np.random.default_rng(37)
+        raw = rng.standard_normal((5, 16, 16))
+        values, vectors = eig_sym(raw)
+        assert values.shape == (5, 16) and vectors.shape == (5, 16, 16)
+        for i in range(5):
+            single_values, single_vectors = eig_sym(raw[i])
+            assert np.array_equal(values[i], single_values)
+            assert np.array_equal(vectors[i], single_vectors)
+
+    def test_symmetrize_stack(self):
+        raw = np.random.default_rng(38).standard_normal((3, 4, 4))
+        assert np.array_equal(symmetrize(raw), [symmetrize(b) for b in raw])
 
 
 class TestSingularValues:
@@ -143,6 +159,26 @@ class TestLogdetCapacityKernel:
     def test_rejects_bad_gamma(self):
         with pytest.raises(InvalidInputError):
             logdet_capacity_kernel(np.eye(2), 0.0)
+
+    def test_stack_shapes_and_bits(self):
+        rng = np.random.default_rng(34)
+        a = rng.standard_normal((4, 3, 5)) + 1j * rng.standard_normal((4, 3, 5))
+        g = a @ a.conj().swapaxes(-1, -2)
+        gamma = np.array([0.1, 1.0, 10.0])
+        stacked = logdet_capacity_kernel(g, gamma)
+        assert stacked.shape == (4, 3)
+        assert logdet_capacity_kernel(g, 1.0).shape == (4,)
+        for i in range(4):
+            assert np.array_equal(stacked[i], logdet_capacity_kernel(g[i], gamma))
+            assert stacked[i, 1] == logdet_capacity_kernel(g[i], 1.0)
+
+    def test_stack_checks_each_matrix_against_its_own_floor(self):
+        # The clamped round-off of one matrix is no excuse for another.
+        psd = np.diag([1.0, -1e-12])
+        indefinite = np.diag([1.0, -1e-3])
+        assert_allclose(logdet_capacity_kernel(np.stack([psd, psd]), 1.0), [1.0, 1.0], rtol=1e-9)
+        with pytest.raises(InvalidInputError, match="below the PSD tolerance"):
+            logdet_capacity_kernel(np.stack([psd, indefinite]), 1.0)
 
     def test_nonnegative_result(self):
         rng = np.random.default_rng(33)

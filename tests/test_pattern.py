@@ -115,6 +115,19 @@ class TestCapacity:
         with pytest.raises(InvalidInputError):
             capacity(np.ones((2, 2)), np.array([1.0, 0.0, 2.0]))
 
+    def test_channel_stack_matches_single_calls(self):
+        rng = np.random.default_rng(55)
+        h = rng.standard_normal((6, 8, 32)) + 1j * rng.standard_normal((6, 8, 32))
+        snr = 10.0 ** (np.arange(-10.0, 31.0, 5.0) / 10.0)
+        stacked = capacity(h, snr)
+        assert stacked.shape == (6, snr.size)
+        for i in range(6):
+            assert np.array_equal(stacked[i], capacity(h[i], snr))
+
+    def test_rejects_vector_channel(self):
+        with pytest.raises(InvalidInputError):
+            capacity(np.ones(4), 1.0)
+
 
 class TestAssemblePatternChannel:
     def test_all_ones_reproduces_physical(self):

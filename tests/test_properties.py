@@ -1,17 +1,34 @@
-"""Property tests of the power allocation on edge geometries.
+"""Property tests of the design on edge geometries.
 
 Hypothesis draws array sizes from n_t = n_r up to n_t = 128, spacings
-other than half a wavelength, single-path sets, repeated and endfire
-(+-pi/2) angles and zero-gain paths. Examples are derandomized, so a run
-is reproducible, and few, so the suite stays quick.
+other than half a wavelength, single-path sets, more paths than
+n_t * n_r, repeated and endfire (+-pi/2) angles, zero-gain paths and
+campaigns with no angular spread (xi = 0). It checks the power
+allocation, the invariants of the SOF Gram matrix, and that lockstep
+batches of trials give the bits of one-at-a-time runs. Examples are
+derandomized, so a run is reproducible, and few, so the suite stays
+quick.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import modified_subchannels, tensor_power_scaling
-from prmimo import ArrayGeometry, PathSet, allocate_power, assemble_pattern_channel, run_sof
+from oracles import direct_trace_gram, modified_subchannels, tensor_power_scaling
+from prmimo import (
+    ArrayGeometry,
+    PathSet,
+    PrMimoError,
+    Scenario,
+    allocate_power,
+    assemble_pattern_channel,
+    ideal_capacity,
+    run_sof,
+    run_trial,
+    run_trials,
+)
+from prmimo.numerics import COLUMN_NORM_RTOL
+from prmimo.sof import run_sof_batch
 
 HALF_PI = np.pi / 2.0
 
@@ -27,8 +44,17 @@ def geometries(draw):
 
 
 @st.composite
-def path_sets(draw, max_paths=12):
-    n_paths = draw(st.integers(1, max_paths))
+def crowded_geometries(draw):
+    # At most 3 x 2 elements, so a path set easily exceeds n_t * n_r.
+    n_r = draw(st.integers(1, 2))
+    n_t = draw(st.integers(n_r, 3))
+    return ArrayGeometry(n_t=n_t, n_r=n_r, spacing_t=draw(spacings), spacing_r=draw(spacings))
+
+
+@st.composite
+def path_sets(draw, max_paths=12, n_paths=None):
+    if n_paths is None:
+        n_paths = draw(st.integers(1, max_paths))
     # Paths pick their (departure, arrival) pair from a pool that can be
     # smaller than the path count, so duplicate angles are common.
     pool = draw(st.lists(st.tuples(angles, angles), min_size=1, max_size=n_paths))
@@ -59,3 +85,81 @@ def test_gram_scale_factor_matches_tensor_oracle(geometry, paths):
     h = assemble_pattern_channel(geometry, paths, pattern)
     budget = geometry.n_t * geometry.n_r
     assert abs(np.sum(np.abs(h) ** 2) - budget) <= 1e-9 * budget
+
+
+@st.composite
+def batches(draw):
+    """A geometry and 1-5 path sets that share one path count."""
+    geometry = draw(st.one_of(geometries(), crowded_geometries()))
+    n_paths = draw(st.integers(1, 12))
+    size = draw(st.integers(1, 5))
+    return geometry, [draw(path_sets(n_paths=n_paths)) for _ in range(size)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(batch=batches())
+def test_lockstep_sof_matches_single_runs_and_keeps_gram_invariants(batch):
+    geometry, sets = batch
+    for paths, state in zip(sets, run_sof_batch(geometry, sets)):
+        single = run_sof(geometry, paths)
+        assert np.array_equal(state.order, single.order)
+        assert np.array_equal(state.m_hat, single.m_hat)
+        assert np.array_equal(state.gram.g, single.gram.g)
+        assert np.array_equal(state.gram.indicator, single.gram.indicator)
+
+        g = state.gram.g
+        assert np.array_equal(g, g.conj().T)
+        assert np.all(np.abs(np.diag(g) - 1.0) <= COLUMN_NORM_RTOL)
+        assert np.max(np.abs(g - direct_trace_gram(geometry, paths, state.m_hat))) <= 1e-12
+
+
+@st.composite
+def scenarios(draw):
+    """Small campaigns on edge geometries, some without angular spread."""
+    n_r = draw(st.integers(1, 4))
+    n_t = draw(st.one_of(st.just(n_r), st.integers(n_r, 16)))
+    geometry = ArrayGeometry(n_t=n_t, n_r=n_r, spacing_t=draw(spacings), spacing_r=draw(spacings))
+    condition = draw(st.sampled_from(("good", "ill")))
+    n_cl = draw(st.integers(4 if condition == "ill" else 1, 5))
+    return Scenario(
+        geometry=geometry,
+        n_cl=n_cl,
+        n_ray=draw(st.integers(1, 3)),
+        condition=condition,
+        angle_spread=draw(st.sampled_from((0.0, np.deg2rad(3.0), np.deg2rad(20.0)))),
+        snr_db=np.array([-10.0, 10.0, 30.0]),
+        trials=8,
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    scenario=scenarios(),
+    start=st.integers(0, 3),
+    size=st.integers(1, 5),
+    safeguard=st.booleans(),
+)
+def test_lockstep_trials_match_single_trials(scenario, start, size, safeguard):
+    stop = start + size
+    try:
+        physical, designed = run_trials(scenario, start, stop, safeguard)
+    except PrMimoError:
+        # A batch fails only if one of its trials fails on its own.
+        failures = 0
+        for index in range(start, stop):
+            try:
+                run_trial(scenario, index, safeguard)
+            except PrMimoError:
+                failures += 1
+        assert failures
+        return
+    for row, index in enumerate(range(start, stop)):
+        single_physical, single_designed = run_trial(scenario, index, safeguard)
+        assert np.array_equal(physical[row], single_physical)
+        assert np.array_equal(designed[row], single_designed)
+    if not safeguard:
+        # The designed channel meets the power budget, so it cannot beat
+        # the equal-eigenvalue ideal channel.
+        ideal = ideal_capacity(scenario.geometry, 10.0 ** (scenario.snr_db / 10.0))
+        assert np.all(designed <= ideal * (1.0 + 1e-9))

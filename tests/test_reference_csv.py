@@ -3,17 +3,22 @@
 Each entry of ``bench/reference.json`` holds a flag set and the exact
 ``capacity.csv`` it produced. Running the same flags through the CLI must
 reproduce that text byte for byte, serial and with workers, so any change
-in the arithmetic that feeds the design eigensolver shows up here.
+in the arithmetic that feeds the design eigensolver shows up here. The
+BLAS thread count must not change the bytes either.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from prmimo.cli import main
 
-REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE = ROOT / "bench" / "reference.json"
 PINNED = json.loads(REFERENCE.read_text(encoding="utf-8"))
 
 
@@ -21,4 +26,19 @@ PINNED = json.loads(REFERENCE.read_text(encoding="utf-8"))
 def test_cli_reproduces_pinned_csv(name, tmp_path):
     entry = PINNED[name]
     assert main(entry["flags"].split() + ["--out", str(tmp_path)]) == 0
+    assert (tmp_path / "capacity.csv").read_text(encoding="utf-8") == entry["csv"]
+
+
+@pytest.mark.parametrize(
+    "threads",
+    [{"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, {}],
+    ids=["one-blas-thread", "environment-as-is"],
+)
+def test_csv_independent_of_blas_threads(threads, tmp_path):
+    # A fresh interpreter per case: BLAS reads its thread count at load.
+    entry = PINNED["sweep_w2"]
+    env = dict(os.environ, **threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "prmimo.cli", *entry["flags"].split(), "--out", str(tmp_path)]
+    subprocess.run(command, env=env, check=True, timeout=120)
     assert (tmp_path / "capacity.csv").read_text(encoding="utf-8") == entry["csv"]

@@ -6,12 +6,14 @@ from helpers import feasible_m_hat, random_paths
 from oracles import b_vector, quadratic_matrix, receiver_correlation
 from prmimo import (
     ArrayGeometry,
+    InvalidInputError,
     PathSet,
     correlation_indicator,
     run_sof,
     solve_modification_vector,
     subchannel_gram,
 )
+from prmimo.sof import run_sof_batch
 
 
 class TestReceiverCorrelation:
@@ -126,6 +128,19 @@ class TestSolveModificationVector:
             assert np.all(solution >= 0)
             assert abs(solution @ solution - 6.0) <= 1e-10
 
+    def test_stack_matches_single_calls_bit_for_bit(self):
+        rng = np.random.default_rng(82)
+        raw = rng.standard_normal((6, 8, 8))
+        stack = raw @ raw.swapaxes(1, 2)
+        solutions = solve_modification_vector(stack, 8)
+        assert solutions.shape == (6, 8)
+        for i in range(6):
+            assert np.array_equal(solutions[i], solve_modification_vector(stack[i], 8))
+
+    def test_stack_rejects_shape_mismatch(self):
+        with pytest.raises(InvalidInputError):
+            solve_modification_vector(np.zeros((2, 3, 3)), 4)
+
     def test_near_grid_optimum_small_instance(self):
         # 2-degree sweep of the nonnegative octant of the radius-sqrt(3)
         # sphere; the grid minimum minus a Lipschitz slack lower-bounds the
@@ -231,8 +246,41 @@ class TestRunSof:
         assert np.array_equal(first.m_hat, second.m_hat)
 
 
-def test_solve_rejects_shape_mismatch():
-    from prmimo import InvalidInputError
+class TestRunSofBatch:
+    @pytest.mark.parametrize("size", [2, 3, 8])
+    def test_matches_single_runs_bit_for_bit(self, size):
+        rng = np.random.default_rng(84)
+        geom = ArrayGeometry(n_t=16, n_r=4)
+        path_sets = [random_paths(rng, 12) for _ in range(size)]
+        states = run_sof_batch(geom, path_sets)
+        assert len(states) == size
+        for paths, state in zip(path_sets, states):
+            single = run_sof(geom, paths)
+            assert np.array_equal(state.order, single.order)
+            assert np.array_equal(state.m_hat, single.m_hat)
+            assert np.array_equal(state.gram.g, single.gram.g)
+            assert np.array_equal(state.gram.indicator, single.gram.indicator)
 
+    def test_states_match_recomputation(self):
+        rng = np.random.default_rng(85)
+        geom = ArrayGeometry(n_t=32, n_r=8)
+        path_sets = [random_paths(rng, 40) for _ in range(3)]
+        for paths, state in zip(path_sets, run_sof_batch(geom, path_sets)):
+            fresh = subchannel_gram(geom, paths, state.m_hat)
+            assert np.max(np.abs(state.gram.g - fresh.g)) <= 1e-10
+            assert np.array_equal(state.gram.indicator, correlation_indicator(state.gram.g))
+
+    def test_rejects_mixed_lengths(self):
+        rng = np.random.default_rng(86)
+        mixed = [random_paths(rng, 3), random_paths(rng, 4)]
+        with pytest.raises(InvalidInputError, match="one length"):
+            run_sof_batch(ArrayGeometry(n_t=4, n_r=2), mixed)
+
+    def test_rejects_empty_batch(self):
+        with pytest.raises(InvalidInputError):
+            run_sof_batch(ArrayGeometry(n_t=4, n_r=2), [])
+
+
+def test_solve_rejects_shape_mismatch():
     with pytest.raises(InvalidInputError):
         solve_modification_vector(np.zeros((3, 3)), 4)
