@@ -151,8 +151,11 @@ def parse_snr_grid(text):
         raise UsageError("snr grid step must be positive")
     if stop < start:
         raise UsageError("snr grid stop must be >= start")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+    try:
+        count = int(np.floor((stop - start) / step + 1e-9)) + 1
+        return start + step * np.arange(count)
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise UsageError(f"snr grid {text!r} has too many points: {exc}") from exc
 
 
 def _normalize_argv(argv):

@@ -12,6 +12,7 @@ batch size and scheduling never change them.
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -245,42 +246,33 @@ def _run_batch(scenario, start, stop, safeguard):
     ]
 
 
-def _run_range(args):
-    """Outcome records of trials ``start .. stop-1``, in batches."""
-    scenario, start, stop, safeguard = args
-    size = batch_size(scenario.n_cl * scenario.n_ray, scenario.geometry.n_t)
-    outcomes = []
-    for first in range(start, stop, size):
-        outcomes += _run_batch(scenario, first, min(first + size, stop), safeguard)
-    return outcomes
-
-
 def _trial_outcomes(scenario, workers, safeguard):
-    # Contiguous ranges, about eight per worker: few enough tasks that
-    # dispatch stays cheap, enough to balance uneven trials. The serial
-    # path runs the same ranges in this process.
+    # Consecutive lockstep batches, so only the campaign's last one is
+    # short. The pool takes them in chunks, about eight per worker: few
+    # enough tasks that dispatch stays cheap, enough to balance uneven
+    # trials.
     trials = scenario.trials
-    chunk = -(-trials // (8 * max(workers, 1)))
-    jobs = [
-        (scenario, start, min(start + chunk, trials), safeguard)
-        for start in range(0, trials, chunk)
-    ]
+    size = batch_size(scenario.n_cl * scenario.n_ray, scenario.geometry.n_t)
+    starts = range(0, trials, size)
+    stops = [min(start + size, trials) for start in starts]
+    run = partial(_run_batch, scenario, safeguard=safeguard)
     if workers <= 1:
-        ranges = map(_run_range, jobs)
+        batches = map(run, starts, stops)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            ranges = list(pool.map(_run_range, jobs))
-    return [outcome for outcomes in ranges for outcome in outcomes]
+            chunk = -(-len(starts) // (8 * workers))
+            batches = list(pool.map(run, starts, stops, chunksize=chunk))
+    return [outcome for outcomes in batches for outcome in outcomes]
 
 
 def run_campaign(scenario, schemes=SCHEMES, workers=1, safeguard=False):
     """Run all trials and aggregate one capacity curve per scheme.
 
-    Trials run in contiguous ranges of about ``trials / (8 * workers)``,
-    on a pool of ``workers`` processes (in this process for
-    ``workers <= 1``); each range runs in lockstep batches of
-    ``batch_size`` trials. Results are reduced in trial order, so the
-    output is byte-reproducible for a fixed scenario regardless of
+    Trials run in consecutive lockstep batches of ``batch_size`` trials,
+    in this process for ``workers <= 1`` and otherwise on a pool of
+    ``workers`` processes that takes the batches in chunks of about
+    ``batches / (8 * workers)``. Results are reduced in trial order, so
+    the output is byte-reproducible for a fixed scenario regardless of
     parallelism and batching.
     Trials that raise a ``PrMimoError`` are excluded and counted; more
     than 1% of failures aborts with ``CampaignError``, and so does any

@@ -139,14 +139,11 @@ def _transmit_basis(geometry, aod, m_hat):
     return m_hat * np.exp(2j * np.pi * geometry.spacing_t * np.outer(k, s))
 
 
-def transmit_factor_matrix(geometry, aod, m_hat):
-    """Pairwise transmit-side weighted phase sums for given columns.
-
-    Entry (i, j) is
-    ``sum_k m_hat_i(k) m_hat_j(k) exp(j*2*pi*d_t*k*(sin aod_j - sin aod_i))``.
-    """
-    basis = _transmit_basis(geometry, aod, m_hat)
-    return basis.conj().T @ basis
+def _factored_gram(geometry, recv, basis):
+    # The receive factor times the transmit factor (the Gram of the basis)
+    # over n_r * n_t, made exactly Hermitian.
+    g = recv * (basis.conj().T @ basis) / (geometry.n_r * geometry.n_t)
+    return 0.5 * (g + g.conj().T)
 
 
 def _check_m_hat(geometry, paths, m_hat):
@@ -170,9 +167,7 @@ def subchannel_gram(geometry, paths, m_hat):
     """
     m_hat = _check_m_hat(geometry, paths, m_hat)
     recv = receiver_factor_matrix(geometry, paths.aoa)
-    trans = transmit_factor_matrix(geometry, paths.aod, m_hat)
-    g = recv * trans / (geometry.n_r * geometry.n_t)
-    g = 0.5 * (g + g.conj().T)
+    g = _factored_gram(geometry, recv, _transmit_basis(geometry, paths.aod, m_hat))
     return SubchannelGram(g=g, indicator=correlation_indicator(g))
 
 

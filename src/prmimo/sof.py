@@ -18,9 +18,9 @@ from .errors import InvalidInputError, NumericalFailureError
 from .numerics import eig_sym
 from .pattern import (
     SubchannelGram,
+    _factored_gram,
     _transmit_basis,
     receiver_factor_matrix,
-    subchannel_gram,
 )
 
 
@@ -91,7 +91,8 @@ def run_sof(geometry, paths):
     already-visited indices, picks the worst remaining subchannel,
     accumulates the quadratic penalty against the current columns of all
     previously visited indices, solves for the new column, and refreshes
-    the Gram matrix incrementally (only one row and column change).
+    the Gram matrix incrementally: each step writes only the target's
+    row, its conjugate column and the real diagonal entry between them.
 
     Returns the completed state; the Gram inside it matches a from-
     scratch recomputation to tight tolerance, which the tests check.
@@ -132,17 +133,15 @@ def run_sof_batch(geometry, path_sets):
     trials_col = trials[:, None]
     diagonal = np.arange(n_paths)
     ones = np.ones((n_t, n_paths))
-    # The Gram matrices first: their larger temporaries are freed before
-    # the rest of the state is allocated and filled one trial at a time,
-    # which keeps the fresh memory pages per trial at the loop's level.
-    g = np.stack([subchannel_gram(geometry, paths, ones).g for paths in path_sets])
-    recv = np.empty_like(g)
-    recv_sq = np.empty(g.shape)
-    basis = np.empty((n_trials, n_t, n_paths), dtype=complex)
-    for t, paths in enumerate(path_sets):
-        recv[t] = receiver_factor_matrix(geometry, paths.aoa)
-        recv_sq[t] = np.abs(recv[t] / n_r) ** 2
-        basis[t] = _transmit_basis(geometry, paths.aod, ones)
+    # Each trial's factors are built once. The Gram matrices come first:
+    # their temporaries are freed before the factors are stacked, which
+    # keeps a batch's fresh memory pages low.
+    recv = [receiver_factor_matrix(geometry, paths.aoa) for paths in path_sets]
+    basis = [_transmit_basis(geometry, paths.aod, ones) for paths in path_sets]
+    g = np.stack([_factored_gram(geometry, r, b) for r, b in zip(recv, basis)])
+    recv = np.stack(recv)
+    basis = np.stack(basis)
+    recv_sq = np.abs(recv / n_r) ** 2
     # Squared Gram magnitudes with a zero diagonal: the indicator is their
     # row sum, and each step changes only the target row and column.
     sq = np.abs(g) ** 2
@@ -193,21 +192,17 @@ def run_sof_batch(geometry, path_sets):
         column = new_col * np.exp(tx_phase * sin_prior[:, step, None])
         basis[trials, :, target] = column
         row = recv[trials, target] * (column.conj()[:, None, :] @ basis)[:, 0] / (n_r * n_t)
-        g[trials, target, :] = row  # the column follows after the loop
+        # Entry (i, j) keeps the value written at the later visit of i and
+        # j; the diagonal stays real.
+        g[trials, target, :] = row
+        g[trials, :, target] = row.conj()
+        g[trials, target, target] = row[trials, target].real
         row_sq = np.abs(row) ** 2
         row_sq[trials, target] = 0.0
         sq[trials, target, :] = row_sq
         sq[trials, :, target] = row_sq
         indicator = sq.sum(axis=2)
 
-    # Each step stored only its target's row. Entry (i, j) belongs to the
-    # later-visited of i and j: it is g[i, j] if that is i, else the
-    # conjugate of g[j, i]. The diagonal is real.
-    visit = np.empty_like(order)
-    np.put_along_axis(visit, order, diagonal[None, :], axis=1)
-    for t in trials:
-        np.copyto(g[t], g[t].T.conj(), where=visit[t, :, None] < visit[t, None, :])
-    g[:, diagonal, diagonal] = g[:, diagonal, diagonal].real
     m_hat = np.empty_like(m_prior)
     np.put_along_axis(m_hat, order[:, None, :], m_prior, axis=2)
 

@@ -37,6 +37,14 @@ class TestParseSnrGrid:
         with pytest.raises(UsageError, match="finite"):
             parse_snr_grid(text)
 
+    # Point counts past the largest array size, past a float (the span
+    # overflows) and past any 64-bit address space (800 PB): each is
+    # refused before any memory is touched.
+    @pytest.mark.parametrize("text", ["0:1e-300:1", "0:1:1e300", "-1e308:1:1e308", "0:1:1e17"])
+    def test_rejects_huge_grids(self, text):
+        with pytest.raises(UsageError, match="too many points"):
+            parse_snr_grid(text)
+
 
 class TestParseConfig:
     def test_defaults(self):
@@ -189,6 +197,13 @@ class TestMain:
         out = tmp_path / "non-finite"
         assert main(flags + ["--trials", "2", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("prmimo: usage error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["0:1e-300:1", "0:1:1e300"])
+    def test_huge_snr_grid_is_usage_error(self, grid, tmp_path, capsys):
+        out = tmp_path / "huge-grid"
+        assert main(["--snr-db", grid, "--trials", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("prmimo: usage error: snr grid")
         assert not out.exists()
 
     def test_good_with_few_clusters_runs(self, tmp_path):

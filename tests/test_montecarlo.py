@@ -235,9 +235,11 @@ class TestRunCampaign:
             assert np.array_equal(serial[scheme].std, parallel[scheme].std)
 
     @pytest.mark.parametrize("workers,trials", [(2, 13), (3, 13), (2, 21)])
-    def test_chunked_workers_match_serial_bits(self, workers, trials):
-        # 21 trials on 2 workers go out in chunks of 2 with a short last one.
+    def test_chunked_workers_match_serial_bits(self, monkeypatch, workers, trials):
+        # In one-trial batches, 21 trials on 2 workers go out in chunks of
+        # 2 batches with a short last one.
         scenario = small_scenario(trials=trials)
+        force_batch_size(monkeypatch, scenario, 1)
         serial = {c.scheme: c for c in run_campaign(scenario, workers=1)}
         parallel = {c.scheme: c for c in run_campaign(scenario, workers=workers)}
         for scheme in ("physical", "pattern"):
@@ -250,8 +252,9 @@ class TestRunCampaign:
     def test_per_trial_results_independent_of_batches_and_workers(
         self, monkeypatch, size, workers, trials
     ):
-        # Serial ranges of 26 trials (203 = 7 x 26 + 21) and pool ranges
-        # of 4 or 3 trials, each with a short last range.
+        # 203 trials end in a short batch at sizes 2, 3 and 25; 57 trials
+        # go to the pool in chunks of one to four batches, most layouts
+        # with a short last batch or a short last chunk.
         scenario = small_scenario(trials=trials, condition="good", snr_db=np.array([0.0, 20.0]))
         expected = single_trial_rows(scenario)
         force_batch_size(monkeypatch, scenario, size)
@@ -285,6 +288,20 @@ class TestRunCampaign:
                 assert np.array_equal(physical, expected[index][0])
                 assert np.array_equal(designed, expected[index][1])
 
+    def test_serial_campaign_runs_full_batches_and_one_short_last(self, monkeypatch):
+        # L = 8 and n_t = 32 make batches of 12: 400 = 33 x 12 + 4.
+        scenario = small_scenario(geometry=ArrayGeometry(n_t=32, n_r=8), trials=400)
+        real_run_trials = montecarlo.run_trials
+        calls = []
+
+        def recording(sc, start, stop, safeguard=False):
+            calls.append((start, stop))
+            return real_run_trials(sc, start, stop, safeguard)
+
+        monkeypatch.setattr(montecarlo, "run_trials", recording)
+        run_campaign(scenario)
+        assert calls == [(start, start + 12) for start in range(0, 396, 12)] + [(396, 400)]
+
     def test_error_only_in_a_batch_names_the_batch(self, monkeypatch):
         # A bug that needs several trials in lockstep does not show when
         # each trial is rerun alone; the campaign still stops.
@@ -299,7 +316,7 @@ class TestRunCampaign:
 
         monkeypatch.setattr(montecarlo, "design_patterns", batch_only_bug)
         with pytest.raises(
-            CampaignError, match=r"trials 0\.\.1 as one batch \(master_seed 99\) raised TypeError"
+            CampaignError, match=r"trials 0\.\.3 as one batch \(master_seed 99\) raised TypeError"
         ):
             run_campaign(scenario)
 

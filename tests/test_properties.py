@@ -1,6 +1,6 @@
 """Property tests of the design on edge geometries.
 
-Hypothesis draws array sizes from n_t = n_r up to n_t = 128, spacings
+Hypothesis draws array sizes from n_t = n_r up to n_t = 256, spacings
 other than half a wavelength, single-path sets, more paths than
 n_t * n_r, repeated and endfire (+-pi/2) angles, zero-gain paths and
 campaigns with no angular spread (xi = 0). It checks the power
@@ -39,7 +39,7 @@ angles = st.one_of(st.sampled_from((-HALF_PI, HALF_PI, 0.0)), st.floats(-HALF_PI
 @st.composite
 def geometries(draw):
     n_r = draw(st.integers(1, 8))
-    n_t = draw(st.one_of(st.just(n_r), st.integers(n_r, 128)))
+    n_t = draw(st.one_of(st.just(n_r), st.integers(n_r, 256)))
     return ArrayGeometry(n_t=n_t, n_r=n_r, spacing_t=draw(spacings), spacing_r=draw(spacings))
 
 
