@@ -43,7 +43,7 @@ class ArrayGeometry:
 
 @dataclass
 class PathSet:
-    """Complex path gains with their departure and arrival azimuths."""
+    """Complex path gains with their departure and arrival azimuths (or T stacked)."""
 
     gains: np.ndarray
     aod: np.ndarray
@@ -53,15 +53,23 @@ class PathSet:
         self.gains = np.atleast_1d(np.asarray(self.gains, dtype=complex))
         self.aod = np.atleast_1d(np.asarray(self.aod, dtype=float))
         self.aoa = np.atleast_1d(np.asarray(self.aoa, dtype=float))
-        sizes = {self.gains.size, self.aod.size, self.aoa.size}
-        if len(sizes) != 1 or self.gains.size < 1:
+        shapes = {self.gains.shape, self.aod.shape, self.aoa.shape}
+        if len(shapes) != 1 or self.gains.ndim > 2 or self.gains.size < 1:
             raise InvalidInputError("gains, aod and aoa must share one length >= 1")
         for name, angles in (("aod", self.aod), ("aoa", self.aoa)):
             if np.any(np.abs(angles) > HALF_PI):
                 raise InvalidInputError(f"{name} angles must lie in [-pi/2, pi/2]")
 
     def __len__(self):
-        return self.gains.size
+        return self.gains.shape[-1]
+
+
+def stack_paths(path_sets):
+    """One ``PathSet`` of (T, L) arrays from T path sets of one length L."""
+    path_sets = list(path_sets)
+    if len({len(paths) for paths in path_sets}) != 1:
+        raise InvalidInputError("need one or more path sets of one length")
+    return PathSet(*(np.stack([getattr(p, f) for p in path_sets]) for f in ("gains", "aod", "aoa")))
 
 
 @dataclass
@@ -91,37 +99,45 @@ def steering_matrix(n, spacing, angles):
     """Unit-norm n-element ULA responses, one column per azimuth.
 
     Entry (k, l) (0-based) is
-    ``exp(-j*2*pi*spacing*k*sin(angles[l])) / sqrt(n)``.
+    ``exp(-j*2*pi*spacing*k*sin(angles[l])) / sqrt(n)``; a (T, L) stack
+    of azimuths gives a (T, n, L) stack.
     """
     if n < 1:
         raise InvalidInputError("antenna count must be >= 1")
     if spacing <= 0:
         raise InvalidInputError("spacing must be positive")
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    phase = -2j * np.pi * spacing * np.outer(np.arange(n), np.sin(angles))
+    phase = -2j * np.pi * spacing * (np.arange(n)[:, None] * np.sin(angles)[..., None, :])
     return np.exp(phase) / np.sqrt(n)
 
 
 def steering_matrices(geometry, paths):
     """Receive- and transmit-side steering matrices for a path set.
 
-    Returns ``(a_r, a_t)`` of shapes (n_r, L) and (n_t, L); together with
-    ``diag(paths.gains)`` these are the factors of the physical channel.
+    Returns ``(a_r, a_t)`` of shapes (n_r, L) and (n_t, L) (stacked for a
+    stacked path set); with ``diag(paths.gains)`` they factor the channel.
     """
     a_r = steering_matrix(geometry.n_r, geometry.spacing_r, paths.aoa)
     a_t = steering_matrix(geometry.n_t, geometry.spacing_t, paths.aod)
     return a_r, a_t
 
 
-def assemble_physical(geometry, paths):
+def channel_factors(geometry, paths):
+    """``(A_R diag(gains), A_T)``, shared by every channel of ``paths``."""
+    a_r, a_t = steering_matrices(geometry, paths)
+    return a_r * paths.gains[..., None, :], a_t
+
+
+def assemble_physical(geometry, paths, factors=None):
     """Channel matrix of the bare scattering geometry, shape (n_r, n_t).
 
     Computed in factored form ``A_R diag(gains) A_T^H``; identical up to
     round-off to summing the rank-one per-path contributions, which the
-    tests verify element-wise.
+    tests verify element-wise. Stacked paths give stacked channels;
+    ``factors`` (``channel_factors``) are built here when not given.
     """
-    a_r, a_t = steering_matrices(geometry, paths)
-    return (a_r * paths.gains) @ a_t.conj().T
+    gained_r, a_t = factors or channel_factors(geometry, paths)
+    return gained_r @ a_t.conj().swapaxes(-1, -2)
 
 
 def sample_cluster_paths(profile, means_aod, means_aoa, rng):

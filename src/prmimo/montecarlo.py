@@ -21,11 +21,14 @@ from .channel import (
     ILL_MIN_CLUSTERS,
     ArrayGeometry,
     assemble_physical,
+    channel_factors,
     condition_profile,
     sample_cluster_paths,
+    stack_paths,
 )
 from .errors import CampaignError, InvalidInputError, PrMimoError
-from .pattern import assemble_pattern_channel, capacity
+from .numerics import one_blas_thread, set_blas_threads
+from .pattern import PatternMatrix, assemble_pattern_channel, capacity
 
 SCHEMES = ("physical", "pattern", "ideal")
 
@@ -167,32 +170,27 @@ def run_trials(scenario, start, stop, safeguard=False):
     """Evaluate trials ``start .. stop-1`` in lockstep on the SNR grid.
 
     Returns ``(physical, pattern)`` capacity arrays of shape
-    (stop - start, SNR points) in bits/s/Hz. The trials share their path
-    count, so the design runs as one lockstep batch and each capacity
-    sweep as one stacked eigendecomposition; row ``i`` is bit-identical
-    to ``run_trial(scenario, start + i)``. The batch's memory grows with
-    its size (see ``batch_size``). ``safeguard`` acts as in
-    ``run_trial``.
+    (stop - start, SNR points) in bits/s/Hz. Each trial draws its paths
+    from its own stream; the rest runs on the stacked batch: one steering
+    ``exp`` per array side for all three channel assemblies, the lockstep
+    design (``design_patterns``) and one eigendecomposition per sweep.
+    Row ``i`` is bit-identical to ``run_trial(scenario, start + i)``. The
+    batch's memory grows with its size (see ``batch_size``).
+    ``safeguard`` acts as in ``run_trial``.
     """
     if not 0 <= start < stop <= scenario.trials:
         raise InvalidInputError(
             f"trial range [{start}, {stop}) is empty or outside [0, {scenario.trials})"
         )
     geometry = scenario.geometry
-    path_sets = [draw_paths(scenario, index) for index in range(start, stop)]
+    paths = stack_paths(draw_paths(scenario, index) for index in range(start, stop))
     snr = 10.0 ** (scenario.snr_db / 10.0)
+    factors = channel_factors(geometry, paths)
+    physical = capacity(assemble_physical(geometry, paths, factors), snr)
 
-    h_physical = np.stack([assemble_physical(geometry, paths) for paths in path_sets])
-    physical = capacity(h_physical, snr)
-
-    designs = design_patterns(geometry, path_sets)
-    h_pattern = np.stack(
-        [
-            assemble_pattern_channel(geometry, paths, pattern)
-            for paths, (pattern, _, _) in zip(path_sets, designs)
-        ]
-    )
-    designed = capacity(h_pattern, snr)
+    m_hat, p = design_patterns(geometry, paths, factors=factors)
+    pattern = PatternMatrix(m_hat=m_hat, p=p)
+    designed = capacity(assemble_pattern_channel(geometry, paths, pattern, factors), snr)
 
     if safeguard:
         reference = int(np.argmax(snr))
@@ -257,9 +255,11 @@ def _trial_outcomes(scenario, workers, safeguard):
     stops = [min(start + size, trials) for start in starts]
     run = partial(_run_batch, scenario, safeguard=safeguard)
     if workers <= 1:
-        batches = map(run, starts, stops)
+        with one_blas_thread():
+            batches = list(map(run, starts, stops))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Set by an initializer, so that it holds under any start method.
+        with ProcessPoolExecutor(workers, initializer=set_blas_threads, initargs=(1,)) as pool:
             chunk = -(-len(starts) // (8 * workers))
             batches = list(pool.map(run, starts, stops, chunksize=chunk))
     return [outcome for outcomes in batches for outcome in outcomes]
@@ -271,9 +271,10 @@ def run_campaign(scenario, schemes=SCHEMES, workers=1, safeguard=False):
     Trials run in consecutive lockstep batches of ``batch_size`` trials,
     in this process for ``workers <= 1`` and otherwise on a pool of
     ``workers`` processes that takes the batches in chunks of about
-    ``batches / (8 * workers)``. Results are reduced in trial order, so
+    ``batches / (8 * workers)``, each process on one BLAS thread (the
+    caller's count is restored). Results are reduced in trial order, so
     the output is byte-reproducible for a fixed scenario regardless of
-    parallelism and batching.
+    parallelism, batching and the environment's BLAS thread count.
     Trials that raise a ``PrMimoError`` are excluded and counted; more
     than 1% of failures aborts with ``CampaignError``, and so does any
     other exception at once, naming the master seed and the trial index.

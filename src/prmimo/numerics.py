@@ -5,6 +5,9 @@ the package can rely on a fixed eigenvalue ordering, explicit handling
 of nearly-PSD Gram matrices, and uniform error reporting.
 """
 
+from contextlib import contextmanager
+from pathlib import Path
+
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
@@ -51,17 +54,71 @@ def _require_finite(a, name):
 def require_unit_power_columns(m_hat):
     """Check a modification matrix: nonnegative columns of squared norm n_t.
 
-    ``n_t`` is the row count. Non-finite entries fail the norm check.
+    ``n_t`` is the row count (of each matrix of a stack). Non-finite
+    entries fail the norm check.
     """
     if np.any(m_hat < 0):
         raise InvalidInputError("m_hat entries must be nonnegative")
-    n_t = m_hat.shape[0]
-    deviation = np.abs(np.sum(m_hat**2, axis=0) - n_t)
+    n_t = m_hat.shape[-2]
+    deviation = np.abs(np.sum(m_hat**2, axis=-2) - n_t)
     if not np.all(deviation <= COLUMN_NORM_RTOL * n_t):
         raise InvalidInputError(
             f"every m_hat column needs squared norm {n_t}, "
             f"worst deviation {float(np.max(deviation)):.3g}"
         )
+
+
+def _openblas():
+    # numpy's bundled OpenBLAS with the calls used here declared, or None.
+    # Looked up on each use, so that importing the package neither loads
+    # ctypes nor scans for the library.
+    import ctypes
+
+    for path in Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas*"):
+        lib = ctypes.CDLL(str(path))
+        if not hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            continue
+        lib.scipy_openblas_get_num_threads64_.argtypes = []
+        lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+        lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+        lib.scipy_openblas_set_num_threads64_.restype = None
+        if hasattr(lib, "blas_thread_shutdown_"):
+            lib.blas_thread_shutdown_.argtypes = []
+            lib.blas_thread_shutdown_.restype = ctypes.c_int
+        return lib
+    return None
+
+
+def set_blas_threads(count):
+    """Set numpy's bundled OpenBLAS to ``count`` threads; return the old count.
+
+    Setting a count starts the library's thread pool at once, whose idle
+    threads slowed the small calls of a trial by about 20% and, when just
+    started, spin for about 0.1 s of CPU. So the pool is stopped again
+    (``blas_thread_shutdown_``, the library's own fork handler, where it
+    is exported); a later call that needs more threads restarts it. Call
+    it while no other thread runs BLAS work. A no-op returning ``None``
+    without the library.
+    """
+    lib = _openblas()
+    if lib is None:
+        return None
+    previous = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(count)
+    if hasattr(lib, "blas_thread_shutdown_"):
+        lib.blas_thread_shutdown_()
+    return previous
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block on one BLAS thread, then restore the caller's count."""
+    previous = set_blas_threads(1)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            set_blas_threads(previous)
 
 
 def eig_sym(b):

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import steering_matrices
+from .channel import channel_factors
 from .errors import InvalidInputError
 from .numerics import COLUMN_NORM_RTOL, logdet_capacity_kernel, require_unit_power_columns
 
@@ -26,7 +26,8 @@ class PatternMatrix:
     norm equal to the transmit antenna count), ``p`` the per-path power
     factors, and ``m = m_hat * diag(p)`` the combined pattern whose
     (k, l) entry is the sampled gain of antenna k toward path l. Entries
-    are power gains only; the pattern carries no phase.
+    are power gains only; the pattern carries no phase. Stacked (T, n_t, L)
+    columns with (T, L) factors hold T patterns.
     """
 
     m_hat: np.ndarray
@@ -36,17 +37,17 @@ class PatternMatrix:
     def __post_init__(self):
         self.m_hat = np.asarray(self.m_hat, dtype=float)
         self.p = np.atleast_1d(np.asarray(self.p, dtype=float))
-        if self.m_hat.ndim != 2:
-            raise InvalidInputError("m_hat must be a 2-D matrix")
-        n_paths = self.m_hat.shape[1]
-        if self.p.shape != (n_paths,):
+        if self.m_hat.ndim not in (2, 3):
+            raise InvalidInputError("m_hat must be a matrix or a stack of them")
+        columns = self.m_hat.shape[:-2] + self.m_hat.shape[-1:]
+        if self.p.shape != columns:
             raise InvalidInputError(
-                f"p must have one entry per column, got {self.p.shape} for {n_paths} columns"
+                f"p must have one entry per column, got {self.p.shape} for {columns} columns"
             )
         require_unit_power_columns(self.m_hat)
         if np.any(self.p < 0):
             raise InvalidInputError("power factors must be nonnegative")
-        self.m = self.m_hat * self.p
+        self.m = self.m_hat * self.p[..., None, :]
 
     @classmethod
     def all_ones(cls, n_t, n_paths):
@@ -60,6 +61,7 @@ class SubchannelGram:
 
     ``indicator[l]`` sums the squared magnitudes of row l off the
     diagonal: the total correlation between subchannel l and all others.
+    Stacked (T, L, L) matrices with (T, L) indicators hold T Grams.
     """
 
     g: np.ndarray
@@ -68,13 +70,13 @@ class SubchannelGram:
     def __post_init__(self):
         self.g = np.asarray(self.g, dtype=complex)
         self.indicator = np.atleast_1d(np.asarray(self.indicator, dtype=float))
-        if self.g.ndim != 2 or self.g.shape[0] != self.g.shape[1]:
+        if self.g.ndim not in (2, 3) or self.g.shape[-1] != self.g.shape[-2]:
             raise InvalidInputError("gram matrix must be square")
-        if self.indicator.shape != (self.g.shape[0],):
+        if self.indicator.shape != self.g.shape[:-1]:
             raise InvalidInputError("indicator length must match the gram dimension")
-        if np.max(np.abs(self.g - self.g.conj().T)) > HERMITIAN_TOL:
+        if np.max(np.abs(self.g - self.g.conj().swapaxes(-1, -2))) > HERMITIAN_TOL:
             raise InvalidInputError("gram matrix is not Hermitian within tolerance")
-        if not np.all(np.abs(np.diag(self.g) - 1.0) <= COLUMN_NORM_RTOL):
+        if not np.all(np.abs(np.diagonal(self.g, axis1=-2, axis2=-1) - 1.0) <= COLUMN_NORM_RTOL):
             raise InvalidInputError("gram diagonal must be 1 for normalized subchannels")
         if np.any(self.indicator < 0):
             raise InvalidInputError("indicator entries must be nonnegative")
@@ -100,22 +102,21 @@ def capacity(h, snr):
     return logdet_capacity_kernel(h @ h.conj().swapaxes(-1, -2), snr / n_r)
 
 
-def assemble_pattern_channel(geometry, paths, pattern):
+def assemble_pattern_channel(geometry, paths, pattern, factors=None):
     """Channel matrix seen through the transmit pattern, shape (n_r, n_t).
 
     Computed as ``A_R diag(gains) (A_T o M)^H`` with ``o`` the
     element-wise product; equal (to round-off) to summing the per-path
-    subchannels weighted by ``gains * p``, which the tests verify.
+    subchannels weighted by ``gains * p``, which the tests verify. Stacks
+    and ``factors`` work as in ``assemble_physical``.
     """
     if not isinstance(pattern, PatternMatrix):
         raise InvalidInputError("pattern must be a PatternMatrix")
-    if pattern.m.shape != (geometry.n_t, len(paths)):
-        raise InvalidInputError(
-            f"pattern shape {pattern.m.shape} does not match "
-            f"({geometry.n_t}, {len(paths)})"
-        )
-    a_r, a_t = steering_matrices(geometry, paths)
-    return (a_r * paths.gains) @ (a_t * pattern.m).conj().T
+    expected = paths.gains.shape[:-1] + (geometry.n_t, len(paths))
+    if pattern.m.shape != expected:
+        raise InvalidInputError(f"pattern shape {pattern.m.shape} does not match {expected}")
+    gained_r, a_t = factors or channel_factors(geometry, paths)
+    return gained_r @ (a_t * pattern.m).conj().swapaxes(-1, -2)
 
 
 def receiver_factor_matrix(geometry, aoa):
@@ -123,12 +124,12 @@ def receiver_factor_matrix(geometry, aoa):
 
     Entry (i, j) is ``sum_n exp(+j*2*pi*d_r*n*(sin aoa_i - sin aoa_j))``
     over the n_r elements; its magnitude divided by n_r is the receive
-    correlation between arrivals i and j.
+    correlation between arrivals i and j. Stacked arrivals stack it.
     """
     s = np.sin(np.atleast_1d(np.asarray(aoa, dtype=float)))
     n = np.arange(geometry.n_r)
-    basis = np.exp(-2j * np.pi * geometry.spacing_r * np.outer(n, s))
-    return basis.conj().T @ basis
+    basis = np.exp(-2j * np.pi * geometry.spacing_r * (n[:, None] * s[..., None, :]))
+    return basis.conj().swapaxes(-1, -2) @ basis
 
 
 def _transmit_basis(geometry, aod, m_hat):
@@ -136,14 +137,19 @@ def _transmit_basis(geometry, aod, m_hat):
     # of this basis is the transmit factor of the subchannel Gram matrix.
     s = np.sin(np.atleast_1d(np.asarray(aod, dtype=float)))
     k = np.arange(geometry.n_t)
-    return m_hat * np.exp(2j * np.pi * geometry.spacing_t * np.outer(k, s))
+    return m_hat * np.exp(2j * np.pi * geometry.spacing_t * (k[:, None] * s[..., None, :]))
 
 
 def _factored_gram(geometry, recv, basis):
     # The receive factor times the transmit factor (the Gram of the basis)
-    # over n_r * n_t, made exactly Hermitian.
-    g = recv * (basis.conj().T @ basis) / (geometry.n_r * geometry.n_t)
-    return 0.5 * (g + g.conj().T)
+    # over n_r * n_t, made exactly Hermitian. In place, operands in the
+    # order of ``0.5 * (g + g^H)`` with ``g = recv * (B^H B) / (n_r n_t)``,
+    # so that a batch's set-up holds few L x L temporaries.
+    g = basis.conj().swapaxes(-1, -2) @ basis
+    np.multiply(recv, g, out=g)
+    g /= geometry.n_r * geometry.n_t
+    sym = g + g.conj().swapaxes(-1, -2)
+    return np.multiply(0.5, sym, out=sym)
 
 
 def _check_m_hat(geometry, paths, m_hat):

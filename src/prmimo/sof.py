@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import stack_paths
 from .errors import InvalidInputError, NumericalFailureError
 from .numerics import eig_sym
 from .pattern import (
@@ -26,7 +27,7 @@ from .pattern import (
 
 @dataclass
 class SofState:
-    """Finished state of one sequential modification run."""
+    """Finished state of one sequential modification run, or T stacked."""
 
     order: np.ndarray
     m_hat: np.ndarray
@@ -34,8 +35,10 @@ class SofState:
 
     def __post_init__(self):
         self.order = np.asarray(self.order, dtype=int)
-        n_paths = self.m_hat.shape[1]
-        if sorted(self.order.tolist()) != list(range(n_paths)):
+        n_paths = self.m_hat.shape[-1]
+        if self.order.shape != self.m_hat.shape[:-2] + (n_paths,) or np.any(
+            np.sort(self.order, axis=-1) != np.arange(n_paths)
+        ):
             raise InvalidInputError("order must be a permutation of the path indices")
 
 
@@ -96,58 +99,51 @@ def run_sof(geometry, paths):
 
     Returns the completed state; the Gram inside it matches a from-
     scratch recomputation to tight tolerance, which the tests check.
-    This is ``run_sof_batch`` on one path set.
+    This is ``run_sof_batch`` on a batch of one.
 
     In the early steps the smallest eigenvalue of the penalty matrix is
     often degenerate, so a round-off change in that matrix can pick a
     different null vector and a visibly different design; the result is
     reproducible bit for bit only with the same arithmetic on the same
-    LAPACK build.
+    LAPACK build. The BLAS thread count no longer matters inside a
+    campaign, which runs on one thread (``numerics.one_blas_thread``).
     """
-    return run_sof_batch(geometry, [paths])[0]
+    state = run_sof_batch(geometry, stack_paths([paths]))
+    gram = SubchannelGram(g=state.gram.g[0], indicator=state.gram.indicator[0])
+    return SofState(order=state.order[0], m_hat=state.m_hat[0], gram=gram)
 
 
-def run_sof_batch(geometry, path_sets):
-    """Run ``run_sof`` on path sets of one length in lockstep.
+def run_sof_batch(geometry, paths):
+    """Run ``run_sof`` on a stacked path set (``stack_paths``) in lockstep.
 
-    Every trial of a batch takes the same number of steps, so each step
-    is one stacked ``exp``, ``matmul`` and ``eigh`` over a leading trial
-    axis. Each stacked call applies the same kernel to each trial's
-    operands as a call on that trial alone, so every returned state is
-    bit-identical to ``run_sof`` on its path set, whatever the batch.
-    Per trial, the batch holds four L x L arrays (48 L^2 bytes) and each
-    step one n_t x n_t eigenproblem (about 40 n_t^2 bytes);
+    Every trial of a batch takes the same number of steps, so the set-up
+    and each step are one stacked ``exp``, ``matmul`` and ``eigh`` over a
+    leading trial axis. Each stacked call applies the same kernel to each
+    trial's operands as a call on that trial alone, so every row of the
+    result is bit-identical to ``run_sof`` on its path set, whatever the
+    batch. Per trial, the batch holds four L x L arrays (48 L^2 bytes)
+    and each step one n_t x n_t eigenproblem (about 40 n_t^2 bytes);
     ``montecarlo.batch_size`` sizes campaign batches from both.
 
-    Returns one ``SofState`` per path set, in order.
+    Returns the stacked ``SofState``, checked once per batch.
     """
-    path_sets = list(path_sets)
-    if not path_sets:
-        raise InvalidInputError("need at least one path set")
-    n_paths = len(path_sets[0])
-    if any(len(paths) != n_paths for paths in path_sets):
-        raise InvalidInputError("path sets in one batch must share one length")
+    if paths.gains.ndim != 2:
+        raise InvalidInputError("run_sof_batch takes a stacked path set, see stack_paths")
     n_t, n_r = geometry.n_t, geometry.n_r
-    n_trials = len(path_sets)
+    n_trials, n_paths = paths.gains.shape
     trials = np.arange(n_trials)
     trials_col = trials[:, None]
     diagonal = np.arange(n_paths)
-    ones = np.ones((n_t, n_paths))
-    # Each trial's factors are built once. The Gram matrices come first:
-    # their temporaries are freed before the factors are stacked, which
-    # keeps a batch's fresh memory pages low.
-    recv = [receiver_factor_matrix(geometry, paths.aoa) for paths in path_sets]
-    basis = [_transmit_basis(geometry, paths.aod, ones) for paths in path_sets]
-    g = np.stack([_factored_gram(geometry, r, b) for r, b in zip(recv, basis)])
-    recv = np.stack(recv)
-    basis = np.stack(basis)
+    recv = receiver_factor_matrix(geometry, paths.aoa)
+    basis = _transmit_basis(geometry, paths.aod, np.ones((n_t, n_paths)))
+    g = _factored_gram(geometry, recv, basis)
     recv_sq = np.abs(recv / n_r) ** 2
     # Squared Gram magnitudes with a zero diagonal: the indicator is their
     # row sum, and each step changes only the target row and column.
     sq = np.abs(g) ** 2
     sq[:, diagonal, diagonal] = 0.0
     indicator = sq.sum(axis=2)
-    sin_aod = np.sin(np.stack([paths.aod for paths in path_sets]))
+    sin_aod = np.sin(paths.aod)
     k = np.arange(n_t)
     tx_phase = 2j * np.pi * geometry.spacing_t * k
 
@@ -205,12 +201,4 @@ def run_sof_batch(geometry, path_sets):
 
     m_hat = np.empty_like(m_prior)
     np.put_along_axis(m_hat, order[:, None, :], m_prior, axis=2)
-
-    return [
-        SofState(
-            order=order[t],
-            m_hat=m_hat[t],
-            gram=SubchannelGram(g=g[t], indicator=indicator[t]),
-        )
-        for t in trials
-    ]
+    return SofState(order=order, m_hat=m_hat, gram=SubchannelGram(g=g, indicator=indicator))

@@ -207,14 +207,14 @@ class TestDesignPattern:
 
     def test_batch_matches_single_designs(self):
         from prmimo.cfpa import design_patterns
+        from prmimo.channel import stack_paths
 
         rng = np.random.default_rng(88)
         geom = ArrayGeometry(n_t=16, n_r=4)
         path_sets = [random_paths(rng, 10) for _ in range(4)]
-        for paths, (pattern, allocation, state) in zip(
-            path_sets, design_patterns(geom, path_sets)
-        ):
-            single_pattern, single_allocation, single_state = design_pattern(geom, paths)
-            assert np.array_equal(pattern.m, single_pattern.m)
-            assert allocation.delta == single_allocation.delta
-            assert np.array_equal(state.order, single_state.order)
+        m_hat, p = design_patterns(geom, stack_paths(path_sets))
+        assert m_hat.shape == (4, 16, 10) and p.shape == (4, 10)
+        for row, paths in enumerate(path_sets):
+            single_pattern, _, single_state = design_pattern(geom, paths)
+            assert np.array_equal(m_hat[row], single_state.m_hat)
+            assert np.array_equal(p[row], single_pattern.p)

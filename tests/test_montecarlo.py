@@ -3,13 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import prmimo.montecarlo as montecarlo
+import prmimo.numerics as numerics
 from prmimo import (
     ArrayGeometry,
     CampaignError,
     CapacityCurve,
     InvalidInputError,
     NumericalFailureError,
-    PatternMatrix,
     Scenario,
     capacity,
     draw_paths,
@@ -131,15 +131,12 @@ class TestRunTrial:
     def test_safeguard_floors_at_physical(self, monkeypatch):
         scenario = small_scenario()
 
-        def sabotaged_designs(geometry, path_sets, renormalize=True):
+        def sabotaged_designs(geometry, paths, renormalize=True, factors=None):
             # Put all power on one path: a rank-one channel that loses to
             # the physical baseline at high SNR.
-            designs = []
-            for paths in path_sets:
-                p = np.zeros(len(paths))
-                p[0] = 1.0
-                designs.append((PatternMatrix(np.ones((geometry.n_t, len(paths))), p), None, None))
-            return designs
+            p = np.zeros(paths.gains.shape)
+            p[:, 0] = 1.0
+            return np.ones((len(p), geometry.n_t, len(paths))), p
 
         monkeypatch.setattr(montecarlo, "design_patterns", sabotaged_designs)
         physical, unguarded = run_trial(scenario, 0, safeguard=False)
@@ -191,14 +188,12 @@ class TestRunTrials:
         scenario = small_scenario(trials=6)
         real_designs = montecarlo.design_patterns
 
-        def sabotage_odd(geometry, path_sets, renormalize=True):
+        def sabotage_odd(geometry, paths, renormalize=True, factors=None):
             # Odd rows get a rank-one pattern that loses at high SNR.
-            designs = real_designs(geometry, path_sets, renormalize)
-            for row in range(1, len(designs), 2):
-                p = np.zeros(len(path_sets[row]))
-                p[0] = 1.0
-                designs[row] = (PatternMatrix(designs[row][2].m_hat, p), None, None)
-            return designs
+            m_hat, p = real_designs(geometry, paths, renormalize, factors)
+            p[1::2] = 0.0
+            p[1::2, 0] = 1.0
+            return m_hat, p
 
         monkeypatch.setattr(montecarlo, "design_patterns", sabotage_odd)
         physical, unguarded = run_trials(scenario, 0, 6)
@@ -212,6 +207,37 @@ class TestRunTrials:
     def test_rejects_bad_ranges(self, start, stop):
         with pytest.raises(InvalidInputError):
             run_trials(small_scenario(trials=4), start, stop)
+
+    def test_single_path_batch_matches_single_trials(self):
+        # L = 1: every indicator is zero, so every row takes uniform weights.
+        scenario = small_scenario(n_cl=1, n_ray=1, condition="good", trials=5)
+        physical, designed = run_trials(scenario, 0, 5)
+        assert np.isfinite(designed).all()
+        for row in range(5):
+            single_physical, single_designed = run_trial(scenario, row)
+            assert np.array_equal(physical[row], single_physical)
+            assert np.array_equal(designed[row], single_designed)
+
+    def test_zero_gain_row_matches_its_single_trial(self, monkeypatch):
+        # The row with a dead path is allocated alone on its other paths.
+        scenario = small_scenario(trials=7)
+        real_draw = montecarlo.draw_paths
+
+        def one_dead_path(sc, index):
+            paths = real_draw(sc, index)
+            if index == 3:
+                paths.gains[2] = 0.0
+            return paths
+
+        monkeypatch.setattr(montecarlo, "draw_paths", one_dead_path)
+        physical, designed = run_trials(scenario, 0, 7)
+        for row in range(7):
+            single_physical, single_designed = run_trial(scenario, row)
+            assert np.array_equal(physical[row], single_physical)
+            assert np.array_equal(designed[row], single_designed)
+        # The dead path really changed the design of its row.
+        monkeypatch.setattr(montecarlo, "draw_paths", real_draw)
+        assert not np.array_equal(designed[3], run_trial(scenario, 3)[1])
 
 
 class TestRunCampaign:
@@ -309,10 +335,10 @@ class TestRunCampaign:
         force_batch_size(monkeypatch, scenario, 4)
         real_designs = montecarlo.design_patterns
 
-        def batch_only_bug(geometry, path_sets, renormalize=True):
-            if len(path_sets) > 1:
+        def batch_only_bug(geometry, paths, renormalize=True, factors=None):
+            if len(paths.gains) > 1:
                 raise TypeError("synthetic batch bug")
-            return real_designs(geometry, path_sets, renormalize)
+            return real_designs(geometry, paths, renormalize, factors)
 
         monkeypatch.setattr(montecarlo, "design_patterns", batch_only_bug)
         with pytest.raises(
@@ -409,3 +435,39 @@ class TestCapacityCurve:
                 std=np.array([0.0]),
                 trials=1,
             )
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_campaign_runs_on_one_thread_and_restores_the_count(
+        self, workers, monkeypatch, tmp_path
+    ):
+        lib = numerics._openblas()
+        if lib is None:
+            pytest.skip("numpy's bundled OpenBLAS is not present")
+        real_run_trials = montecarlo.run_trials
+        log = tmp_path / "threads.txt"
+
+        def recording(sc, start, stop, safeguard=False):
+            # Appends from the workers too: they inherit this patch by fork.
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{lib.scipy_openblas_get_num_threads64_()}\n")
+            return real_run_trials(sc, start, stop, safeguard)
+
+        monkeypatch.setattr(montecarlo, "run_trials", recording)
+        previous = numerics.set_blas_threads(3)
+        try:
+            run_campaign(small_scenario(trials=120), workers=workers)
+            assert lib.scipy_openblas_get_num_threads64_() == 3
+        finally:
+            numerics.set_blas_threads(previous)
+        seen = log.read_text(encoding="utf-8").split()
+        assert len(seen) == 3
+        assert set(seen) == {"1"}
+
+    def test_campaign_runs_without_the_library(self, monkeypatch):
+        scenario = small_scenario(trials=6)
+        expected = run_campaign(scenario)
+        monkeypatch.setattr(numerics, "_openblas", lambda: None)
+        for got, want in zip(run_campaign(scenario), expected):
+            assert np.array_equal(got.mean, want.mean)

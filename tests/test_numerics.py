@@ -1,14 +1,17 @@
+import os
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import prmimo.numerics as numerics
 from oracles import singular_values
 from prmimo import (
     InvalidInputError,
     eig_sym,
     logdet_capacity_kernel,
 )
-from prmimo.numerics import symmetrize
+from prmimo.numerics import one_blas_thread, set_blas_threads, symmetrize
 
 
 class TestEigSym:
@@ -184,3 +187,46 @@ class TestLogdetCapacityKernel:
         rng = np.random.default_rng(33)
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         assert logdet_capacity_kernel(a @ a.conj().T, 0.01) >= 0.0
+
+
+class TestBlasThreads:
+    def test_one_thread_inside_and_the_count_restored_after(self):
+        lib = numerics._openblas()
+        if lib is None:
+            pytest.skip("numpy's bundled OpenBLAS is not present")
+        previous = set_blas_threads(2)
+        try:
+            with pytest.raises(RuntimeError):
+                with one_blas_thread():
+                    assert lib.scipy_openblas_get_num_threads64_() == 1
+                    raise RuntimeError("leaves the block early")
+            assert lib.scipy_openblas_get_num_threads64_() == 2
+        finally:
+            set_blas_threads(previous)
+
+    def test_setting_a_count_leaves_no_pool_threads(self):
+        # Idle pool threads slow the small calls of a trial; a call that
+        # needs more threads starts the pool again.
+        lib = numerics._openblas()
+        if lib is None or not hasattr(lib, "blas_thread_shutdown_"):
+            pytest.skip("numpy's bundled OpenBLAS cannot stop its pool here")
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no per-thread listing of this process")
+        previous = set_blas_threads(2)
+        try:
+            without_pool = len(os.listdir("/proc/self/task"))
+            a = np.ones((600, 600))
+            a @ a
+            assert len(os.listdir("/proc/self/task")) > without_pool
+            with one_blas_thread():
+                assert len(os.listdir("/proc/self/task")) == without_pool
+            assert len(os.listdir("/proc/self/task")) == without_pool
+            assert lib.scipy_openblas_get_num_threads64_() == 2
+        finally:
+            set_blas_threads(previous)
+
+    def test_noop_when_the_library_is_absent(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_openblas", lambda: None)
+        assert set_blas_threads(1) is None
+        with one_blas_thread():
+            pass

@@ -27,6 +27,7 @@ from prmimo import (
     run_trial,
     run_trials,
 )
+from prmimo.channel import stack_paths
 from prmimo.numerics import COLUMN_NORM_RTOL
 from prmimo.sof import run_sof_batch
 
@@ -100,17 +101,18 @@ def batches(draw):
 @given(batch=batches())
 def test_lockstep_sof_matches_single_runs_and_keeps_gram_invariants(batch):
     geometry, sets = batch
-    for paths, state in zip(sets, run_sof_batch(geometry, sets)):
+    stacked = run_sof_batch(geometry, stack_paths(sets))
+    for row, paths in enumerate(sets):
         single = run_sof(geometry, paths)
-        assert np.array_equal(state.order, single.order)
-        assert np.array_equal(state.m_hat, single.m_hat)
-        assert np.array_equal(state.gram.g, single.gram.g)
-        assert np.array_equal(state.gram.indicator, single.gram.indicator)
+        assert np.array_equal(stacked.order[row], single.order)
+        assert np.array_equal(stacked.m_hat[row], single.m_hat)
+        assert np.array_equal(stacked.gram.g[row], single.gram.g)
+        assert np.array_equal(stacked.gram.indicator[row], single.gram.indicator)
 
-        g = state.gram.g
+        g = stacked.gram.g[row]
         assert np.array_equal(g, g.conj().T)
         assert np.all(np.abs(np.diag(g) - 1.0) <= COLUMN_NORM_RTOL)
-        assert np.max(np.abs(g - direct_trace_gram(geometry, paths, state.m_hat))) <= 1e-12
+        assert np.max(np.abs(g - direct_trace_gram(geometry, paths, stacked.m_hat[row]))) <= 1e-12
 
 
 @st.composite

@@ -42,3 +42,14 @@ def test_csv_independent_of_blas_threads(threads, tmp_path):
     command = [sys.executable, "-m", "prmimo.cli", *entry["flags"].split(), "--out", str(tmp_path)]
     subprocess.run(command, env=env, check=True, timeout=120)
     assert (tmp_path / "capacity.csv").read_text(encoding="utf-8") == entry["csv"]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_dense_csv_independent_of_blas_threads(threads, tmp_path):
+    # L = 160, whose design states once depended on the thread count.
+    entry = PINNED["dense_ncl20"]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "prmimo.cli", *entry["flags"].split(), "--out", str(tmp_path)]
+    subprocess.run(command, env=env, check=True, timeout=120)
+    assert (tmp_path / "capacity.csv").read_text(encoding="utf-8") == entry["csv"]

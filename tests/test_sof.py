@@ -13,6 +13,7 @@ from prmimo import (
     solve_modification_vector,
     subchannel_gram,
 )
+from prmimo.channel import stack_paths
 from prmimo.sof import run_sof_batch
 
 
@@ -252,33 +253,40 @@ class TestRunSofBatch:
         rng = np.random.default_rng(84)
         geom = ArrayGeometry(n_t=16, n_r=4)
         path_sets = [random_paths(rng, 12) for _ in range(size)]
-        states = run_sof_batch(geom, path_sets)
-        assert len(states) == size
-        for paths, state in zip(path_sets, states):
+        batch = run_sof_batch(geom, stack_paths(path_sets))
+        assert batch.order.shape == (size, 12)
+        for row, paths in enumerate(path_sets):
             single = run_sof(geom, paths)
-            assert np.array_equal(state.order, single.order)
-            assert np.array_equal(state.m_hat, single.m_hat)
-            assert np.array_equal(state.gram.g, single.gram.g)
-            assert np.array_equal(state.gram.indicator, single.gram.indicator)
+            assert np.array_equal(batch.order[row], single.order)
+            assert np.array_equal(batch.m_hat[row], single.m_hat)
+            assert np.array_equal(batch.gram.g[row], single.gram.g)
+            assert np.array_equal(batch.gram.indicator[row], single.gram.indicator)
 
     def test_states_match_recomputation(self):
         rng = np.random.default_rng(85)
         geom = ArrayGeometry(n_t=32, n_r=8)
         path_sets = [random_paths(rng, 40) for _ in range(3)]
-        for paths, state in zip(path_sets, run_sof_batch(geom, path_sets)):
-            fresh = subchannel_gram(geom, paths, state.m_hat)
-            assert np.max(np.abs(state.gram.g - fresh.g)) <= 1e-10
-            assert np.array_equal(state.gram.indicator, correlation_indicator(state.gram.g))
+        batch = run_sof_batch(geom, stack_paths(path_sets))
+        for row, paths in enumerate(path_sets):
+            g = batch.gram.g[row]
+            fresh = subchannel_gram(geom, paths, batch.m_hat[row])
+            assert np.max(np.abs(g - fresh.g)) <= 1e-10
+            assert np.array_equal(batch.gram.indicator[row], correlation_indicator(g))
 
     def test_rejects_mixed_lengths(self):
         rng = np.random.default_rng(86)
         mixed = [random_paths(rng, 3), random_paths(rng, 4)]
         with pytest.raises(InvalidInputError, match="one length"):
-            run_sof_batch(ArrayGeometry(n_t=4, n_r=2), mixed)
+            run_sof_batch(ArrayGeometry(n_t=4, n_r=2), stack_paths(mixed))
 
     def test_rejects_empty_batch(self):
         with pytest.raises(InvalidInputError):
-            run_sof_batch(ArrayGeometry(n_t=4, n_r=2), [])
+            run_sof_batch(ArrayGeometry(n_t=4, n_r=2), stack_paths([]))
+
+    def test_rejects_unstacked_path_set(self):
+        paths = random_paths(np.random.default_rng(87), 3)
+        with pytest.raises(InvalidInputError, match="stacked"):
+            run_sof_batch(ArrayGeometry(n_t=4, n_r=2), paths)
 
 
 def test_solve_rejects_shape_mismatch():
