@@ -56,6 +56,9 @@ class PathSet:
         shapes = {self.gains.shape, self.aod.shape, self.aoa.shape}
         if len(shapes) != 1 or self.gains.ndim > 2 or self.gains.size < 1:
             raise InvalidInputError("gains, aod and aoa must share one length >= 1")
+        for name, values in (("gains", self.gains), ("aod", self.aod), ("aoa", self.aoa)):
+            if not np.isfinite(values).all():
+                raise InvalidInputError(f"path {name} must be finite")
         for name, angles in (("aod", self.aod), ("aoa", self.aoa)):
             if np.any(np.abs(angles) > HALF_PI):
                 raise InvalidInputError(f"{name} angles must lie in [-pi/2, pi/2]")
@@ -89,8 +92,12 @@ class ClusterProfile:
             raise InvalidInputError(
                 f"sigma_sq must have length n_cl={self.n_cl}, got {self.sigma_sq.shape}"
             )
+        if not np.isfinite(self.sigma_sq).all():
+            raise InvalidInputError("cluster powers must be finite")
         if np.any(self.sigma_sq <= 0):
             raise InvalidInputError("cluster powers must be positive")
+        if not np.isfinite(self.angle_spread):
+            raise InvalidInputError("angle spread must be finite")
         if self.angle_spread < 0:
             raise InvalidInputError("angle spread must be nonnegative")
 

@@ -36,14 +36,12 @@ SCHEMES = ("physical", "pattern", "ideal")
 # averaging over survivors would bias the statistics.
 FAILURE_THRESHOLD = 0.01
 
-# Memory one lockstep batch may hold, in two parts. Each trial keeps four
-# L x L arrays through its design (the Gram and receive factor matrices,
-# complex, and their squared magnitudes, real: 48 L^2 bytes), and each
-# step stacks one n_t x n_t eigenproblem per trial (the complex penalty
-# product, its real part, the symmetrized matrix and the eigenvectors:
-# 40 n_t^2 bytes). The second part is what limits small-L batches.
-BATCH_STATE_BYTES = 1 << 20
-BATCH_STEP_BYTES = 1 << 19
+# Budgets of one lockstep batch (see ``trial_bytes``): its peak memory,
+# and the stacks a design step works through. The second limits batches
+# below about L = 120 at n_t = 32; its value holds L = 80 to 6 trials,
+# as larger batches there raise a campaign's peak RSS (9 trials: +6.7%).
+BATCH_STATE_BYTES = 5 << 20
+BATCH_STEP_BYTES = 544 << 10
 
 
 def _default_snr_grid():
@@ -152,18 +150,31 @@ def ideal_capacity(geometry, snr):
     return geometry.n_r * np.log2(1.0 + snr * geometry.n_t / geometry.n_r)
 
 
+def trial_bytes(n_paths, n_t):
+    """Per-trial bytes of a lockstep batch: ``(peak, step)``.
+
+    ``peak`` bounds what a batch holds at once, per trial, for n_r <= n_t:
+    40 L^2 of L x L state (the Gram and receive factor matrices, complex,
+    and the squared Gram magnitudes, real), 88 n_t L of n_t x L arrays
+    (channel factors, transmit basis, designed columns and the last step's
+    coupling columns), 256 L of vectors and 40 n_t^2 for a step's
+    eigenproblem. ``step`` is what a step works through on average: the
+    eigenproblem and half the last step's coupling columns.
+    """
+    eigenproblem = 40 * n_t**2
+    peak = 40 * n_paths**2 + 88 * n_t * n_paths + 256 * n_paths + eigenproblem
+    return peak, eigenproblem + 16 * n_t * n_paths
+
+
 def batch_size(n_paths, n_t):
     """Trials per lockstep batch for ``n_paths`` paths and ``n_t`` antennas.
 
-    As many as keep the batch's L x L state (48 L^2 bytes per trial)
-    within ``BATCH_STATE_BYTES`` and its per-step eigenproblem stack
-    (40 n_t^2 bytes per trial) within ``BATCH_STEP_BYTES``, and at least
-    one.
+    As many as keep the batch's peak (``trial_bytes``) within
+    ``BATCH_STATE_BYTES`` and its per-step stacks within
+    ``BATCH_STEP_BYTES``, and at least one.
     """
-    return max(
-        1,
-        int(min(BATCH_STATE_BYTES // (48 * n_paths**2), BATCH_STEP_BYTES // (40 * n_t**2))),
-    )
+    peak, step = trial_bytes(n_paths, n_t)
+    return max(1, int(min(BATCH_STATE_BYTES // peak, BATCH_STEP_BYTES // step)))
 
 
 def run_trials(scenario, start, stop, safeguard=False):

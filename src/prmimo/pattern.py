@@ -74,8 +74,13 @@ class SubchannelGram:
             raise InvalidInputError("gram matrix must be square")
         if self.indicator.shape != self.g.shape[:-1]:
             raise InvalidInputError("indicator length must match the gram dimension")
-        if np.max(np.abs(self.g - self.g.conj().swapaxes(-1, -2))) > HERMITIAN_TOL:
-            raise InvalidInputError("gram matrix is not Hermitian within tolerance")
+        # One matrix at a time, so the check holds two L x L temporaries
+        # (g^H - g, then its magnitudes) whatever the batch.
+        for g in self.g.reshape((-1,) + self.g.shape[-2:]):
+            asymmetry = g.conj().T
+            asymmetry -= g
+            if np.max(np.abs(asymmetry)) > HERMITIAN_TOL:
+                raise InvalidInputError("gram matrix is not Hermitian within tolerance")
         if not np.all(np.abs(np.diagonal(self.g, axis1=-2, axis2=-1) - 1.0) <= COLUMN_NORM_RTOL):
             raise InvalidInputError("gram diagonal must be 1 for normalized subchannels")
         if np.any(self.indicator < 0):
@@ -142,14 +147,18 @@ def _transmit_basis(geometry, aod, m_hat):
 
 def _factored_gram(geometry, recv, basis):
     # The receive factor times the transmit factor (the Gram of the basis)
-    # over n_r * n_t, made exactly Hermitian. In place, operands in the
-    # order of ``0.5 * (g + g^H)`` with ``g = recv * (B^H B) / (n_r n_t)``,
-    # so that a batch's set-up holds few L x L temporaries.
+    # over n_r * n_t, made exactly Hermitian: ``0.5 * (g + g^H)`` with
+    # ``g = recv * (B^H B) / (n_r n_t)`` (the sum commutes bit for bit).
+    # In place and one matrix at a time, so that a batch's set-up holds no
+    # L x L temporary per trial.
     g = basis.conj().swapaxes(-1, -2) @ basis
     np.multiply(recv, g, out=g)
     g /= geometry.n_r * geometry.n_t
-    sym = g + g.conj().swapaxes(-1, -2)
-    return np.multiply(0.5, sym, out=sym)
+    for matrix in g.reshape((-1,) + g.shape[-2:]):
+        sym = matrix.conj().T
+        sym += matrix
+        np.multiply(0.5, sym, out=matrix)
+    return g
 
 
 def _check_m_hat(geometry, paths, m_hat):

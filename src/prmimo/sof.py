@@ -121,9 +121,12 @@ def run_sof_batch(geometry, paths):
     leading trial axis. Each stacked call applies the same kernel to each
     trial's operands as a call on that trial alone, so every row of the
     result is bit-identical to ``run_sof`` on its path set, whatever the
-    batch. Per trial, the batch holds four L x L arrays (48 L^2 bytes)
-    and each step one n_t x n_t eigenproblem (about 40 n_t^2 bytes);
-    ``montecarlo.batch_size`` sizes campaign batches from both.
+    batch. Per trial, the batch holds two complex L x L arrays and one
+    real (40 L^2 bytes: the Gram and receive factor matrices and the
+    squared Gram magnitudes), and each step its coupling columns (two
+    complex n_t x step stacks) and one n_t x n_t eigenproblem (about
+    40 n_t^2 bytes); ``montecarlo.trial_bytes`` counts them, and
+    ``montecarlo.batch_size`` sizes campaign batches from that.
 
     Returns the stacked ``SofState``, checked once per batch.
     """
@@ -137,10 +140,10 @@ def run_sof_batch(geometry, paths):
     recv = receiver_factor_matrix(geometry, paths.aoa)
     basis = _transmit_basis(geometry, paths.aod, np.ones((n_t, n_paths)))
     g = _factored_gram(geometry, recv, basis)
-    recv_sq = np.abs(recv / n_r) ** 2
     # Squared Gram magnitudes with a zero diagonal: the indicator is their
     # row sum, and each step changes only the target row and column.
-    sq = np.abs(g) ** 2
+    sq = np.abs(g)
+    np.square(sq, out=sq)
     sq[:, diagonal, diagonal] = 0.0
     indicator = sq.sum(axis=2)
     sin_aod = np.sin(paths.aod)
@@ -166,10 +169,10 @@ def run_sof_batch(geometry, paths):
         sin_prior[:, step] = sin_aod[trials, target]
 
         # |rho^R|^2 weights against each previously designed column.
-        weights = recv_sq[trials_col, target[:, None], order[:, :step]]
+        weights = np.abs(recv[trials_col, target[:, None], order[:, :step]] / n_r) ** 2
         # Coupling columns m_j exp(j 2 pi d_t k (sin phi_t - sin phi_j)) / n_t,
         # built in place: these (T, n_t, step) and (T, n_t, n_t) temporaries
-        # are most of a large batch's memory.
+        # are most of a step's memory.
         b_cols = (
             2j
             * np.pi
@@ -179,8 +182,12 @@ def run_sof_batch(geometry, paths):
         np.exp(b_cols, out=b_cols)
         b_cols *= m_prior[:, :, :step]
         b_cols /= n_t
-        # A real copy, so the complex product is freed before the eigensolve.
-        b_sum = ((b_cols.conj() * weights[:, None, :]) @ b_cols.swapaxes(1, 2)).real.copy()
+        weighted = b_cols.conj()
+        weighted *= weights[:, None, :]
+        # A real copy, so the complex product and the coupling stacks are
+        # freed before the eigensolve.
+        b_sum = (weighted @ b_cols.swapaxes(1, 2)).real.copy()
+        del b_cols, weighted
 
         new_col = solve_modification_vector(b_sum, n_t)
         m_prior[:, :, step] = new_col
@@ -199,6 +206,8 @@ def run_sof_batch(geometry, paths):
         sq[trials, :, target] = row_sq
         indicator = sq.sum(axis=2)
 
+    # Only the Gram and the columns outlive the loop.
+    del recv, sq, basis
     m_hat = np.empty_like(m_prior)
     np.put_along_axis(m_hat, order[:, None, :], m_prior, axis=2)
     return SofState(order=order, m_hat=m_hat, gram=SubchannelGram(g=g, indicator=indicator))

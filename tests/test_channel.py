@@ -47,6 +47,44 @@ class TestPathSet:
     def test_len(self):
         assert len(PathSet(gains=[1.0, 2.0], aod=[0.0, 0.1], aoa=[0.0, 0.2])) == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("gains", np.nan),
+            ("gains", np.inf),
+            ("gains", complex(1.0, np.nan)),
+            ("aod", np.nan),
+            ("aod", -np.inf),
+            ("aoa", np.nan),
+            ("aoa", np.inf),
+        ],
+    )
+    def test_rejects_non_finite_entries(self, field, value):
+        # NaN passes the range check (abs(nan) > pi/2 is false), so
+        # finiteness is checked on its own.
+        fields = {"gains": [1.0, 1.0], "aod": [0.0, 0.1], "aoa": [0.0, 0.2]}
+        fields[field][1] = value
+        with pytest.raises(InvalidInputError, match=f"path {field} must be finite"):
+            PathSet(**fields)
+
+    def test_rejects_non_finite_stacked_entries(self):
+        gains = np.ones((2, 3))
+        gains[1, 2] = np.nan
+        with pytest.raises(InvalidInputError, match="path gains must be finite"):
+            PathSet(gains=gains, aod=np.zeros((2, 3)), aoa=np.zeros((2, 3)))
+
+
+class TestClusterProfile:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_cluster_power(self, value):
+        with pytest.raises(InvalidInputError, match="cluster powers must be finite"):
+            ClusterProfile(n_cl=2, n_ray=1, sigma_sq=[1.0, value], angle_spread=0.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_angle_spread(self, value):
+        with pytest.raises(InvalidInputError, match="angle spread must be finite"):
+            ClusterProfile(n_cl=2, n_ray=1, sigma_sq=[1.0, 1.0], angle_spread=value)
+
 
 class TestSteeringVector:
     def test_broadside(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -148,8 +150,9 @@ class TestRunTrial:
 def force_batch_size(monkeypatch, scenario, size):
     """Set the batch byte budgets so batches hold ``size`` trials."""
     n_paths, n_t = scenario.n_cl * scenario.n_ray, scenario.geometry.n_t
-    monkeypatch.setattr(montecarlo, "BATCH_STATE_BYTES", size * 48 * n_paths**2)
-    monkeypatch.setattr(montecarlo, "BATCH_STEP_BYTES", size * 40 * n_t**2)
+    peak, step = montecarlo.trial_bytes(n_paths, n_t)
+    monkeypatch.setattr(montecarlo, "BATCH_STATE_BYTES", size * peak)
+    monkeypatch.setattr(montecarlo, "BATCH_STEP_BYTES", size * step)
     assert montecarlo.batch_size(n_paths, n_t) == size
 
 
@@ -159,14 +162,37 @@ def single_trial_rows(scenario):
 
 class TestBatchSize:
     def test_budget_rule(self):
-        # 48 L^2 bytes per trial within 1 MiB and 40 n_t^2 within 512 KiB,
-        # at the benchmark workloads' n_t = 32 and L = 8, 80, 160.
-        assert montecarlo.BATCH_STATE_BYTES == 1 << 20
-        assert montecarlo.BATCH_STEP_BYTES == 1 << 19
+        # A peak of 40 L^2 + 88 n_t L + 256 L + 40 n_t^2 bytes per trial
+        # within 5 MiB and per-step stacks of 40 n_t^2 + 16 n_t L within
+        # 544 KiB, at the benchmark workloads' n_t = 32 and L = 8, 80, 160.
+        assert montecarlo.BATCH_STATE_BYTES == 5 << 20
+        assert montecarlo.BATCH_STEP_BYTES == 544 << 10
+        assert montecarlo.trial_bytes(80, 32) == (542_720, 81_920)
         assert montecarlo.batch_size(8, 32) == 12
-        assert montecarlo.batch_size(80, 32) == 3
-        assert montecarlo.batch_size(160, 32) == 1
-        assert montecarlo.batch_size(8, 8) == 204
+        assert montecarlo.batch_size(80, 32) == 6
+        assert montecarlo.batch_size(160, 32) == 3
+        assert montecarlo.batch_size(8, 8) == 155
+
+    @pytest.mark.parametrize("n_t, n_r", [(32, 8), (8, 8)])
+    @pytest.mark.parametrize("n_cl", [10, 20])
+    def test_batch_peak_within_byte_model(self, n_cl, n_t, n_r):
+        # The traced peak of one campaign batch at L = 80 and 160 stays
+        # within the per-trial model times the batch size, plus 256 KiB
+        # (one ufunc's iteration buffers). At n_t = 8 the L x L arrays are
+        # most of it, so an L x L temporary per trial shows.
+        geometry = ArrayGeometry(n_t=n_t, n_r=n_r)
+        scenario = Scenario(geometry=geometry, n_cl=n_cl, n_ray=8, trials=20, master_seed=5)
+        n_paths = n_cl * 8
+        size = montecarlo.batch_size(n_paths, n_t)
+        run_trials(scenario, 0, size)  # lazy imports and caches first
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_trials(scenario, 0, size)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= size * montecarlo.trial_bytes(n_paths, n_t)[0] + (256 << 10)
 
     def test_never_below_one(self):
         assert montecarlo.batch_size(10_000, 32) == 1

@@ -17,6 +17,7 @@ from prmimo import (
 )
 from prmimo.channel import steering_matrices
 from prmimo.numerics import COLUMN_NORM_RTOL
+from prmimo.pattern import HERMITIAN_TOL, SubchannelGram
 
 
 class TestPatternMatrix:
@@ -220,6 +221,33 @@ class TestSubchannelGram:
         paths = random_paths(rng, 3)
         with pytest.raises(InvalidInputError):
             subchannel_gram(geom, paths, np.full((8, 3), 0.5))
+
+
+def hermitian_stack(rng, count, n):
+    # Hermitian matrices with a unit diagonal, as a stacked Gram holds.
+    raw = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    g = 0.5 * (raw + raw.conj().swapaxes(-1, -2))
+    g[:, np.arange(n), np.arange(n)] = 1.0
+    return g
+
+
+class TestStackedGramCheck:
+    def test_hermitian_stack_passes(self):
+        g = hermitian_stack(np.random.default_rng(62), 4, 5)
+        gram = SubchannelGram(g=g, indicator=np.zeros((4, 5)))
+        assert np.array_equal(gram.g, g)
+
+    @pytest.mark.parametrize("bad", [0, 2, 3])
+    def test_one_non_hermitian_matrix_is_rejected(self, bad):
+        g = hermitian_stack(np.random.default_rng(63), 4, 5)
+        g[bad, 1, 3] += 2 * HERMITIAN_TOL
+        with pytest.raises(InvalidInputError, match="not Hermitian within tolerance"):
+            SubchannelGram(g=g, indicator=np.zeros((4, 5)))
+
+    def test_asymmetry_within_tolerance_passes(self):
+        g = hermitian_stack(np.random.default_rng(64), 4, 5)
+        g[2, 1, 3] += 0.5 * HERMITIAN_TOL
+        SubchannelGram(g=g, indicator=np.zeros((4, 5)))
 
 
 class TestCorrelationIndicator:
