@@ -13,7 +13,7 @@ import numpy as np
 from .errors import DegenerateChannelError, InvalidInputError
 from .numerics import PROPORTION_SUM_TOL
 from .pattern import PatternMatrix, assemble_pattern_channel
-from .sof import run_sof, run_sof_batch
+from .sof import run_sof
 
 # Indicator entries below this fraction of the maximum are floored before
 # inversion, so a perfectly uncorrelated subchannel gets a large but
@@ -23,12 +23,12 @@ EPS_FLOOR = 1e-6
 
 @dataclass
 class PowerAllocation:
-    """Closed-form power split across the allocated paths.
+    """Closed-form power split across the paths.
 
     Holds the raw inverse-correlation weights, the normalized power
     proportions, the budget scale factor, and the resulting per-path
-    factors, all over the paths that actually carry energy; or T of each
-    stacked.
+    factors, one entry per path and 0 on the paths that carry no energy;
+    or T of each stacked.
     """
 
     w_hat: np.ndarray
@@ -40,12 +40,12 @@ class PowerAllocation:
         self.w_hat = np.atleast_1d(np.asarray(self.w_hat, dtype=float))
         self.w = np.atleast_1d(np.asarray(self.w, dtype=float))
         self.p = np.atleast_1d(np.asarray(self.p, dtype=float))
-        if np.any(self.w <= 0) or np.any(np.abs(self.w.sum(axis=-1) - 1.0) > PROPORTION_SUM_TOL):
-            raise InvalidInputError("proportions must be positive and sum to 1")
+        if np.any(self.w < 0) or np.any(np.abs(self.w.sum(axis=-1) - 1.0) > PROPORTION_SUM_TOL):
+            raise InvalidInputError("proportions must be nonnegative and sum to 1")
         if np.any(self.delta <= 0):
             raise InvalidInputError("scale factor must be positive")
-        if np.any(self.p <= 0):
-            raise InvalidInputError("power factors must be positive")
+        if np.any(self.p < 0) or np.any((self.p > 0) != (self.w > 0)):
+            raise InvalidInputError("power factors must be positive where the proportions are")
 
 
 def cfpa_weights(indicator):
@@ -93,101 +93,72 @@ def power_factors(gains, w, delta):
 
     Equalizes the modified gain magnitudes at ``w_l * delta`` while the
     original gain phases pass through untouched (the factors are real and
-    positive). Zero-magnitude gains must be dropped by the caller first.
-    Stacked rows take one scale factor each.
+    nonnegative). A zero-magnitude gain carries no energy: its proportion
+    must be 0, and so is its factor. Stacked rows take one scale factor
+    each.
     """
     magnitudes = np.abs(np.atleast_1d(np.asarray(gains, dtype=complex)))
-    if np.any(magnitudes == 0.0):
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    dropped = magnitudes == 0.0
+    if np.any(w[dropped] != 0.0):
         raise InvalidInputError(
-            "zero-magnitude path gains carry no energy; drop them before allocation"
+            "zero-magnitude path gains carry no energy; give them proportion 0"
         )
-    return np.atleast_1d(np.asarray(w, dtype=float)) * np.asarray(delta)[..., None] / magnitudes
+    return w * np.asarray(delta)[..., None] / np.where(dropped, 1.0, magnitudes)
 
 
-def _closed_form(geometry, gains, g, indicator):
-    # The allocation of one path set, or of a stack, without zero gains.
-    w_hat, w = cfpa_weights(indicator)
-    delta = power_scaling(geometry, g, w)
-    return PowerAllocation(w_hat=w_hat, w=w, delta=delta, p=power_factors(gains, w, delta))
-
-
-def _kept_allocation(geometry, gains, g, indicator):
-    # One path set allocated on its paths of nonzero gain (zeros inside
-    # the sums would move their bits); the dropped paths get p = 0.
-    keep = np.abs(gains) > 0.0
-    if not keep.any():
-        raise DegenerateChannelError("every path gain is zero")
-    allocation = _closed_form(geometry, gains[keep], g[np.ix_(keep, keep)], indicator[keep])
-    p = np.zeros(gains.shape)
-    p[keep] = allocation.p
-    return allocation, p
-
-
-def _renormalize(geometry, paths, m_hat, p, factors):
-    # Scale each set's factors so its channel has tr(H H^H) = n_t n_r.
-    h = assemble_pattern_channel(geometry, paths, PatternMatrix(m_hat=m_hat, p=p), factors)
-    power = np.sum(np.abs(h.reshape(h.shape[:-2] + (-1,))) ** 2, axis=-1)
-    if np.any(power == 0.0):
-        raise DegenerateChannelError("assembled pattern channel is zero")
-    return p * np.sqrt(geometry.n_t * geometry.n_r / power)[..., None]
-
-
-def allocate_power(geometry, paths, m_hat, gram, renormalize=True):
+def allocate_power(geometry, paths, m_hat, gram, factors=None):
     """Run the closed-form allocation and assemble the final pattern.
 
     ``gram`` is the ``SubchannelGram`` of the columns ``m_hat``: its
     indicator sets the power proportions and its Gram matrix the budget
-    scale factor. Paths with zero gain are excluded from the allocation
-    and receive a zero power factor. With ``renormalize=True`` (the
-    default) the factors are afterwards rescaled uniformly so the
-    assembled channel meets the power budget ``tr(H H^H) = n_t*n_r``
-    exactly; the scale factor alone only guarantees this for the
-    phase-free subchannel combination, and the gain phases perturb it.
-    The returned ``PowerAllocation`` keeps the unrescaled closed-form
-    quantities.
+    scale factor. Paths with zero gain are left out: their weight,
+    proportion and factor are 0, and the weight maximum and the
+    normalization run over the other paths. The factors are then
+    rescaled uniformly so the assembled channel meets the power budget
+    ``tr(H H^H) = n_t*n_r`` exactly; the scale factor alone only
+    guarantees this for the phase-free subchannel combination, and the
+    gain phases perturb it. The returned ``PowerAllocation`` keeps the
+    unrescaled closed-form quantities (``allocation.p``).
+
+    ``paths`` is one path set or a stacked one (``stack_paths``), with
+    ``m_hat`` and ``gram`` stacked alike; each row is bit-identical to
+    the call on its path set. ``factors`` act as in ``assemble_physical``.
 
     Returns ``(pattern, allocation)``.
     """
-    n_paths = len(paths)
-    if np.shape(m_hat) != (geometry.n_t, n_paths) or gram.indicator.shape != (n_paths,):
+    gains = paths.gains
+    if np.shape(m_hat) != gains.shape[:-1] + (geometry.n_t, len(paths)) or (
+        gram.indicator.shape != gains.shape
+    ):
         raise InvalidInputError("m_hat and gram must match the geometry and path count")
-    allocation, p = _kept_allocation(geometry, paths.gains, gram.g, gram.indicator)
-    if renormalize:
-        p = _renormalize(geometry, paths, m_hat, p, None)
+    keep = np.abs(gains) > 0.0
+    if not np.all(np.any(keep, axis=-1)):
+        raise DegenerateChannelError("every path gain is zero")
+    # A zero indicator entry cannot raise the maximum; the weights of the
+    # dropped paths are then zeroed and the proportions taken again.
+    w_hat = np.where(keep, cfpa_weights(np.where(keep, gram.indicator, 0.0))[0], 0.0)
+    w = w_hat / w_hat.sum(axis=-1, keepdims=True)
+    delta = power_scaling(geometry, gram.g, w)
+    allocation = PowerAllocation(w_hat=w_hat, w=w, delta=delta, p=power_factors(gains, w, delta))
+
+    literal = PatternMatrix(m_hat=m_hat, p=allocation.p)
+    h = assemble_pattern_channel(geometry, paths, literal, factors)
+    power = np.sum(np.abs(h.reshape(h.shape[:-2] + (-1,))) ** 2, axis=-1)
+    if np.any(power == 0.0):
+        raise DegenerateChannelError("assembled pattern channel is zero")
+    p = allocation.p * np.sqrt(geometry.n_t * geometry.n_r / power)[..., None]
     return PatternMatrix(m_hat=m_hat, p=p), allocation
 
 
-def design_patterns(geometry, paths, renormalize=True, factors=None):
-    """Design the patterns of a stacked path set (``stack_paths``) at once.
-
-    Lockstep correlation modification (``run_sof_batch``), then the
-    allocation and renormalization on the (T, L) stacks, checked once per
-    batch; a set with a zero gain is allocated alone, as in
-    ``allocate_power``. ``factors`` act as in ``assemble_physical``.
-    Returns stacked ``(m_hat, p)``, each row bit-identical to
-    ``design_pattern`` on its path set.
-    """
-    state = run_sof_batch(geometry, paths)
-    g, indicator = state.gram.g, state.gram.indicator
-    full = np.all(np.abs(paths.gains) > 0.0, axis=-1)
-    p = np.zeros(paths.gains.shape)
-    p[full] = _closed_form(geometry, paths.gains[full], g[full], indicator[full]).p
-    for t in np.flatnonzero(~full):
-        p[t] = _kept_allocation(geometry, paths.gains[t], g[t], indicator[t])[1]
-    if renormalize:
-        p = _renormalize(geometry, paths, state.m_hat, p, factors)
-    return state.m_hat, p
-
-
-def design_pattern(geometry, paths, renormalize=True):
+def design_pattern(geometry, paths, factors=None):
     """Full transmit-pattern design: correlation modification, then power.
 
-    Returns ``(pattern, allocation, state)`` where ``state`` is the
-    finished sequential-modification state the allocation was based on.
-    The same kernels as ``design_patterns``, on a batch of one.
+    ``run_sof`` followed by ``allocate_power``, on one path set or a
+    stacked one; ``factors`` act as in ``assemble_physical``. Returns
+    ``(pattern, allocation, state)`` where ``state`` is the finished
+    sequential-modification state the allocation was based on.
     """
     state = run_sof(geometry, paths)
-    pattern, allocation = allocate_power(
-        geometry, paths, state.m_hat, state.gram, renormalize=renormalize
-    )
+    pattern, allocation = allocate_power(geometry, paths, state.m_hat, state.gram, factors)
     return pattern, allocation, state

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .cfpa import design_patterns
+from .cfpa import design_pattern
 from .channel import (
     ILL_MIN_CLUSTERS,
     ArrayGeometry,
@@ -28,7 +28,7 @@ from .channel import (
 )
 from .errors import CampaignError, InvalidInputError, PrMimoError
 from .numerics import one_blas_thread, set_blas_threads
-from .pattern import PatternMatrix, assemble_pattern_channel, capacity
+from .pattern import assemble_pattern_channel, capacity
 
 SCHEMES = ("physical", "pattern", "ideal")
 
@@ -67,6 +67,12 @@ class Scenario:
             raise InvalidInputError("snr grid must be nonempty")
         if not np.isfinite(self.snr_db).all():
             raise InvalidInputError("snr grid values must be finite")
+        # Trials take the grid in linear units, where it must stay positive
+        # and finite too.
+        with np.errstate(over="ignore"):
+            linear = 10.0 ** (self.snr_db / 10.0)
+        if not np.all(np.isfinite(linear) & (linear > 0.0)):
+            raise InvalidInputError("snr grid overflows or underflows in linear units")
         if self.trials < 1:
             raise InvalidInputError("trials must be >= 1")
         if not np.isfinite(self.angle_spread):
@@ -184,7 +190,7 @@ def run_trials(scenario, start, stop, safeguard=False):
     (stop - start, SNR points) in bits/s/Hz. Each trial draws its paths
     from its own stream; the rest runs on the stacked batch: one steering
     ``exp`` per array side for all three channel assemblies, the lockstep
-    design (``design_patterns``) and one eigendecomposition per sweep.
+    design (``design_pattern``) and one eigendecomposition per sweep.
     Row ``i`` is bit-identical to ``run_trial(scenario, start + i)``. The
     batch's memory grows with its size (see ``batch_size``).
     ``safeguard`` acts as in ``run_trial``.
@@ -199,8 +205,7 @@ def run_trials(scenario, start, stop, safeguard=False):
     factors = channel_factors(geometry, paths)
     physical = capacity(assemble_physical(geometry, paths, factors), snr)
 
-    m_hat, p = design_patterns(geometry, paths, factors=factors)
-    pattern = PatternMatrix(m_hat=m_hat, p=p)
+    pattern = design_pattern(geometry, paths, factors)[0]
     designed = capacity(assemble_pattern_channel(geometry, paths, pattern, factors), snr)
 
     if safeguard:

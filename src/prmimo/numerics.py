@@ -171,7 +171,7 @@ def logdet_capacity_kernel(g, gamma):
     raises ``InvalidInputError``.
 
     ``g`` is one (n, n) matrix or a (..., n, n) stack, and ``gamma`` a
-    scalar or an array of positive values; the result has shape
+    scalar or an array of positive finite values; the result has shape
     ``g.shape[:-2] + gamma.shape``, and a single matrix with a scalar
     ``gamma`` gives a ``float``. The eigenvalues do not depend on
     ``gamma``, so there is one stacked ``eigvalsh`` for the whole call,
@@ -182,8 +182,8 @@ def logdet_capacity_kernel(g, gamma):
     _require_square(g, "gram matrix")
     _require_finite(g, "gram matrix")
     gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma <= 0):
-        raise InvalidInputError(f"gamma must be positive, got {gamma}")
+    if not np.all(np.isfinite(gamma) & (gamma > 0)):
+        raise InvalidInputError(f"gamma must be positive and finite, got {gamma}")
     try:
         lam = np.linalg.eigvalsh(g)
     except np.linalg.LinAlgError as exc:

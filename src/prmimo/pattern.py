@@ -75,9 +75,11 @@ class SubchannelGram:
         if self.indicator.shape != self.g.shape[:-1]:
             raise InvalidInputError("indicator length must match the gram dimension")
         # One matrix at a time, so the check holds two L x L temporaries
-        # (g^H - g, then its magnitudes) whatever the batch.
+        # (g^H - g, then its magnitudes) whatever the batch. g^H is built
+        # C-ordered, as adding a transposed operand makes numpy buffer it.
         for g in self.g.reshape((-1,) + self.g.shape[-2:]):
-            asymmetry = g.conj().T
+            asymmetry = g.T.copy()
+            np.conjugate(asymmetry, out=asymmetry)
             asymmetry -= g
             if np.max(np.abs(asymmetry)) > HERMITIAN_TOL:
                 raise InvalidInputError("gram matrix is not Hermitian within tolerance")
@@ -90,19 +92,20 @@ class SubchannelGram:
 def capacity(h, snr):
     """Channel capacity ``log2 det(I + snr/n_r * H H^H)`` in bits/s/Hz.
 
-    ``snr`` is the transmit signal-to-noise ratio in linear units; equal
-    power is radiated from every transmit antenna (no precoder). A scalar
-    ``snr`` gives a ``float``; an array gives one capacity per entry from a
-    single eigendecomposition, bit-identical to the scalar calls. ``h``
-    may also be a (..., n_r, n_t) stack of channels, which adds its
-    leading axes to the result, each entry bit-identical to its own call.
+    ``snr`` is the transmit signal-to-noise ratio in linear units,
+    positive and finite; equal power is radiated from every transmit
+    antenna (no precoder). A scalar ``snr`` gives a ``float``; an array
+    gives one capacity per entry from a single eigendecomposition,
+    bit-identical to the scalar calls. ``h`` may also be a
+    (..., n_r, n_t) stack of channels, which adds its leading axes to the
+    result, each entry bit-identical to its own call.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2:
         raise InvalidInputError(f"expected a channel matrix, got shape {h.shape}")
     snr = np.asarray(snr, dtype=float)
-    if np.any(snr <= 0):
-        raise InvalidInputError(f"snr must be positive, got {snr}")
+    if not np.all(np.isfinite(snr) & (snr > 0)):
+        raise InvalidInputError(f"snr must be positive and finite, got {snr}")
     n_r = h.shape[-2]
     return logdet_capacity_kernel(h @ h.conj().swapaxes(-1, -2), snr / n_r)
 
@@ -150,12 +153,14 @@ def _factored_gram(geometry, recv, basis):
     # over n_r * n_t, made exactly Hermitian: ``0.5 * (g + g^H)`` with
     # ``g = recv * (B^H B) / (n_r n_t)`` (the sum commutes bit for bit).
     # In place and one matrix at a time, so that a batch's set-up holds no
-    # L x L temporary per trial.
+    # L x L temporary per trial; g^H is built C-ordered, as adding a
+    # transposed operand makes numpy buffer it.
     g = basis.conj().swapaxes(-1, -2) @ basis
     np.multiply(recv, g, out=g)
     g /= geometry.n_r * geometry.n_t
     for matrix in g.reshape((-1,) + g.shape[-2:]):
-        sym = matrix.conj().T
+        sym = matrix.T.copy()
+        np.conjugate(sym, out=sym)
         sym += matrix
         np.multiply(0.5, sym, out=matrix)
     return g

@@ -97,9 +97,24 @@ def run_sof(geometry, paths):
     the Gram matrix incrementally: each step writes only the target's
     row, its conjugate column and the real diagonal entry between them.
 
-    Returns the completed state; the Gram inside it matches a from-
-    scratch recomputation to tight tolerance, which the tests check.
-    This is ``run_sof_batch`` on a batch of one.
+    ``paths`` is one path set or a stacked one (``stack_paths``); one
+    set runs as a batch of one and its state comes back unstacked. The
+    trials of a batch run in lockstep: every trial takes the same number
+    of steps, so the set-up and each step are one stacked ``exp``,
+    ``matmul`` and ``eigh`` over a leading trial axis. Each stacked call
+    applies the same kernel to each trial's operands as a call on that
+    trial alone, so every row of the result is bit-identical to the call
+    on its path set, whatever the batch. Per trial, the batch holds two
+    complex L x L arrays and one real (40 L^2 bytes: the Gram and receive
+    factor matrices and the squared Gram magnitudes), and each step its
+    coupling columns (two complex n_t x step stacks) and one n_t x n_t
+    eigenproblem (about 40 n_t^2 bytes); ``montecarlo.trial_bytes``
+    counts them, and ``montecarlo.batch_size`` sizes campaign batches
+    from that.
+
+    Returns the completed state, checked once per batch; the Gram inside
+    it matches a from-scratch recomputation to tight tolerance, which the
+    tests check.
 
     In the early steps the smallest eigenvalue of the penalty matrix is
     often degenerate, so a round-off change in that matrix can pick a
@@ -108,30 +123,10 @@ def run_sof(geometry, paths):
     LAPACK build. The BLAS thread count no longer matters inside a
     campaign, which runs on one thread (``numerics.one_blas_thread``).
     """
-    state = run_sof_batch(geometry, stack_paths([paths]))
-    gram = SubchannelGram(g=state.gram.g[0], indicator=state.gram.indicator[0])
-    return SofState(order=state.order[0], m_hat=state.m_hat[0], gram=gram)
-
-
-def run_sof_batch(geometry, paths):
-    """Run ``run_sof`` on a stacked path set (``stack_paths``) in lockstep.
-
-    Every trial of a batch takes the same number of steps, so the set-up
-    and each step are one stacked ``exp``, ``matmul`` and ``eigh`` over a
-    leading trial axis. Each stacked call applies the same kernel to each
-    trial's operands as a call on that trial alone, so every row of the
-    result is bit-identical to ``run_sof`` on its path set, whatever the
-    batch. Per trial, the batch holds two complex L x L arrays and one
-    real (40 L^2 bytes: the Gram and receive factor matrices and the
-    squared Gram magnitudes), and each step its coupling columns (two
-    complex n_t x step stacks) and one n_t x n_t eigenproblem (about
-    40 n_t^2 bytes); ``montecarlo.trial_bytes`` counts them, and
-    ``montecarlo.batch_size`` sizes campaign batches from that.
-
-    Returns the stacked ``SofState``, checked once per batch.
-    """
-    if paths.gains.ndim != 2:
-        raise InvalidInputError("run_sof_batch takes a stacked path set, see stack_paths")
+    if paths.gains.ndim == 1:
+        state = run_sof(geometry, stack_paths([paths]))
+        gram = SubchannelGram(g=state.gram.g[0], indicator=state.gram.indicator[0])
+        return SofState(order=state.order[0], m_hat=state.m_hat[0], gram=gram)
     n_t, n_r = geometry.n_t, geometry.n_r
     n_trials, n_paths = paths.gains.shape
     trials = np.arange(n_trials)

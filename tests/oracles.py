@@ -7,6 +7,7 @@ definition, so the factored library code can be checked against it.
 import numpy as np
 
 from prmimo import InvalidInputError
+from prmimo.cfpa import EPS_FLOOR
 from prmimo.channel import steering_matrices
 
 
@@ -100,3 +101,24 @@ def direct_trace_gram(geometry, paths, m_hat):
     """
     subchannels = modified_subchannels(geometry, paths, m_hat)
     return np.einsum("irt,jrt->ij", subchannels.conj(), subchannels)
+
+
+def kept_allocation_factors(geometry, gains, g, indicator):
+    """Closed-form power factors with the zero-gain paths removed first.
+
+    Over the paths of nonzero gain only: weights
+    ``max(I) / max(I_l, EPS_FLOOR * max(I))`` (all ones for an all-zero
+    indicator), proportions ``w = w_hat / sum(w_hat)``, scale factor
+    ``delta = sqrt(n_t*n_r / w^T Re(G) w)`` on the kept rows and columns
+    of the Gram matrix, and factors ``w * delta / |gain|``. The removed
+    paths get factor 0.
+    """
+    keep = np.abs(gains) > 0.0
+    kept = np.asarray(indicator, dtype=float)[keep]
+    top = kept.max()
+    w_hat = np.ones(kept.size) if top == 0.0 else top / np.maximum(kept, EPS_FLOOR * top)
+    w = w_hat / w_hat.sum()
+    delta = np.sqrt(geometry.n_t * geometry.n_r / (w @ np.real(g)[np.ix_(keep, keep)] @ w))
+    p = np.zeros(np.shape(gains))
+    p[keep] = w * delta / np.abs(gains[keep])
+    return p

@@ -16,6 +16,7 @@ import pytest
 from oracles import modified_subchannels, singular_values
 from prmimo import (
     ArrayGeometry,
+    PatternMatrix,
     Scenario,
     assemble_pattern_channel,
     assemble_physical,
@@ -209,15 +210,11 @@ def test_06_power_constraint_audit():
     for index in range(scenario.trials):
         paths = draw_paths(scenario, index)
         state = run_sof(scenario.geometry, paths)
-        for renormalize in (True, False):
-            pattern, _ = allocate_power(
-                scenario.geometry,
-                paths,
-                state.m_hat,
-                state.gram,
-                renormalize=renormalize,
-            )
-            h = assemble_pattern_channel(scenario.geometry, paths, pattern)
+        pattern, allocation = allocate_power(scenario.geometry, paths, state.m_hat, state.gram)
+        # Renormalization on: the pattern; off: the literal factors.
+        literal = PatternMatrix(m_hat=state.m_hat, p=allocation.p)
+        for renormalize, chosen in ((True, pattern), (False, literal)):
+            h = assemble_pattern_channel(scenario.geometry, paths, chosen)
             power = float(np.sum(np.abs(h) ** 2))
             if renormalize:
                 worst_on = max(worst_on, abs(power - budget) / budget)

@@ -161,15 +161,17 @@ class TestAllocatePower:
         assert abs(np.sum(np.abs(h) ** 2) - budget) <= 1e-9 * budget
         assert np.all(allocation.p > 0)
 
-    def test_unrenormalized_uses_literal_factors(self):
+    def test_allocation_keeps_literal_factors(self):
+        # allocation.p is the closed form; the pattern rescales it uniformly.
         rng = np.random.default_rng(85)
         geom = ArrayGeometry(n_t=16, n_r=4)
         paths = random_paths(rng, 12)
         state = run_sof(geom, paths)
-        pattern, allocation = allocate_power(
-            geom, paths, state.m_hat, state.gram, renormalize=False
-        )
-        assert_allclose(pattern.p, allocation.p, rtol=1e-12)
+        pattern, allocation = allocate_power(geom, paths, state.m_hat, state.gram)
+        literal = power_factors(paths.gains, allocation.w, allocation.delta)
+        assert_allclose(allocation.p, literal, rtol=1e-12)
+        ratio = pattern.p / allocation.p
+        assert_allclose(ratio, np.full(12, ratio[0]), rtol=1e-12)
 
     def test_zero_gain_path_gets_zero_factor(self):
         rng = np.random.default_rng(86)
@@ -182,8 +184,8 @@ class TestAllocatePower:
         gram = subchannel_gram(geom, paths, m_hat)
         pattern, allocation = allocate_power(geom, paths, m_hat, gram)
         assert pattern.p[2] == 0.0
-        assert allocation.p.size == 3
-        assert np.all(allocation.p > 0)
+        assert allocation.p.size == 4 and allocation.p[2] == 0.0
+        assert np.all(np.delete(allocation.p, 2) > 0)
 
     def test_all_zero_gains_raise(self):
         geom = ArrayGeometry(n_t=4, n_r=2)
@@ -206,15 +208,15 @@ class TestDesignPattern:
         assert allocation.delta > 0
 
     def test_batch_matches_single_designs(self):
-        from prmimo.cfpa import design_patterns
         from prmimo.channel import stack_paths
 
         rng = np.random.default_rng(88)
         geom = ArrayGeometry(n_t=16, n_r=4)
         path_sets = [random_paths(rng, 10) for _ in range(4)]
-        m_hat, p = design_patterns(geom, stack_paths(path_sets))
-        assert m_hat.shape == (4, 16, 10) and p.shape == (4, 10)
+        pattern, allocation, _ = design_pattern(geom, stack_paths(path_sets))
+        assert pattern.m_hat.shape == (4, 16, 10) and pattern.p.shape == (4, 10)
         for row, paths in enumerate(path_sets):
-            single_pattern, _, single_state = design_pattern(geom, paths)
-            assert np.array_equal(m_hat[row], single_state.m_hat)
-            assert np.array_equal(p[row], single_pattern.p)
+            single_pattern, single_allocation, single_state = design_pattern(geom, paths)
+            assert np.array_equal(pattern.m_hat[row], single_state.m_hat)
+            assert np.array_equal(pattern.p[row], single_pattern.p)
+            assert np.array_equal(allocation.p[row], single_allocation.p)

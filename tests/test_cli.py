@@ -206,6 +206,15 @@ class TestMain:
         assert capsys.readouterr().err.startswith("prmimo: usage error: snr grid")
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["0:1000:4000", "-4000:1000:0"])
+    def test_snr_grid_outside_linear_range_is_usage_error(self, grid, tmp_path, capsys):
+        # Each point is finite in dB but not in linear units: refused when
+        # the scenario is built, before any trial runs.
+        out = tmp_path / "linear-range"
+        assert main(["--snr-db", grid, "--trials", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("prmimo: usage error: snr grid")
+        assert not out.exists()
+
     def test_good_with_few_clusters_runs(self, tmp_path):
         assert main(run_args(tmp_path / "good", "--ncl", "3", "--condition", "good")) == 0
 

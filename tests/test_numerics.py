@@ -163,6 +163,11 @@ class TestLogdetCapacityKernel:
         with pytest.raises(InvalidInputError):
             logdet_capacity_kernel(np.eye(2), 0.0)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, np.array([1.0, np.inf])])
+    def test_rejects_non_finite_gamma(self, gamma):
+        with pytest.raises(InvalidInputError, match="finite"):
+            logdet_capacity_kernel(np.eye(2), gamma)
+
     def test_stack_shapes_and_bits(self):
         rng = np.random.default_rng(34)
         a = rng.standard_normal((4, 3, 5)) + 1j * rng.standard_normal((4, 3, 5))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -115,6 +117,14 @@ class TestCapacity:
     def test_rejects_nonpositive_entry_in_snr_array(self):
         with pytest.raises(InvalidInputError):
             capacity(np.ones((2, 2)), np.array([1.0, 0.0, 2.0]))
+
+    @pytest.mark.parametrize("snr", [np.nan, np.inf, np.array([1.0, np.nan])])
+    def test_rejects_non_finite_snr(self, snr):
+        # Rejected before the eigensolve: no nan result and no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="finite"):
+                capacity(np.ones((2, 2)), snr)
 
     def test_channel_stack_matches_single_calls(self):
         rng = np.random.default_rng(55)

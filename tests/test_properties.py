@@ -14,7 +14,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import direct_trace_gram, modified_subchannels, tensor_power_scaling
+from oracles import (
+    direct_trace_gram,
+    kept_allocation_factors,
+    modified_subchannels,
+    tensor_power_scaling,
+)
 from prmimo import (
     ArrayGeometry,
     PathSet,
@@ -22,6 +27,7 @@ from prmimo import (
     Scenario,
     allocate_power,
     assemble_pattern_channel,
+    design_pattern,
     ideal_capacity,
     run_sof,
     run_trial,
@@ -29,7 +35,6 @@ from prmimo import (
 )
 from prmimo.channel import stack_paths
 from prmimo.numerics import COLUMN_NORM_RTOL
-from prmimo.sof import run_sof_batch
 
 HALF_PI = np.pi / 2.0
 
@@ -78,8 +83,8 @@ def test_gram_scale_factor_matches_tensor_oracle(geometry, paths):
     state = run_sof(geometry, paths)
     pattern, allocation = allocate_power(geometry, paths, state.m_hat, state.gram)
 
-    keep = np.abs(paths.gains) > 0.0
-    subchannels = modified_subchannels(geometry, paths, state.m_hat)[keep]
+    # Zero-gain paths have proportion 0, so they add nothing to the sum.
+    subchannels = modified_subchannels(geometry, paths, state.m_hat)
     expected = tensor_power_scaling(geometry, subchannels, allocation.w)
     assert abs(allocation.delta - expected) <= 1e-12 * expected
 
@@ -101,7 +106,7 @@ def batches(draw):
 @given(batch=batches())
 def test_lockstep_sof_matches_single_runs_and_keeps_gram_invariants(batch):
     geometry, sets = batch
-    stacked = run_sof_batch(geometry, stack_paths(sets))
+    stacked = run_sof(geometry, stack_paths(sets))
     for row, paths in enumerate(sets):
         single = run_sof(geometry, paths)
         assert np.array_equal(stacked.order[row], single.order)
@@ -113,6 +118,31 @@ def test_lockstep_sof_matches_single_runs_and_keeps_gram_invariants(batch):
         assert np.array_equal(g, g.conj().T)
         assert np.all(np.abs(np.diag(g) - 1.0) <= COLUMN_NORM_RTOL)
         assert np.max(np.abs(g - direct_trace_gram(geometry, paths, stacked.m_hat[row]))) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(batch=batches())
+def test_zero_gain_paths_are_left_out_of_the_allocation(batch):
+    # The allocation masks zero-gain paths inside its one code path; the
+    # oracle removes them before the closed form. A stack, zero-gain rows
+    # included, gives each row the bits of its one-set call.
+    geometry, sets = batch
+    pattern, allocation, _ = design_pattern(geometry, stack_paths(sets))
+    for row, paths in enumerate(sets):
+        single_pattern, single_allocation, state = design_pattern(geometry, paths)
+        assert np.array_equal(pattern.p[row], single_pattern.p)
+        assert np.array_equal(allocation.p[row], single_allocation.p)
+        assert np.array_equal(allocation.w[row], single_allocation.w)
+        assert allocation.delta[row] == single_allocation.delta
+
+        keep = np.abs(paths.gains) > 0.0
+        expected = kept_allocation_factors(
+            geometry, paths.gains, state.gram.g, state.gram.indicator
+        )
+        p = single_allocation.p
+        assert p.shape == paths.gains.shape
+        assert np.all(p[~keep] == 0.0) and np.all(single_pattern.p[~keep] == 0.0)
+        assert np.all(np.abs(p[keep] - expected[keep]) <= 1e-13 * expected[keep])
 
 
 @st.composite

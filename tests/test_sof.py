@@ -14,7 +14,6 @@ from prmimo import (
     subchannel_gram,
 )
 from prmimo.channel import stack_paths
-from prmimo.sof import run_sof_batch
 
 
 class TestReceiverCorrelation:
@@ -247,13 +246,13 @@ class TestRunSof:
         assert np.array_equal(first.m_hat, second.m_hat)
 
 
-class TestRunSofBatch:
+class TestRunSofOnStacks:
     @pytest.mark.parametrize("size", [2, 3, 8])
     def test_matches_single_runs_bit_for_bit(self, size):
         rng = np.random.default_rng(84)
         geom = ArrayGeometry(n_t=16, n_r=4)
         path_sets = [random_paths(rng, 12) for _ in range(size)]
-        batch = run_sof_batch(geom, stack_paths(path_sets))
+        batch = run_sof(geom, stack_paths(path_sets))
         assert batch.order.shape == (size, 12)
         for row, paths in enumerate(path_sets):
             single = run_sof(geom, paths)
@@ -266,7 +265,7 @@ class TestRunSofBatch:
         rng = np.random.default_rng(85)
         geom = ArrayGeometry(n_t=32, n_r=8)
         path_sets = [random_paths(rng, 40) for _ in range(3)]
-        batch = run_sof_batch(geom, stack_paths(path_sets))
+        batch = run_sof(geom, stack_paths(path_sets))
         for row, paths in enumerate(path_sets):
             g = batch.gram.g[row]
             fresh = subchannel_gram(geom, paths, batch.m_hat[row])
@@ -277,16 +276,20 @@ class TestRunSofBatch:
         rng = np.random.default_rng(86)
         mixed = [random_paths(rng, 3), random_paths(rng, 4)]
         with pytest.raises(InvalidInputError, match="one length"):
-            run_sof_batch(ArrayGeometry(n_t=4, n_r=2), stack_paths(mixed))
+            run_sof(ArrayGeometry(n_t=4, n_r=2), stack_paths(mixed))
 
     def test_rejects_empty_batch(self):
         with pytest.raises(InvalidInputError):
-            run_sof_batch(ArrayGeometry(n_t=4, n_r=2), stack_paths([]))
+            run_sof(ArrayGeometry(n_t=4, n_r=2), stack_paths([]))
 
-    def test_rejects_unstacked_path_set(self):
+    def test_one_set_comes_back_unstacked(self):
         paths = random_paths(np.random.default_rng(87), 3)
-        with pytest.raises(InvalidInputError, match="stacked"):
-            run_sof_batch(ArrayGeometry(n_t=4, n_r=2), paths)
+        single = run_sof(ArrayGeometry(n_t=4, n_r=2), paths)
+        stacked = run_sof(ArrayGeometry(n_t=4, n_r=2), stack_paths([paths]))
+        assert single.order.shape == (3,) and single.m_hat.shape == (4, 3)
+        assert single.gram.g.shape == (3, 3) and single.gram.indicator.shape == (3,)
+        assert np.array_equal(single.m_hat, stacked.m_hat[0])
+        assert np.array_equal(single.gram.g, stacked.gram.g[0])
 
 
 def test_solve_rejects_shape_mismatch():
