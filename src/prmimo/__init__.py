@@ -22,7 +22,6 @@ from .channel import (
     assemble_physical,
     condition_profile,
     sample_cluster_paths,
-    steering_matrices,
     steering_matrix,
 )
 from .errors import (
@@ -43,18 +42,14 @@ from .montecarlo import (
     trial_rng,
 )
 from .numerics import eig_sym, logdet_capacity_kernel
-from .pattern import (
-    PatternMatrix,
-    SubchannelGram,
-    assemble_pattern_channel,
-    capacity,
-    correlation_indicator,
-    subchannel_gram,
-)
+from .pattern import PatternMatrix, assemble_pattern_channel, capacity
 from .sof import (
     SofState,
+    SubchannelGram,
+    correlation_indicator,
     run_sof,
     solve_modification_vector,
+    subchannel_gram,
 )
 
 __version__ = "0.1.0"
@@ -94,7 +89,6 @@ __all__ = [
     "run_trials",
     "sample_cluster_paths",
     "solve_modification_vector",
-    "steering_matrices",
     "steering_matrix",
     "subchannel_gram",
     "trial_rng",

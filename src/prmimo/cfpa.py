@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DegenerateChannelError, InvalidInputError
 from .numerics import PROPORTION_SUM_TOL
-from .pattern import PatternMatrix, assemble_pattern_channel
+from .pattern import PatternMatrix
 from .sof import run_sof
 
 # Indicator entries below this fraction of the maximum are floored before
@@ -67,12 +67,23 @@ def cfpa_weights(indicator):
     return w_hat, w_hat / w_hat.sum(axis=-1, keepdims=True)
 
 
+def _gram_power(g, c):
+    # tr(S^H S) for S = sum_l c_l S_l over the unit-norm subchannels S_l
+    # whose Gram matrix is g: Re(c^H G c), per row of a stack the same
+    # (1, L) @ (L, L) @ (L, 1) products as for one Gram. Raises if the
+    # sum cancels (round-off can take the form below zero).
+    power = (c.conj()[..., None, :] @ g @ c[..., :, None])[..., 0, 0].real
+    if np.any(power <= 0.0):
+        raise DegenerateChannelError("weighted subchannel sum cancels to zero")
+    return power
+
+
 def power_scaling(geometry, g, w):
     """Scale factor putting the proportion-weighted sum at the power budget.
 
     ``sqrt(n_t*n_r / tr(S^H S))`` for ``S`` the w-weighted sum of the
     modified subchannels. They have unit Frobenius norm and ``g`` is their
-    Gram matrix, so ``tr(S^H S) = w^T Re(G) w``. Raises if the sum
+    Gram matrix, so ``tr(S^H S) = Re(w^T G w)``. Raises if the sum
     cancels. Stacked Grams and proportions give one factor per row.
     """
     g = np.asarray(g, dtype=complex)
@@ -81,11 +92,7 @@ def power_scaling(geometry, g, w):
         raise InvalidInputError("need one gram row and column per weight")
     if np.any(np.abs(w.sum(axis=-1) - 1.0) > PROPORTION_SUM_TOL):
         raise InvalidInputError("proportions must sum to 1")
-    # Per row the same (1, L) @ (L, L) @ (L, 1) products as ``w @ G @ w``.
-    power = (w[..., None, :] @ g.real @ w[..., :, None])[..., 0, 0]
-    if np.any(power <= 0.0):
-        raise DegenerateChannelError("weighted subchannel sum cancels to zero")
-    return np.sqrt(geometry.n_t * geometry.n_r / power)
+    return np.sqrt(geometry.n_t * geometry.n_r / _gram_power(g, w))
 
 
 def power_factors(gains, w, delta):
@@ -107,23 +114,25 @@ def power_factors(gains, w, delta):
     return w * np.asarray(delta)[..., None] / np.where(dropped, 1.0, magnitudes)
 
 
-def allocate_power(geometry, paths, m_hat, gram, factors=None):
-    """Run the closed-form allocation and assemble the final pattern.
+def allocate_power(geometry, paths, m_hat, gram):
+    """Run the closed-form allocation and build the final pattern.
 
     ``gram`` is the ``SubchannelGram`` of the columns ``m_hat``: its
     indicator sets the power proportions and its Gram matrix the budget
     scale factor. Paths with zero gain are left out: their weight,
     proportion and factor are 0, and the weight maximum and the
     normalization run over the other paths. The factors are then
-    rescaled uniformly so the assembled channel meets the power budget
-    ``tr(H H^H) = n_t*n_r`` exactly; the scale factor alone only
-    guarantees this for the phase-free subchannel combination, and the
-    gain phases perturb it. The returned ``PowerAllocation`` keeps the
-    unrescaled closed-form quantities (``allocation.p``).
+    rescaled uniformly so the pattern channel meets the power budget
+    ``tr(H H^H) = n_t*n_r``; the scale factor alone only guarantees this
+    for the phase-free subchannel combination, and the gain phases
+    perturb it. The channel's power is read off the Gram matrix,
+    ``Re(c^H G c)`` with ``c = gains * p``, so no channel is assembled.
+    The returned ``PowerAllocation`` keeps the unrescaled closed-form
+    quantities (``allocation.p``).
 
     ``paths`` is one path set or a stacked one (``stack_paths``), with
     ``m_hat`` and ``gram`` stacked alike; each row is bit-identical to
-    the call on its path set. ``factors`` act as in ``assemble_physical``.
+    the call on its path set.
 
     Returns ``(pattern, allocation)``.
     """
@@ -142,23 +151,19 @@ def allocate_power(geometry, paths, m_hat, gram, factors=None):
     delta = power_scaling(geometry, gram.g, w)
     allocation = PowerAllocation(w_hat=w_hat, w=w, delta=delta, p=power_factors(gains, w, delta))
 
-    literal = PatternMatrix(m_hat=m_hat, p=allocation.p)
-    h = assemble_pattern_channel(geometry, paths, literal, factors)
-    power = np.sum(np.abs(h.reshape(h.shape[:-2] + (-1,))) ** 2, axis=-1)
-    if np.any(power == 0.0):
-        raise DegenerateChannelError("assembled pattern channel is zero")
+    power = _gram_power(gram.g, gains * allocation.p)
     p = allocation.p * np.sqrt(geometry.n_t * geometry.n_r / power)[..., None]
     return PatternMatrix(m_hat=m_hat, p=p), allocation
 
 
-def design_pattern(geometry, paths, factors=None):
+def design_pattern(geometry, paths):
     """Full transmit-pattern design: correlation modification, then power.
 
     ``run_sof`` followed by ``allocate_power``, on one path set or a
-    stacked one; ``factors`` act as in ``assemble_physical``. Returns
-    ``(pattern, allocation, state)`` where ``state`` is the finished
-    sequential-modification state the allocation was based on.
+    stacked one. Returns ``(pattern, allocation, state)`` where ``state``
+    is the finished sequential-modification state the allocation was
+    based on.
     """
     state = run_sof(geometry, paths)
-    pattern, allocation = allocate_power(geometry, paths, state.m_hat, state.gram, factors)
+    pattern, allocation = allocate_power(geometry, paths, state.m_hat, state.gram)
     return pattern, allocation, state

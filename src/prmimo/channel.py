@@ -102,6 +102,16 @@ class ClusterProfile:
             raise InvalidInputError("angle spread must be nonnegative")
 
 
+def steering_phases(n, spacing, angles):
+    """Entry (k, l) is ``exp(-j*2*pi*spacing*k*sin(angles[l]))``.
+
+    ``steering_matrix`` before its 1/sqrt(n); the factored Gram matrix of
+    ``prmimo.sof`` takes these phases unnormalized.
+    """
+    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    return np.exp(-2j * np.pi * spacing * (np.arange(n)[:, None] * np.sin(angles)[..., None, :]))
+
+
 def steering_matrix(n, spacing, angles):
     """Unit-norm n-element ULA responses, one column per azimuth.
 
@@ -113,25 +123,17 @@ def steering_matrix(n, spacing, angles):
         raise InvalidInputError("antenna count must be >= 1")
     if spacing <= 0:
         raise InvalidInputError("spacing must be positive")
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    phase = -2j * np.pi * spacing * (np.arange(n)[:, None] * np.sin(angles)[..., None, :])
-    return np.exp(phase) / np.sqrt(n)
-
-
-def steering_matrices(geometry, paths):
-    """Receive- and transmit-side steering matrices for a path set.
-
-    Returns ``(a_r, a_t)`` of shapes (n_r, L) and (n_t, L) (stacked for a
-    stacked path set); with ``diag(paths.gains)`` they factor the channel.
-    """
-    a_r = steering_matrix(geometry.n_r, geometry.spacing_r, paths.aoa)
-    a_t = steering_matrix(geometry.n_t, geometry.spacing_t, paths.aod)
-    return a_r, a_t
+    return steering_phases(n, spacing, angles) / np.sqrt(n)
 
 
 def channel_factors(geometry, paths):
-    """``(A_R diag(gains), A_T)``, shared by every channel of ``paths``."""
-    a_r, a_t = steering_matrices(geometry, paths)
+    """``(A_R diag(gains), A_T)``, shared by every channel of ``paths``.
+
+    ``A_R`` (n_r, L) and ``A_T`` (n_t, L) are the steering matrices of the
+    arrivals and departures (stacked for a stacked path set).
+    """
+    a_r = steering_matrix(geometry.n_r, geometry.spacing_r, paths.aoa)
+    a_t = steering_matrix(geometry.n_t, geometry.spacing_t, paths.aod)
     return a_r * paths.gains[..., None, :], a_t
 
 

@@ -75,6 +75,8 @@ class Scenario:
             raise InvalidInputError("snr grid overflows or underflows in linear units")
         if self.trials < 1:
             raise InvalidInputError("trials must be >= 1")
+        if self.master_seed < 0:
+            raise InvalidInputError(f"master seed must be >= 0, got {self.master_seed}")
         if not np.isfinite(self.angle_spread):
             raise InvalidInputError("angle spread must be finite")
         if self.angle_spread < 0:
@@ -189,7 +191,7 @@ def run_trials(scenario, start, stop, safeguard=False):
     Returns ``(physical, pattern)`` capacity arrays of shape
     (stop - start, SNR points) in bits/s/Hz. Each trial draws its paths
     from its own stream; the rest runs on the stacked batch: one steering
-    ``exp`` per array side for all three channel assemblies, the lockstep
+    ``exp`` per array side for both channel assemblies, the lockstep
     design (``design_pattern``) and one eigendecomposition per sweep.
     Row ``i`` is bit-identical to ``run_trial(scenario, start + i)``. The
     batch's memory grows with its size (see ``batch_size``).
@@ -205,7 +207,7 @@ def run_trials(scenario, start, stop, safeguard=False):
     factors = channel_factors(geometry, paths)
     physical = capacity(assemble_physical(geometry, paths, factors), snr)
 
-    pattern = design_pattern(geometry, paths, factors)[0]
+    pattern = design_pattern(geometry, paths)[0]
     designed = capacity(assemble_pattern_channel(geometry, paths, pattern, factors), snr)
 
     if safeguard:

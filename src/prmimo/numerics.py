@@ -28,6 +28,9 @@ COLUMN_NORM_RTOL = 1e-13
 # path count used here stay far below this bound.
 PROPORTION_SUM_TOL = 1e-12
 
+# Absolute tolerance on the Hermitian symmetry of a Gram matrix.
+HERMITIAN_TOL = 1e-12
+
 
 def symmetrize(b):
     """Return ``(B + B^T) / 2`` for each matrix of a (..., n, n) stack.

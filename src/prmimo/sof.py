@@ -1,28 +1,129 @@
-"""Sequential redesign of correlation-modification vectors.
+"""The subchannel Gram matrix and the sequential correlation modification.
 
-Subchannels are visited in decreasing order of their correlation level.
-Each visited column is replaced by a nonnegative unit-power vector that
-(approximately) minimizes its accumulated squared correlation with the
-already-designed columns: the quadratic form of that objective is
-assembled, its smallest eigenvector is projected onto the nonnegative
-orthant, and the result is rescaled to the required norm. The procedure
-is a feasible heuristic, not a global optimum; the tests bound its gap
-against an exhaustive grid search at small sizes.
+The design sees the channel only through the Gram matrix of the
+normalized modified subchannels. This module builds it in factored form
+(a receive-side times a transmit-side phase sum) and keeps it current
+while the columns change. Subchannels are visited in decreasing order of
+their correlation level. Each visited column is replaced by a
+nonnegative unit-power vector that (approximately) minimizes its
+accumulated squared correlation with the already-designed columns: the
+quadratic form of that objective is assembled, its smallest eigenvector
+is projected onto the nonnegative orthant, and the result is rescaled to
+the required norm. The procedure is a feasible heuristic, not a global
+optimum; the tests bound its gap against an exhaustive grid search at
+small sizes.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import stack_paths
+from .channel import stack_paths, steering_phases
 from .errors import InvalidInputError, NumericalFailureError
-from .numerics import eig_sym
-from .pattern import (
-    SubchannelGram,
-    _factored_gram,
-    _transmit_basis,
-    receiver_factor_matrix,
-)
+from .numerics import COLUMN_NORM_RTOL, HERMITIAN_TOL, eig_sym, require_unit_power_columns
+
+
+@dataclass
+class SubchannelGram:
+    """Gram matrix of normalized modified subchannels plus its indicator.
+
+    ``indicator[l]`` sums the squared magnitudes of row l off the
+    diagonal: the total correlation between subchannel l and all others.
+    Stacked (T, L, L) matrices with (T, L) indicators hold T Grams.
+    """
+
+    g: np.ndarray
+    indicator: np.ndarray
+
+    def __post_init__(self):
+        self.g = np.asarray(self.g, dtype=complex)
+        self.indicator = np.atleast_1d(np.asarray(self.indicator, dtype=float))
+        if self.g.ndim not in (2, 3) or self.g.shape[-1] != self.g.shape[-2]:
+            raise InvalidInputError("gram matrix must be square")
+        if self.indicator.shape != self.g.shape[:-1]:
+            raise InvalidInputError("indicator length must match the gram dimension")
+        # One matrix at a time, so the check holds two L x L temporaries
+        # (g^H - g, then its magnitudes) whatever the batch. g^H is built
+        # C-ordered, as adding a transposed operand makes numpy buffer it.
+        for g in self.g.reshape((-1,) + self.g.shape[-2:]):
+            asymmetry = g.T.copy()
+            np.conjugate(asymmetry, out=asymmetry)
+            asymmetry -= g
+            if np.max(np.abs(asymmetry)) > HERMITIAN_TOL:
+                raise InvalidInputError("gram matrix is not Hermitian within tolerance")
+        if not np.all(np.abs(np.diagonal(self.g, axis1=-2, axis2=-1) - 1.0) <= COLUMN_NORM_RTOL):
+            raise InvalidInputError("gram diagonal must be 1 for normalized subchannels")
+        if np.any(self.indicator < 0):
+            raise InvalidInputError("indicator entries must be nonnegative")
+
+
+def receiver_factor_matrix(geometry, aoa):
+    """Pairwise receive-side phase sums.
+
+    Entry (i, j) is ``sum_n exp(+j*2*pi*d_r*n*(sin aoa_i - sin aoa_j))``
+    over the n_r elements; its magnitude divided by n_r is the receive
+    correlation between arrivals i and j. Stacked arrivals stack it.
+    """
+    basis = steering_phases(geometry.n_r, geometry.spacing_r, aoa)
+    return basis.conj().swapaxes(-1, -2) @ basis
+
+
+def _transmit_basis(geometry, aod, m_hat):
+    # Columns m_hat_i weighted by the conjugate transmit phases; the Gram
+    # of this basis is the transmit factor of the subchannel Gram matrix.
+    phases = steering_phases(geometry.n_t, geometry.spacing_t, aod)
+    return m_hat * np.conjugate(phases, out=phases)
+
+
+def _factored_gram(geometry, recv, basis):
+    # The receive factor times the transmit factor (the Gram of the basis)
+    # over n_r * n_t, made exactly Hermitian: ``0.5 * (g + g^H)`` with
+    # ``g = recv * (B^H B) / (n_r n_t)`` (the sum commutes bit for bit).
+    # In place and one matrix at a time, so that a batch's set-up holds no
+    # L x L temporary per trial; g^H is built C-ordered, as adding a
+    # transposed operand makes numpy buffer it.
+    g = basis.conj().swapaxes(-1, -2) @ basis
+    np.multiply(recv, g, out=g)
+    g /= geometry.n_r * geometry.n_t
+    for matrix in g.reshape((-1,) + g.shape[-2:]):
+        sym = matrix.T.copy()
+        np.conjugate(sym, out=sym)
+        sym += matrix
+        np.multiply(0.5, sym, out=matrix)
+    return g
+
+
+def subchannel_gram(geometry, paths, m_hat):
+    """Gram matrix of the normalized modified subchannels.
+
+    Entry (i, j) is the trace inner product of subchannels i and j,
+    evaluated as the product of a receive-side phase sum and a
+    transmit-side weighted phase sum divided by ``n_r * n_t``. The tests
+    check it against the direct trace over explicitly assembled
+    subchannels; this factored form is O(L^2 * n_t) instead.
+
+    ``paths`` is one path set or a stacked one (``stack_paths``), with
+    ``m_hat`` stacked alike; each row is bit-identical to the call on
+    its path set.
+    """
+    m_hat = np.asarray(m_hat, dtype=float)
+    if m_hat.shape != paths.gains.shape[:-1] + (geometry.n_t, len(paths)):
+        raise InvalidInputError(
+            f"m_hat shape {m_hat.shape} does not match {len(paths)} paths at n_t={geometry.n_t}"
+        )
+    require_unit_power_columns(m_hat)
+    recv = receiver_factor_matrix(geometry, paths.aoa)
+    g = _factored_gram(geometry, recv, _transmit_basis(geometry, paths.aod, m_hat))
+    return SubchannelGram(g=g, indicator=correlation_indicator(g))
+
+
+def correlation_indicator(g):
+    """Per-row sum of squared off-diagonal Gram magnitudes (of each matrix of a stack)."""
+    g = np.asarray(g, dtype=complex)
+    sq = np.abs(g) ** 2
+    diagonal = np.arange(g.shape[-1])
+    sq[..., diagonal, diagonal] = 0.0
+    return sq.sum(axis=-1)
 
 
 @dataclass

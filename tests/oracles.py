@@ -8,7 +8,7 @@ import numpy as np
 
 from prmimo import InvalidInputError
 from prmimo.cfpa import EPS_FLOOR
-from prmimo.channel import steering_matrices
+from prmimo import steering_matrix
 
 
 def steering_vector(n, spacing, angle):
@@ -44,7 +44,8 @@ def modified_subchannels(geometry, paths, m_hat):
     Slab i is the rank-one outer product of the i-th receive steering
     vector with the pattern-modified i-th transmit steering vector.
     """
-    a_r, a_t = steering_matrices(geometry, paths)
+    a_r = steering_matrix(geometry.n_r, geometry.spacing_r, paths.aoa)
+    a_t = steering_matrix(geometry.n_t, geometry.spacing_t, paths.aod)
     return np.einsum("ri,ti->irt", a_r, (a_t * np.asarray(m_hat, dtype=float)).conj())
 
 

@@ -215,6 +215,13 @@ class TestMain:
         assert capsys.readouterr().err.startswith("prmimo: usage error: snr grid")
         assert not out.exists()
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        # Refused when the scenario is built, not as a failed campaign.
+        out = tmp_path / "negative-seed"
+        assert main(["--seed", "-1", "--trials", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("prmimo: usage error: master seed")
+        assert not out.exists()
+
     def test_good_with_few_clusters_runs(self, tmp_path):
         assert main(run_args(tmp_path / "good", "--ncl", "3", "--condition", "good")) == 0
 

@@ -76,6 +76,13 @@ class TestScenario:
         with pytest.raises(InvalidInputError, match="linear units"):
             small_scenario(snr_db=np.array([0.0, value]))
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InvalidInputError, match="master seed"):
+            small_scenario(master_seed=-1)
+
+    def test_accepts_zero_seed(self):
+        assert small_scenario(master_seed=0).master_seed == 0
+
     def test_good_accepts_few_clusters(self):
         assert small_scenario(n_cl=1, condition="good").n_cl == 1
 
@@ -140,7 +147,7 @@ class TestRunTrial:
     def test_safeguard_floors_at_physical(self, monkeypatch):
         scenario = small_scenario()
 
-        def sabotaged_design(geometry, paths, factors=None):
+        def sabotaged_design(geometry, paths):
             # Put all power on one path: a rank-one channel that loses to
             # the physical baseline at high SNR.
             p = np.zeros(paths.gains.shape)
@@ -222,9 +229,9 @@ class TestRunTrials:
         scenario = small_scenario(trials=6)
         real_design = montecarlo.design_pattern
 
-        def sabotage_odd(geometry, paths, factors=None):
+        def sabotage_odd(geometry, paths):
             # Odd rows get a rank-one pattern that loses at high SNR.
-            pattern, allocation, state = real_design(geometry, paths, factors)
+            pattern, allocation, state = real_design(geometry, paths)
             p = pattern.p.copy()
             p[1::2] = 0.0
             p[1::2, 0] = 1.0
@@ -370,10 +377,10 @@ class TestRunCampaign:
         force_batch_size(monkeypatch, scenario, 4)
         real_design = montecarlo.design_pattern
 
-        def batch_only_bug(geometry, paths, factors=None):
+        def batch_only_bug(geometry, paths):
             if len(paths.gains) > 1:
                 raise TypeError("synthetic batch bug")
-            return real_design(geometry, paths, factors)
+            return real_design(geometry, paths)
 
         monkeypatch.setattr(montecarlo, "design_pattern", batch_only_bug)
         with pytest.raises(

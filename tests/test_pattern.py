@@ -15,11 +15,12 @@ from prmimo import (
     assemble_physical,
     capacity,
     correlation_indicator,
+    steering_matrix,
     subchannel_gram,
 )
-from prmimo.channel import steering_matrices
-from prmimo.numerics import COLUMN_NORM_RTOL
-from prmimo.pattern import HERMITIAN_TOL, SubchannelGram
+from prmimo.channel import stack_paths
+from prmimo.numerics import COLUMN_NORM_RTOL, HERMITIAN_TOL
+from prmimo.sof import SubchannelGram
 
 
 class TestPatternMatrix:
@@ -157,7 +158,8 @@ class TestAssemblePatternChannel:
         m_hat[0, 0] = np.sqrt(4.0)
         pattern = PatternMatrix(m_hat=m_hat, p=np.ones(1))
         h = assemble_pattern_channel(geom, paths, pattern)
-        a_r, a_t = steering_matrices(geom, paths)
+        a_r = steering_matrix(geom.n_r, geom.spacing_r, paths.aoa)
+        a_t = steering_matrix(geom.n_t, geom.spacing_t, paths.aod)
         expected = paths.gains[0] * np.outer(a_r[:, 0], (a_t[:, 0] * m_hat[:, 0]).conj())
         assert_allclose(h, expected, atol=1e-14)
         # Only the first transmit antenna radiates toward this path.
@@ -171,7 +173,8 @@ class TestAssemblePatternChannel:
         p = rng.uniform(0.2, 2.0, 7)
         pattern = PatternMatrix(m_hat=m_hat, p=p)
         h = assemble_pattern_channel(geom, paths, pattern)
-        a_r, a_t = steering_matrices(geom, paths)
+        a_r = steering_matrix(geom.n_r, geom.spacing_r, paths.aoa)
+        a_t = steering_matrix(geom.n_t, geom.spacing_t, paths.aod)
         expected = np.zeros((3, 6), dtype=complex)
         for i in range(7):
             expected += paths.gains[i] * p[i] * np.outer(a_r[:, i], (a_t[:, i] * m_hat[:, i]).conj())
@@ -231,6 +234,27 @@ class TestSubchannelGram:
         paths = random_paths(rng, 3)
         with pytest.raises(InvalidInputError):
             subchannel_gram(geom, paths, np.full((8, 3), 0.5))
+
+    def test_stack_matches_one_set_calls_bit_for_bit(self):
+        rng = np.random.default_rng(65)
+        geom = ArrayGeometry(n_t=8, n_r=4)
+        sets = [random_paths(rng, 6) for _ in range(3)]
+        m_hat = np.stack([feasible_m_hat(rng, 8, 6) for _ in sets])
+        stacked = subchannel_gram(geom, stack_paths(sets), m_hat)
+        assert stacked.g.shape == (3, 6, 6) and stacked.indicator.shape == (3, 6)
+        indicator = correlation_indicator(stacked.g)
+        for row, paths in enumerate(sets):
+            single = subchannel_gram(geom, paths, m_hat[row])
+            assert np.array_equal(stacked.g[row], single.g)
+            assert np.array_equal(stacked.indicator[row], single.indicator)
+            assert np.array_equal(indicator[row], correlation_indicator(single.g))
+
+    def test_rejects_unstacked_columns_for_a_stack(self):
+        rng = np.random.default_rng(66)
+        geom = ArrayGeometry(n_t=8, n_r=4)
+        paths = stack_paths([random_paths(rng, 3), random_paths(rng, 3)])
+        with pytest.raises(InvalidInputError, match="m_hat shape"):
+            subchannel_gram(geom, paths, np.ones((8, 3)))
 
 
 def hermitian_stack(rng, count, n):

@@ -4,7 +4,8 @@ Hypothesis draws array sizes from n_t = n_r up to n_t = 256, spacings
 other than half a wavelength, single-path sets, more paths than
 n_t * n_r, repeated and endfire (+-pi/2) angles, zero-gain paths and
 campaigns with no angular spread (xi = 0). It checks the power
-allocation, the invariants of the SOF Gram matrix, and that lockstep
+allocation, the Gram power of a pattern channel against its assembled
+power, the invariants of the SOF Gram matrix, and that lockstep
 batches of trials give the bits of one-at-a-time runs. Examples are
 derandomized, so a run is reproducible, and few, so the suite stays
 quick.
@@ -22,7 +23,9 @@ from oracles import (
 )
 from prmimo import (
     ArrayGeometry,
+    DegenerateChannelError,
     PathSet,
+    PatternMatrix,
     PrMimoError,
     Scenario,
     allocate_power,
@@ -32,7 +35,9 @@ from prmimo import (
     run_sof,
     run_trial,
     run_trials,
+    subchannel_gram,
 )
+from prmimo.cfpa import _gram_power
 from prmimo.channel import stack_paths
 from prmimo.numerics import COLUMN_NORM_RTOL
 
@@ -143,6 +148,46 @@ def test_zero_gain_paths_are_left_out_of_the_allocation(batch):
         assert p.shape == paths.gains.shape
         assert np.all(p[~keep] == 0.0) and np.all(single_pattern.p[~keep] == 0.0)
         assert np.all(np.abs(p[keep] - expected[keep]) <= 1e-13 * expected[keep])
+
+
+@st.composite
+def patterns(draw):
+    """One path set or a stack of up to 5, with arbitrary pattern gains.
+
+    Columns are nonnegative with squared norm n_t, from spread out to a
+    single active antenna; power factors are nonnegative, zeros included.
+    """
+    geometry, sets = draw(batches())
+    paths = stack_paths(sets) if draw(st.booleans()) else sets[0]
+    shape = paths.gains.shape[:-1] + (geometry.n_t, len(paths))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.uniform(0.0, 1.0, shape) * (rng.uniform(size=shape) < draw(st.floats(0.0, 1.0)))
+    np.put_along_axis(raw, rng.integers(0, geometry.n_t, shape[:-2] + (1, shape[-1])), 1.0, axis=-2)
+    m_hat = raw * np.sqrt(geometry.n_t / np.sum(raw**2, axis=-2, keepdims=True))
+    factors = st.lists(st.floats(0.0, 1e3), min_size=paths.gains.size, max_size=paths.gains.size)
+    p = np.array(draw(factors))
+    return geometry, paths, PatternMatrix(m_hat=m_hat, p=p.reshape(paths.gains.shape))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=patterns())
+def test_gram_power_matches_assembled_channel_power(case):
+    # The allocation reads the pattern channel's power off the Gram matrix
+    # of its unit-norm subchannels: Re(c^H G c) with c = gains * p. Its
+    # error is relative to (sum |c_l|)^2, the power when nothing cancels;
+    # a sum that cancels has no relative accuracy in either form.
+    geometry, paths, pattern = case
+    gram = subchannel_gram(geometry, paths, pattern.m_hat)
+    h = assemble_pattern_channel(geometry, paths, pattern)
+    assembled = np.sum(np.abs(h.reshape(h.shape[:-2] + (-1,))) ** 2, axis=-1)
+    c = paths.gains * pattern.p
+    scale = np.sum(np.abs(c), axis=-1) ** 2
+    try:
+        power = _gram_power(gram.g, c)
+    except DegenerateChannelError:
+        assert np.any(assembled <= 1e-12 * scale)
+        return
+    assert np.all(np.abs(power - assembled) <= 1e-12 * scale)
 
 
 @st.composite
