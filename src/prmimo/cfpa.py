@@ -162,7 +162,9 @@ def design_pattern(geometry, paths):
     ``run_sof`` followed by ``allocate_power``, on one path set or a
     stacked one. Returns ``(pattern, allocation, state)`` where ``state``
     is the finished sequential-modification state the allocation was
-    based on.
+    based on. Like ``run_sof``, it runs on the caller's BLAS thread count,
+    which can move its result by ulps; ``montecarlo.run_trials`` pins it
+    to one thread.
     """
     state = run_sof(geometry, paths)
     pattern, allocation = allocate_power(geometry, paths, state.m_hat, state.gram)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
+from .numerics import require_integer
 
 HALF_PI = np.pi / 2.0
 
@@ -23,6 +24,8 @@ class ArrayGeometry:
     """Antenna counts and normalized element spacings at both ends.
 
     The transmit array is assumed at least as large as the receive array.
+    The counts are integers; numpy integers become ``int``, and a
+    ``bool`` or a float is rejected.
     """
 
     n_t: int
@@ -31,6 +34,9 @@ class ArrayGeometry:
     spacing_r: float = 0.5
 
     def __post_init__(self):
+        for name in ("n_t", "n_r"):
+            # Through object, as the dataclass is frozen.
+            object.__setattr__(self, name, require_integer(getattr(self, name), name))
         if self.n_r < 1 or self.n_t < self.n_r:
             raise InvalidInputError(
                 f"need n_t >= n_r >= 1, got n_t={self.n_t}, n_r={self.n_r}"

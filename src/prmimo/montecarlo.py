@@ -10,7 +10,6 @@ batch size and scheduling never change them.
 """
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -27,7 +26,7 @@ from .channel import (
     stack_paths,
 )
 from .errors import CampaignError, InvalidInputError, PrMimoError
-from .numerics import one_blas_thread, set_blas_threads
+from .numerics import one_blas_thread, require_integer, set_blas_threads
 from .pattern import assemble_pattern_channel, capacity
 
 SCHEMES = ("physical", "pattern", "ideal")
@@ -50,7 +49,11 @@ def _default_snr_grid():
 
 @dataclass
 class Scenario:
-    """One reproducible experiment configuration."""
+    """One reproducible experiment configuration.
+
+    ``n_cl``, ``n_ray``, ``trials`` and ``master_seed`` are integers;
+    numpy integers become ``int``, and a ``bool`` or a float is rejected.
+    """
 
     geometry: ArrayGeometry
     n_cl: int = 10
@@ -62,6 +65,8 @@ class Scenario:
     master_seed: int = 12345
 
     def __post_init__(self):
+        for name in ("n_cl", "n_ray", "trials", "master_seed"):
+            setattr(self, name, require_integer(getattr(self, name), name))
         self.snr_db = np.atleast_1d(np.asarray(self.snr_db, dtype=float))
         if self.snr_db.size < 1:
             raise InvalidInputError("snr grid must be nonempty")
@@ -193,22 +198,25 @@ def run_trials(scenario, start, stop, safeguard=False):
     from its own stream; the rest runs on the stacked batch: one steering
     ``exp`` per array side for both channel assemblies, the lockstep
     design (``design_pattern``) and one eigendecomposition per sweep.
-    Row ``i`` is bit-identical to ``run_trial(scenario, start + i)``. The
-    batch's memory grows with its size (see ``batch_size``).
-    ``safeguard`` acts as in ``run_trial``.
+    Row ``i`` is bit-identical to ``run_trial(scenario, start + i)`` and
+    to the campaign's row of that trial, under any BLAS thread count of
+    the caller: the batch runs on one BLAS thread (the caller's count is
+    restored). The batch's memory grows with its size (see
+    ``batch_size``). ``safeguard`` acts as in ``run_trial``.
     """
     if not 0 <= start < stop <= scenario.trials:
         raise InvalidInputError(
             f"trial range [{start}, {stop}) is empty or outside [0, {scenario.trials})"
         )
     geometry = scenario.geometry
-    paths = stack_paths(draw_paths(scenario, index) for index in range(start, stop))
     snr = 10.0 ** (scenario.snr_db / 10.0)
-    factors = channel_factors(geometry, paths)
-    physical = capacity(assemble_physical(geometry, paths, factors), snr)
+    with one_blas_thread():
+        paths = stack_paths(draw_paths(scenario, index) for index in range(start, stop))
+        factors = channel_factors(geometry, paths)
+        physical = capacity(assemble_physical(geometry, paths, factors), snr)
 
-    pattern = design_pattern(geometry, paths)[0]
-    designed = capacity(assemble_pattern_channel(geometry, paths, pattern, factors), snr)
+        pattern = design_pattern(geometry, paths)[0]
+        designed = capacity(assemble_pattern_channel(geometry, paths, pattern, factors), snr)
 
     if safeguard:
         reference = int(np.argmax(snr))
@@ -264,18 +272,22 @@ def _run_batch(scenario, start, stop, safeguard):
 
 def _trial_outcomes(scenario, workers, safeguard):
     # Consecutive lockstep batches, so only the campaign's last one is
-    # short. The pool takes them in chunks, about eight per worker: few
-    # enough tasks that dispatch stays cheap, enough to balance uneven
-    # trials.
+    # short. The pool, of no more workers than batches, takes them in
+    # chunks, about eight per worker: few enough tasks that dispatch
+    # stays cheap, enough to balance uneven trials.
     trials = scenario.trials
     size = batch_size(scenario.n_cl * scenario.n_ray, scenario.geometry.n_t)
     starts = range(0, trials, size)
     stops = [min(start + size, trials) for start in starts]
     run = partial(_run_batch, scenario, safeguard=safeguard)
+    workers = min(workers, len(starts))
     if workers <= 1:
         with one_blas_thread():
             batches = list(map(run, starts, stops))
     else:
+        # Imported here, so that a serial run loads no process machinery.
+        from concurrent.futures import ProcessPoolExecutor
+
         # Set by an initializer, so that it holds under any start method.
         with ProcessPoolExecutor(workers, initializer=set_blas_threads, initargs=(1,)) as pool:
             chunk = -(-len(starts) // (8 * workers))
@@ -287,12 +299,14 @@ def run_campaign(scenario, schemes=SCHEMES, workers=1, safeguard=False):
     """Run all trials and aggregate one capacity curve per scheme.
 
     Trials run in consecutive lockstep batches of ``batch_size`` trials,
-    in this process for ``workers <= 1`` and otherwise on a pool of
-    ``workers`` processes that takes the batches in chunks of about
-    ``batches / (8 * workers)``, each process on one BLAS thread (the
-    caller's count is restored). Results are reduced in trial order, so
-    the output is byte-reproducible for a fixed scenario regardless of
-    parallelism, batching and the environment's BLAS thread count.
+    in this process when ``workers <= 1`` or there is one batch, and
+    otherwise on a pool of ``min(workers, batches)`` processes that takes
+    the batches in chunks of about ``batches / (8 * workers)``, each
+    process on one BLAS thread (the caller's count is restored). Only
+    that pool imports the process machinery. Results are reduced in
+    trial order, so the output is byte-reproducible for a fixed scenario
+    regardless of parallelism, batching and the environment's BLAS
+    thread count.
     Trials that raise a ``PrMimoError`` are excluded and counted; more
     than 1% of failures aborts with ``CampaignError``, and so does any
     other exception at once, naming the master seed and the trial index.

@@ -6,6 +6,7 @@ of nearly-PSD Gram matrices, and uniform error reporting.
 """
 
 from contextlib import contextmanager
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,17 @@ def _require_finite(a, name):
         raise InvalidInputError(f"{name} contains non-finite entries")
 
 
+def require_integer(value, name):
+    """Return ``value`` as an ``int``; raise ``InvalidInputError`` unless integral.
+
+    Python and numpy integers pass; a ``bool``, a float or any other type
+    is rejected.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def require_unit_power_columns(m_hat):
     """Check a modification matrix: nonnegative columns of squared norm n_t.
 
@@ -71,9 +83,10 @@ def require_unit_power_columns(m_hat):
         )
 
 
+@cache
 def _openblas():
     # numpy's bundled OpenBLAS with the calls used here declared, or None.
-    # Looked up on each use, so that importing the package neither loads
+    # Looked up on first use, so that importing the package neither loads
     # ctypes nor scans for the library.
     import ctypes
 
@@ -97,17 +110,19 @@ def set_blas_threads(count):
 
     Setting a count starts the library's thread pool at once, whose idle
     threads slowed the small calls of a trial by about 20% and, when just
-    started, spin for about 0.1 s of CPU. So the pool is stopped again
-    (``blas_thread_shutdown_``, the library's own fork handler, where it
-    is exported); a later call that needs more threads restarts it. Call
-    it while no other thread runs BLAS work. A no-op returning ``None``
-    without the library.
+    started, spin for about 0.1 s of CPU. So each call stops the pool
+    again (``blas_thread_shutdown_``, the library's own fork handler,
+    where it is exported), also when it leaves an unchanged count alone;
+    a later call that needs more threads restarts it. Call it while no
+    other thread runs BLAS work. A no-op returning ``None`` without the
+    library.
     """
     lib = _openblas()
     if lib is None:
         return None
     previous = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(count)
+    if count != previous:
+        lib.scipy_openblas_set_num_threads64_(count)
     if hasattr(lib, "blas_thread_shutdown_"):
         lib.blas_thread_shutdown_()
     return previous

@@ -221,8 +221,10 @@ def run_sof(geometry, paths):
     often degenerate, so a round-off change in that matrix can pick a
     different null vector and a visibly different design; the result is
     reproducible bit for bit only with the same arithmetic on the same
-    LAPACK build. The BLAS thread count no longer matters inside a
-    campaign, which runs on one thread (``numerics.one_blas_thread``).
+    LAPACK build. It also follows the caller's BLAS thread count: at
+    L = 160 one and two threads give states apart by ulps. Campaigns and
+    ``montecarlo.run_trials`` run on one thread
+    (``numerics.one_blas_thread``), so their rows do not depend on it.
     """
     if paths.gains.ndim == 1:
         state = run_sof(geometry, stack_paths([paths]))

@@ -1,7 +1,12 @@
 """Small construction helpers shared across test modules."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 
+import prmimo
 from prmimo import PathSet
 
 
@@ -17,3 +22,21 @@ def feasible_m_hat(rng, n_t, n_paths):
     """Strictly positive modification columns with squared norm n_t."""
     raw = rng.uniform(0.1, 1.0, (n_t, n_paths))
     return raw * np.sqrt(n_t / np.sum(raw**2, axis=0))
+
+
+def fresh_interpreter(code, *args, **env):
+    """Run ``python -c code args`` with this prmimo importable; its stdout.
+
+    ``env`` entries are added to the environment of the new interpreter.
+    """
+    src = os.path.dirname(os.path.dirname(prmimo.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout

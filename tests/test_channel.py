@@ -27,6 +27,18 @@ class TestArrayGeometry:
         with pytest.raises(InvalidInputError):
             ArrayGeometry(n_t=4, n_r=2, spacing_t=0.0)
 
+    @pytest.mark.parametrize(
+        "n_t,n_r", [(8.5, 4), (8, 4.0), (True, 1), (8, True), ("8", 4), (np.float64(8), 4)]
+    )
+    def test_rejects_non_integral_counts(self, n_t, n_r):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            ArrayGeometry(n_t=n_t, n_r=n_r)
+
+    def test_accepts_numpy_integer_counts(self):
+        geom = ArrayGeometry(n_t=np.int64(8), n_r=np.uint8(4))
+        assert (geom.n_t, geom.n_r) == (8, 4)
+        assert type(geom.n_t) is int and type(geom.n_r) is int
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite_spacing(self, value):
         with pytest.raises(InvalidInputError, match="finite"):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from helpers import fresh_interpreter
 from prmimo.cli import (
     CSV_HEADER,
     UsageError,
@@ -230,3 +231,30 @@ class TestMain:
         blocker.write_text("a file, not a directory")
         assert main(run_args(blocker)) == 2
         assert "error" in capsys.readouterr().err
+
+
+# Runs main(argv), which resolves its config through parse_config, in a
+# new interpreter and prints the pool modules it loaded along the way.
+RUN_MAIN = """
+import sys
+
+import prmimo
+from prmimo.cli import main
+
+assert main(sys.argv[1:]) == 0
+print(*sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing")))
+"""
+
+
+class TestPoolImport:
+    def test_serial_run_loads_no_pool_machinery(self, tmp_path):
+        assert fresh_interpreter(RUN_MAIN, *run_args(tmp_path / "serial")).split() == []
+
+    def test_first_pool_import_writes_the_serial_bytes(self, tmp_path):
+        # Eight trials at L = 80 are two batches, so two workers build a pool.
+        flags = ["--trials", "8", "--snr-db", "0:10:10", "--seed", "7"]
+        serial, parallel = tmp_path / "w1", tmp_path / "w2"
+        assert fresh_interpreter(RUN_MAIN, *flags, "--out", str(serial)).split() == []
+        loaded = fresh_interpreter(RUN_MAIN, *flags, "--workers", "2", "--out", str(parallel))
+        assert "concurrent.futures.process" in loaded.split()
+        assert (parallel / "capacity.csv").read_bytes() == (serial / "capacity.csv").read_bytes()

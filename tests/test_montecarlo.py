@@ -1,9 +1,11 @@
+import concurrent.futures
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from helpers import fresh_interpreter
 import prmimo.montecarlo as montecarlo
 import prmimo.numerics as numerics
 from prmimo import (
@@ -79,6 +81,22 @@ class TestScenario:
     def test_rejects_negative_seed(self):
         with pytest.raises(InvalidInputError, match="master seed"):
             small_scenario(master_seed=-1)
+
+    @pytest.mark.parametrize("name", ["n_cl", "n_ray", "trials", "master_seed"])
+    @pytest.mark.parametrize("value", [4.5, 4.0, True, np.float64(4.0), "4"])
+    def test_rejects_non_integral_counts(self, name, value):
+        with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
+            small_scenario(**{name: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        # Converted, so that n_cl * n_ray cannot wrap in a narrow type.
+        scenario = small_scenario(
+            n_cl=np.uint8(16), n_ray=np.uint8(16), trials=np.int32(3), master_seed=np.uint64(99)
+        )
+        for name, want in (("n_cl", 16), ("n_ray", 16), ("trials", 3), ("master_seed", 99)):
+            value = getattr(scenario, name)
+            assert type(value) is int and value == want
+        assert scenario.n_cl * scenario.n_ray == 256
 
     def test_accepts_zero_seed(self):
         assert small_scenario(master_seed=0).master_seed == 0
@@ -294,8 +312,10 @@ class TestRunCampaign:
         assert curves["ideal"].trials == 0
         assert_allclose(curves["ideal"].std, 0.0)
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        # Two-trial batches, so that three workers share a pool.
         scenario = small_scenario(trials=6)
+        force_batch_size(monkeypatch, scenario, 2)
         serial = {c.scheme: c for c in run_campaign(scenario, workers=1)}
         parallel = {c.scheme: c for c in run_campaign(scenario, workers=3)}
         for scheme in ("physical", "pattern", "ideal"):
@@ -334,6 +354,37 @@ class TestRunCampaign:
             assert error is None
             assert np.array_equal(physical, want_physical)
             assert np.array_equal(designed, want_designed)
+
+    def test_one_batch_builds_no_pool(self, monkeypatch):
+        # Four trials are one batch here, which leaves two of three
+        # workers nothing to run, so the batch runs in this process.
+        scenario = small_scenario(trials=4)
+        assert montecarlo.batch_size(8, 16) >= 4
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        serial = run_campaign(scenario, workers=1)
+        for got, want in zip(run_campaign(scenario, workers=3), serial):
+            assert np.array_equal(got.mean, want.mean)
+            assert np.array_equal(got.std, want.std)
+
+    def test_pool_has_no_more_workers_than_batches(self, monkeypatch):
+        scenario = small_scenario(trials=4)
+        force_batch_size(monkeypatch, scenario, 2)
+        real_pool = concurrent.futures.ProcessPoolExecutor
+        sizes = []
+
+        def recording(workers, **kwargs):
+            sizes.append(workers)
+            return real_pool(workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+        serial = run_campaign(scenario, workers=1)
+        for got, want in zip(run_campaign(scenario, workers=3), serial):
+            assert np.array_equal(got.mean, want.mean)
+        assert sizes == [2]
 
     def test_failure_in_a_batch_fails_only_its_trial(self, monkeypatch):
         scenario = small_scenario(trials=12)
@@ -448,10 +499,12 @@ class TestRunCampaign:
         with pytest.raises(CampaignError, match=r"trial 17 \(master_seed 99\) raised TypeError"):
             run_campaign(scenario, schemes=("physical",))
 
-    def test_unexpected_error_aborts_through_the_pool(self):
-        # A ray count that is not an integer breaks the path draw with a
-        # TypeError inside the worker processes.
+    def test_unexpected_error_aborts_through_the_pool(self, monkeypatch):
+        # A ray count that is not an integer, set past the check at
+        # construction, breaks the path draw with a TypeError inside the
+        # worker processes; batches of at most two trials need the pool.
         scenario = small_scenario(trials=6)
+        force_batch_size(monkeypatch, scenario, 2)
         scenario.n_ray = 2.5
         with pytest.raises(CampaignError, match=r"trial 0 \(master_seed 99\) raised TypeError"):
             run_campaign(scenario, workers=2)
@@ -477,6 +530,21 @@ class TestCapacityCurve:
                 std=np.array([0.0]),
                 trials=1,
             )
+
+
+RUN_TRIALS_ROWS = """
+import hashlib
+import numpy as np
+from prmimo import ArrayGeometry, Scenario, run_trial, run_trials
+from prmimo.montecarlo import _trial_outcomes
+
+scenario = Scenario(ArrayGeometry(n_t=32, n_r=8), n_cl=20, trials=3, master_seed=777)
+single = [np.concatenate(run_trial(scenario, index)) for index in range(3)]
+batch = np.concatenate(run_trials(scenario, 0, 3), axis=1)
+campaign = [np.concatenate(outcome[1:3]) for outcome in _trial_outcomes(scenario, 1, False)]
+for rows in (single, batch, campaign):
+    print(hashlib.sha256(np.asarray(rows).tobytes()).hexdigest())
+"""
 
 
 class TestBlasThreads:
@@ -513,3 +581,14 @@ class TestBlasThreads:
         monkeypatch.setattr(numerics, "_openblas", lambda: None)
         for got, want in zip(run_campaign(scenario), expected):
             assert np.array_equal(got.mean, want.mean)
+
+    def test_run_trials_rows_match_the_campaign_at_any_thread_count(self):
+        # At L = 160 the design's sums split by BLAS thread count, so the
+        # rows agree only because run_trials runs on one thread.
+        hashes = {
+            threads: fresh_interpreter(RUN_TRIALS_ROWS, OPENBLAS_NUM_THREADS=threads).split()
+            for threads in ("1", "2")
+        }
+        assert len(hashes["1"]) == 3
+        assert hashes["1"] == hashes["2"]
+        assert len(set(hashes["1"])) == 1
