@@ -47,12 +47,14 @@ def _default_snr_grid():
     return np.arange(-10.0, 20.0 + 1e-9, 5.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """One reproducible experiment configuration.
 
     ``n_cl``, ``n_ray``, ``trials`` and ``master_seed`` are integers;
     numpy integers become ``int``, and a ``bool`` or a float is rejected.
+    Fields cannot be assigned once built, and ``snr_db`` is a read-only
+    copy of the given grid.
     """
 
     geometry: ArrayGeometry
@@ -65,9 +67,12 @@ class Scenario:
     master_seed: int = 12345
 
     def __post_init__(self):
+        # Through object, as the dataclass is frozen.
         for name in ("n_cl", "n_ray", "trials", "master_seed"):
-            setattr(self, name, require_integer(getattr(self, name), name))
-        self.snr_db = np.atleast_1d(np.asarray(self.snr_db, dtype=float))
+            object.__setattr__(self, name, require_integer(getattr(self, name), name))
+        snr_db = np.array(self.snr_db, dtype=float, ndmin=1)
+        snr_db.flags.writeable = False
+        object.__setattr__(self, "snr_db", snr_db)
         if self.snr_db.size < 1:
             raise InvalidInputError("snr grid must be nonempty")
         if not np.isfinite(self.snr_db).all():

@@ -43,11 +43,9 @@ class SubchannelGram:
         if self.indicator.shape != self.g.shape[:-1]:
             raise InvalidInputError("indicator length must match the gram dimension")
         # One matrix at a time, so the check holds two L x L temporaries
-        # (g^H - g, then its magnitudes) whatever the batch. g^H is built
-        # C-ordered, as adding a transposed operand makes numpy buffer it.
+        # (g^H - g, then its magnitudes) whatever the batch.
         for g in self.g.reshape((-1,) + self.g.shape[-2:]):
-            asymmetry = g.T.copy()
-            np.conjugate(asymmetry, out=asymmetry)
+            asymmetry = _conj_transpose(g)
             asymmetry -= g
             if np.max(np.abs(asymmetry)) > HERMITIAN_TOL:
                 raise InvalidInputError("gram matrix is not Hermitian within tolerance")
@@ -80,14 +78,12 @@ def _factored_gram(geometry, recv, basis):
     # over n_r * n_t, made exactly Hermitian: ``0.5 * (g + g^H)`` with
     # ``g = recv * (B^H B) / (n_r n_t)`` (the sum commutes bit for bit).
     # In place and one matrix at a time, so that a batch's set-up holds no
-    # L x L temporary per trial; g^H is built C-ordered, as adding a
-    # transposed operand makes numpy buffer it.
+    # L x L temporary per trial.
     g = basis.conj().swapaxes(-1, -2) @ basis
     np.multiply(recv, g, out=g)
     g /= geometry.n_r * geometry.n_t
     for matrix in g.reshape((-1,) + g.shape[-2:]):
-        sym = matrix.T.copy()
-        np.conjugate(sym, out=sym)
+        sym = _conj_transpose(matrix)
         sym += matrix
         np.multiply(0.5, sym, out=matrix)
     return g
@@ -120,10 +116,25 @@ def subchannel_gram(geometry, paths, m_hat):
 def correlation_indicator(g):
     """Per-row sum of squared off-diagonal Gram magnitudes (of each matrix of a stack)."""
     g = np.asarray(g, dtype=complex)
-    sq = np.abs(g) ** 2
     diagonal = np.arange(g.shape[-1])
-    sq[..., diagonal, diagonal] = 0.0
-    return sq.sum(axis=-1)
+    return _squared_off_diagonal(g, (..., diagonal, diagonal)).sum(axis=-1)
+
+
+def _conj_transpose(matrix):
+    # g^H of one matrix, built C-ordered: adding a transposed operand
+    # makes numpy buffer it.
+    result = matrix.T.copy()
+    np.conjugate(result, out=result)
+    return result
+
+
+def _squared_off_diagonal(values, diagonal):
+    # Squared magnitudes of Gram matrices, or of a step's target rows, with
+    # the diagonal entries (at the index tuple ``diagonal``) set to 0.
+    sq = np.abs(values)
+    np.square(sq, out=sq)
+    sq[diagonal] = 0.0
+    return sq
 
 
 @dataclass
@@ -186,123 +197,112 @@ def solve_modification_vector(b_sum, n_t):
     return candidate
 
 
+def _initial_state(geometry, paths):
+    # The receive factor, transmit basis, Gram matrix, its squared
+    # off-diagonal magnitudes and their row sums (the indicator) of the
+    # all-ones columns; the L x L ones are the 40 L^2 bytes per trial of
+    # ``montecarlo.trial_bytes``.
+    recv = receiver_factor_matrix(geometry, paths.aoa)
+    basis = _transmit_basis(geometry, paths.aod, np.ones((geometry.n_t, paths.gains.shape[-1])))
+    g = _factored_gram(geometry, recv, basis)
+    diagonal = np.arange(g.shape[-1])
+    sq = _squared_off_diagonal(g, (..., diagonal, diagonal))
+    return recv, basis, g, sq, sq.sum(axis=2)
+
+
+def _next_target(indicator, visited):
+    # Each trial's unvisited subchannel of highest indicator, marked
+    # visited. ``visited`` is -inf on visited indices and 0 elsewhere: added
+    # to the indicator, it masks them without changing any other entry.
+    target = np.argmax(indicator + visited, axis=1)
+    visited[np.arange(len(target)), target] = -np.inf
+    return target
+
+
+def _penalty_matrix(geometry, recv, order, m_prior, sin_prior, step):
+    # The real n_t x n_t penalty ``b_sum`` of step ``step`` against the
+    # columns designed before it, weighted by |rho^R|^2; ``m_prior`` and
+    # ``sin_prior`` are in visiting order, so those columns are a slice.
+    n_t, k = geometry.n_t, np.arange(geometry.n_t)
+    trials_col = np.arange(len(order))[:, None]
+    weights = np.abs(recv[trials_col, order[:, step, None], order[:, :step]] / geometry.n_r) ** 2
+    # Coupling columns m_j exp(j 2 pi d_t k (sin phi_t - sin phi_j)) / n_t,
+    # built in place: these (T, n_t, step) and (T, n_t, n_t) temporaries
+    # are most of a step's memory.
+    delta = sin_prior[:, step, None, None] - sin_prior[:, None, :step]
+    b_cols = 2j * np.pi * geometry.spacing_t * (k[:, None] * delta)
+    np.exp(b_cols, out=b_cols)
+    b_cols *= m_prior[:, :, :step]
+    b_cols /= n_t
+    weighted = b_cols.conj()
+    weighted *= weights[:, None, :]
+    # A real copy: the complex product and the coupling stacks are freed
+    # on return, before the eigensolve.
+    return (weighted @ b_cols.swapaxes(1, 2)).real.copy()
+
+
+def _refresh(geometry, recv, basis, g, sq, target, new_col, sin_target):
+    # Writes the new column into the transmit basis and the target's row and
+    # column into the Gram matrix (entry (i, j) keeps the value of the later
+    # visit; the diagonal stays real) and its squared magnitudes; returns
+    # the new indicator.
+    trials, n_r, n_t = np.arange(len(target)), geometry.n_r, geometry.n_t
+    tx_phase = 2j * np.pi * geometry.spacing_t * np.arange(n_t)
+    column = new_col * np.exp(tx_phase * sin_target[:, None])
+    basis[trials, :, target] = column
+    row = recv[trials, target] * (column.conj()[:, None, :] @ basis)[:, 0] / (n_r * n_t)
+    g[trials, target, :] = row
+    g[trials, :, target] = row.conj()
+    g[trials, target, target] = row[trials, target].real
+    row_sq = _squared_off_diagonal(row, (trials, target))
+    sq[trials, target, :] = row_sq
+    sq[trials, :, target] = row_sq
+    return sq.sum(axis=2)
+
+
 def run_sof(geometry, paths):
     """Sequentially redesign the modification columns for all paths.
 
-    Starts from the neutral all-ones matrix, picks the subchannel with
-    the highest correlation indicator (ties go to the lowest index), and
-    leaves that first column untouched. Every later iteration masks the
-    already-visited indices, picks the worst remaining subchannel,
-    accumulates the quadratic penalty against the current columns of all
-    previously visited indices, solves for the new column, and refreshes
-    the Gram matrix incrementally: each step writes only the target's
-    row, its conjugate column and the real diagonal entry between them.
+    Starts from the neutral all-ones columns and visits every subchannel
+    once, the most correlated unvisited one first (ties go to the lowest
+    index). The first visited column stays neutral; each later one is
+    ``solve_modification_vector`` of its quadratic penalty against the
+    columns already designed, and the Gram matrix and indicator are then
+    refreshed in the target's row and column only.
 
-    ``paths`` is one path set or a stacked one (``stack_paths``); one
-    set runs as a batch of one and its state comes back unstacked. The
-    trials of a batch run in lockstep: every trial takes the same number
-    of steps, so the set-up and each step are one stacked ``exp``,
-    ``matmul`` and ``eigh`` over a leading trial axis. Each stacked call
-    applies the same kernel to each trial's operands as a call on that
-    trial alone, so every row of the result is bit-identical to the call
-    on its path set, whatever the batch. Per trial, the batch holds two
-    complex L x L arrays and one real (40 L^2 bytes: the Gram and receive
-    factor matrices and the squared Gram magnitudes), and each step its
-    coupling columns (two complex n_t x step stacks) and one n_t x n_t
-    eigenproblem (about 40 n_t^2 bytes); ``montecarlo.trial_bytes``
-    counts them, and ``montecarlo.batch_size`` sizes campaign batches
-    from that.
+    ``paths`` is one path set or a stacked one (``stack_paths``); one set
+    runs as a batch of one and its state comes back unstacked. The trials
+    of a batch run in lockstep, so each row of the result is bit-identical
+    to the call on its path set; ``montecarlo.trial_bytes`` counts a
+    batch's memory. The returned state is checked once per batch.
 
-    Returns the completed state, checked once per batch; the Gram inside
-    it matches a from-scratch recomputation to tight tolerance, which the
-    tests check.
-
-    In the early steps the smallest eigenvalue of the penalty matrix is
-    often degenerate, so a round-off change in that matrix can pick a
-    different null vector and a visibly different design; the result is
-    reproducible bit for bit only with the same arithmetic on the same
-    LAPACK build. It also follows the caller's BLAS thread count: at
-    L = 160 one and two threads give states apart by ulps. Campaigns and
-    ``montecarlo.run_trials`` run on one thread
-    (``numerics.one_blas_thread``), so their rows do not depend on it.
+    Degenerate early steps make the design reproducible bit for bit only
+    on the same LAPACK build and, at L = 160, BLAS thread count; campaigns
+    and ``montecarlo.run_trials`` run on one (``numerics.one_blas_thread``).
     """
     if paths.gains.ndim == 1:
         state = run_sof(geometry, stack_paths([paths]))
         gram = SubchannelGram(g=state.gram.g[0], indicator=state.gram.indicator[0])
         return SofState(order=state.order[0], m_hat=state.m_hat[0], gram=gram)
-    n_t, n_r = geometry.n_t, geometry.n_r
     n_trials, n_paths = paths.gains.shape
     trials = np.arange(n_trials)
-    trials_col = trials[:, None]
-    diagonal = np.arange(n_paths)
-    recv = receiver_factor_matrix(geometry, paths.aoa)
-    basis = _transmit_basis(geometry, paths.aod, np.ones((n_t, n_paths)))
-    g = _factored_gram(geometry, recv, basis)
-    # Squared Gram magnitudes with a zero diagonal: the indicator is their
-    # row sum, and each step changes only the target row and column.
-    sq = np.abs(g)
-    np.square(sq, out=sq)
-    sq[:, diagonal, diagonal] = 0.0
-    indicator = sq.sum(axis=2)
+    recv, basis, g, sq, indicator = _initial_state(geometry, paths)
     sin_aod = np.sin(paths.aod)
-    k = np.arange(n_t)
-    tx_phase = 2j * np.pi * geometry.spacing_t * k
-
     order = np.empty((n_trials, n_paths), dtype=int)
-    order[:, 0] = np.argmax(indicator, axis=1)
-    # -inf on visited indices, 0 elsewhere: added to the indicator, it
-    # masks them from the argmax without changing any other entry.
     visited = np.zeros((n_trials, n_paths))
-    visited[trials, order[:, 0]] = -np.inf
-    # Designed columns and departure sines in visiting order, so the
-    # previously visited ones are a slice rather than a gather.
-    m_prior = np.ones((n_trials, n_t, n_paths))
+    m_prior = np.ones((n_trials, geometry.n_t, n_paths))
     sin_prior = np.empty((n_trials, n_paths))
-    sin_prior[:, 0] = sin_aod[trials, order[:, 0]]
 
-    for step in range(1, n_paths):
-        target = np.argmax(indicator + visited, axis=1)
+    for step in range(n_paths):
+        target = _next_target(indicator, visited)
         order[:, step] = target
-        visited[trials, target] = -np.inf
         sin_prior[:, step] = sin_aod[trials, target]
-
-        # |rho^R|^2 weights against each previously designed column.
-        weights = np.abs(recv[trials_col, target[:, None], order[:, :step]] / n_r) ** 2
-        # Coupling columns m_j exp(j 2 pi d_t k (sin phi_t - sin phi_j)) / n_t,
-        # built in place: these (T, n_t, step) and (T, n_t, n_t) temporaries
-        # are most of a step's memory.
-        b_cols = (
-            2j
-            * np.pi
-            * geometry.spacing_t
-            * (k[:, None] * (sin_prior[:, step, None, None] - sin_prior[:, None, :step]))
-        )
-        np.exp(b_cols, out=b_cols)
-        b_cols *= m_prior[:, :, :step]
-        b_cols /= n_t
-        weighted = b_cols.conj()
-        weighted *= weights[:, None, :]
-        # A real copy, so the complex product and the coupling stacks are
-        # freed before the eigensolve.
-        b_sum = (weighted @ b_cols.swapaxes(1, 2)).real.copy()
-        del b_cols, weighted
-
-        new_col = solve_modification_vector(b_sum, n_t)
+        if step == 0:
+            continue
+        b_sum = _penalty_matrix(geometry, recv, order, m_prior, sin_prior, step)
+        new_col = solve_modification_vector(b_sum, geometry.n_t)
         m_prior[:, :, step] = new_col
-
-        column = new_col * np.exp(tx_phase * sin_prior[:, step, None])
-        basis[trials, :, target] = column
-        row = recv[trials, target] * (column.conj()[:, None, :] @ basis)[:, 0] / (n_r * n_t)
-        # Entry (i, j) keeps the value written at the later visit of i and
-        # j; the diagonal stays real.
-        g[trials, target, :] = row
-        g[trials, :, target] = row.conj()
-        g[trials, target, target] = row[trials, target].real
-        row_sq = np.abs(row) ** 2
-        row_sq[trials, target] = 0.0
-        sq[trials, target, :] = row_sq
-        sq[trials, :, target] = row_sq
-        indicator = sq.sum(axis=2)
+        indicator = _refresh(geometry, recv, basis, g, sq, target, new_col, sin_prior[:, step])
 
     # Only the Gram and the columns outlive the loop.
     del recv, sq, basis

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -103,6 +104,25 @@ class TestScenario:
 
     def test_good_accepts_few_clusters(self):
         assert small_scenario(n_cl=1, condition="good").n_cl == 1
+
+    @pytest.mark.parametrize(
+        "name, value", [("n_ray", 2.5), ("trials", 0), ("snr_db", np.array([1.0])), ("condition", "good")]
+    )
+    def test_rejects_assignment(self, name, value):
+        # Checks run at construction only, so no field may change after it.
+        scenario = small_scenario()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(scenario, name, value)
+        assert np.array_equal(getattr(scenario, name), getattr(small_scenario(), name))
+
+    def test_snr_grid_is_a_read_only_copy(self):
+        grid = np.array([0.0, 10.0])
+        scenario = small_scenario(snr_db=grid)
+        grid[0] = 40.0
+        assert np.array_equal(scenario.snr_db, [0.0, 10.0])
+        assert not scenario.snr_db.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            scenario.snr_db[0] = 40.0
 
 
 class TestTrialRng:
@@ -500,12 +520,13 @@ class TestRunCampaign:
             run_campaign(scenario, schemes=("physical",))
 
     def test_unexpected_error_aborts_through_the_pool(self, monkeypatch):
-        # A ray count that is not an integer, set past the check at
-        # construction, breaks the path draw with a TypeError inside the
-        # worker processes; batches of at most two trials need the pool.
+        # A ray count that is not an integer, forced past the frozen
+        # dataclass and its check at construction, breaks the path draw
+        # with a TypeError inside the worker processes; batches of at most
+        # two trials need the pool.
         scenario = small_scenario(trials=6)
         force_batch_size(monkeypatch, scenario, 2)
-        scenario.n_ray = 2.5
+        object.__setattr__(scenario, "n_ray", 2.5)
         with pytest.raises(CampaignError, match=r"trial 0 \(master_seed 99\) raised TypeError"):
             run_campaign(scenario, workers=2)
 

@@ -13,6 +13,7 @@ from prmimo import (
     solve_modification_vector,
     subchannel_gram,
 )
+import prmimo.montecarlo as montecarlo
 from prmimo.channel import stack_paths
 
 
@@ -210,12 +211,17 @@ class TestRunSof:
 
     def test_final_indicator_equals_full_recompute(self):
         # The loop refreshes only the changed row and column of the squared
-        # magnitudes; the row sums must equal a full recompute bit for bit.
+        # magnitudes; the row sums must equal a full recompute bit for bit,
+        # for one path set and for a stack.
         rng = np.random.default_rng(81)
         geom = ArrayGeometry(n_t=32, n_r=8)
-        paths = random_paths(rng, 80)
-        state = run_sof(geom, paths)
-        assert np.array_equal(state.gram.indicator, correlation_indicator(state.gram.g))
+        for paths in (
+            random_paths(rng, 80),
+            stack_paths([random_paths(rng, 160) for _ in range(3)]),
+        ):
+            state = run_sof(geom, paths)
+            assert state.gram.indicator.shape == paths.gains.shape
+            assert np.array_equal(state.gram.indicator, correlation_indicator(state.gram.g))
 
     def test_objective_matches_gram_definition(self):
         # Columns are designed once and never revisited, so the penalty
@@ -247,13 +253,26 @@ class TestRunSof:
 
 
 class TestRunSofOnStacks:
-    @pytest.mark.parametrize("size", [2, 3, 8])
-    def test_matches_single_runs_bit_for_bit(self, size):
+    @pytest.mark.parametrize(
+        "n_t, n_r, n_paths, size",
+        [
+            pytest.param(16, 4, 12, 2, id="2"),
+            pytest.param(16, 4, 12, 3, id="3"),
+            pytest.param(16, 4, 12, 8, id="8"),
+            # The benchmark shapes, in the campaign batch sizes there.
+            pytest.param(32, 8, 8, 12, id="L8-12"),
+            pytest.param(32, 8, 80, 6, id="L80-6"),
+            pytest.param(32, 8, 160, 3, id="L160-3"),
+        ],
+    )
+    def test_matches_single_runs_bit_for_bit(self, n_t, n_r, n_paths, size):
+        if n_t == 32:
+            assert montecarlo.batch_size(n_paths, n_t) == size
         rng = np.random.default_rng(84)
-        geom = ArrayGeometry(n_t=16, n_r=4)
-        path_sets = [random_paths(rng, 12) for _ in range(size)]
+        geom = ArrayGeometry(n_t=n_t, n_r=n_r)
+        path_sets = [random_paths(rng, n_paths) for _ in range(size)]
         batch = run_sof(geom, stack_paths(path_sets))
-        assert batch.order.shape == (size, 12)
+        assert batch.order.shape == (size, n_paths)
         for row, paths in enumerate(path_sets):
             single = run_sof(geom, paths)
             assert np.array_equal(batch.order[row], single.order)
