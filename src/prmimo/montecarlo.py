@@ -9,6 +9,8 @@ batches. Results are a pure function of the scenario; worker count,
 batch size and scheduling never change them.
 """
 
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -100,6 +102,12 @@ class Scenario:
                 f"ill-conditioned profile needs n_cl >= {ILL_MIN_CLUSTERS}"
             )
 
+    def __setstate__(self, state):
+        # Unpickling (as the worker pool does) skips __post_init__ and
+        # restores a writeable grid.
+        self.__dict__.update(state)
+        self.snr_db.flags.writeable = False
+
 
 @dataclass
 class CapacityCurve:
@@ -189,7 +197,10 @@ def batch_size(n_paths, n_t):
 
     As many as keep the batch's peak (``trial_bytes``) within
     ``BATCH_STATE_BYTES`` and its per-step stacks within
-    ``BATCH_STEP_BYTES``, and at least one.
+    ``BATCH_STEP_BYTES``, and at least one. A campaign in this process
+    splits it over its lanes (see ``run_campaign``), so it holds lanes x
+    ``ceil(batch_size / lanes)`` trials in flight, at most one more per
+    lane than one batch.
     """
     peak, step = trial_bytes(n_paths, n_t)
     return max(1, int(min(BATCH_STATE_BYTES // peak, BATCH_STEP_BYTES // step)))
@@ -275,46 +286,130 @@ def _run_batch(scenario, start, stop, safeguard):
     ]
 
 
+def _usable_cores():
+    # The cores this process may run on: its CPU affinity, where the
+    # platform reports one.
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _unless_aborted(abort, run, start, stop):
+    # The batch's outcomes, or none once a batch has failed: a failure
+    # sets ``abort``, so that the batches not yet started are skipped.
+    if abort.is_set():
+        return []
+    try:
+        return run(start, stop)
+    except BaseException:
+        abort.set()
+        raise
+
+
+def _in_lanes(run, starts, stops, lanes):
+    # Lane k runs batches k, k + lanes, ... in order; the calling thread
+    # is lane 0, so one lane starts no thread. Once all lanes have
+    # stopped, the earliest failed batch's exception is raised.
+    batches = [None] * len(starts)
+    errors = {}
+    abort = threading.Event()
+
+    def lane(first):
+        for index in range(first, len(starts), lanes):
+            try:
+                batches[index] = _unless_aborted(abort, run, starts[index], stops[index])
+            except BaseException as exc:  # raised again by the calling thread
+                errors[index] = exc
+                return
+
+    threads = [threading.Thread(target=lane, args=(first,)) for first in range(1, lanes)]
+    for thread in threads:
+        thread.start()
+    try:
+        lane(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return batches
+
+
+# A pool worker's copy of its pool's abort event (see ``_start_worker``).
+_worker_abort = None
+
+
+def _start_worker(abort):
+    # Pool initializer, so that it holds under any start method.
+    global _worker_abort
+    _worker_abort = abort
+    set_blas_threads(1)
+
+
+def _pool_batch(run, start, stop):
+    return _unless_aborted(_worker_abort, run, start, stop)
+
+
 def _trial_outcomes(scenario, workers, safeguard):
     # Consecutive lockstep batches, so only the campaign's last one is
-    # short. The pool, of no more workers than batches, takes them in
-    # chunks, about eight per worker: few enough tasks that dispatch
-    # stays cheap, enough to balance uneven trials.
+    # short. In this process they run on one lane per usable core, of
+    # ceil(batch_size / lanes) trials each, so that the trials in flight
+    # grow by at most one per lane. The pool, of no more workers than
+    # batches, takes full batches in chunks, about eight per worker: few
+    # enough tasks that dispatch stays cheap, enough to balance uneven
+    # trials. A failed batch stops the lanes or workers before their next
+    # batch.
     trials = scenario.trials
     size = batch_size(scenario.n_cl * scenario.n_ray, scenario.geometry.n_t)
+    n_batches = -(-trials // size)
+    workers = min(workers, n_batches)
+    lanes = 1 if workers > 1 else min(_usable_cores(), size, n_batches)
+    size = -(-size // lanes)
     starts = range(0, trials, size)
     stops = [min(start + size, trials) for start in starts]
     run = partial(_run_batch, scenario, safeguard=safeguard)
-    workers = min(workers, len(starts))
     if workers <= 1:
+        # Set here once, so that no lane sets the count (see
+        # ``one_blas_thread``) while another runs BLAS work.
         with one_blas_thread():
-            batches = list(map(run, starts, stops))
+            batches = _in_lanes(run, starts, stops, lanes)
     else:
         # Imported here, so that a serial run loads no process machinery.
         from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import Event
 
-        # Set by an initializer, so that it holds under any start method.
-        with ProcessPoolExecutor(workers, initializer=set_blas_threads, initargs=(1,)) as pool:
+        # The pool's own map already cancels the chunks it has not handed
+        # to a worker; the event skips the ones handed over.
+        with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(Event(),)) as pool:
             chunk = -(-len(starts) // (8 * workers))
-            batches = list(pool.map(run, starts, stops, chunksize=chunk))
+            batches = list(pool.map(partial(_pool_batch, run), starts, stops, chunksize=chunk))
     return [outcome for outcomes in batches for outcome in outcomes]
 
 
 def run_campaign(scenario, schemes=SCHEMES, workers=1, safeguard=False):
     """Run all trials and aggregate one capacity curve per scheme.
 
-    Trials run in consecutive lockstep batches of ``batch_size`` trials,
-    in this process when ``workers <= 1`` or there is one batch, and
-    otherwise on a pool of ``min(workers, batches)`` processes that takes
-    the batches in chunks of about ``batches / (8 * workers)``, each
-    process on one BLAS thread (the caller's count is restored). Only
-    that pool imports the process machinery. Results are reduced in
-    trial order, so the output is byte-reproducible for a fixed scenario
-    regardless of parallelism, batching and the environment's BLAS
-    thread count.
+    Trials run in consecutive lockstep batches. When ``workers <= 1`` or
+    there is one batch of ``batch_size`` trials, they run in this process
+    on ``lanes = min(usable cores, batch_size, batches)`` threads, the
+    caller's among them; the usable cores are the process's CPU affinity
+    (``os.sched_getaffinity``, else ``os.cpu_count()``), so ``taskset``
+    limits the lanes. Lane k runs batches k, k + lanes, ... of
+    ``ceil(batch_size / lanes)`` trials; numpy's eigensolves, products
+    and large ufunc loops release the GIL, so the lanes overlap. The
+    count of BLAS threads is set to one once, by the caller's thread.
+    Otherwise a pool of ``min(workers, batches)`` processes takes
+    batches of ``batch_size`` trials in chunks of about ``batches / (8 *
+    workers)``, each process on one BLAS thread. The caller's BLAS count
+    is restored either way. Only the pool imports the process machinery.
+    Results are reduced in trial order, so the output is
+    byte-reproducible for a fixed scenario regardless of lanes, workers,
+    batching and the environment's BLAS thread count.
     Trials that raise a ``PrMimoError`` are excluded and counted; more
     than 1% of failures aborts with ``CampaignError``, and so does any
-    other exception at once, naming the master seed and the trial index.
+    other exception at once, naming the master seed and the trial index;
+    the lanes or workers then start no further batch.
     """
     schemes = tuple(schemes)
     if not schemes:

@@ -130,13 +130,22 @@ def set_blas_threads(count):
 
 @contextmanager
 def one_blas_thread():
-    """Run the block on one BLAS thread, then restore the caller's count."""
-    previous = set_blas_threads(1)
+    """Run the block on one BLAS thread, then restore the caller's count.
+
+    Where the count is already one, or the library is absent, this only
+    reads the count and sets nothing, so threads that enter it while
+    others run BLAS work never stop the library's pool under them.
+    """
+    lib = _openblas()
+    previous = None if lib is None else lib.scipy_openblas_get_num_threads64_()
+    if previous in (None, 1):
+        yield
+        return
+    set_blas_threads(1)
     try:
         yield
     finally:
-        if previous is not None:
-            set_blas_threads(previous)
+        set_blas_threads(previous)
 
 
 def eig_sym(b):

@@ -1,5 +1,9 @@
 import concurrent.futures
 import dataclasses
+import pickle
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -124,6 +128,14 @@ class TestScenario:
         with pytest.raises(ValueError, match="read-only"):
             scenario.snr_db[0] = 40.0
 
+    def test_unpickled_grid_stays_read_only(self):
+        # The worker pool receives its scenario pickled.
+        scenario = pickle.loads(pickle.dumps(small_scenario()))
+        assert np.array_equal(scenario.snr_db, [0.0, 10.0])
+        assert not scenario.snr_db.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            scenario.snr_db[0] = 40.0
+
 
 class TestTrialRng:
     def test_reproducible(self):
@@ -207,6 +219,11 @@ def force_batch_size(monkeypatch, scenario, size):
     monkeypatch.setattr(montecarlo, "BATCH_STATE_BYTES", size * peak)
     monkeypatch.setattr(montecarlo, "BATCH_STEP_BYTES", size * step)
     assert montecarlo.batch_size(n_paths, n_t) == size
+
+
+def pin_cores(monkeypatch, cores):
+    """Make the campaign see ``cores`` usable cores, so at most that many lanes."""
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
 
 
 def single_trial_rows(scenario):
@@ -430,6 +447,7 @@ class TestRunCampaign:
     def test_serial_campaign_runs_full_batches_and_one_short_last(self, monkeypatch):
         # L = 8 and n_t = 32 make batches of 12: 400 = 33 x 12 + 4.
         scenario = small_scenario(geometry=ArrayGeometry(n_t=32, n_r=8), trials=400)
+        pin_cores(monkeypatch, 1)
         real_run_trials = montecarlo.run_trials
         calls = []
 
@@ -446,6 +464,7 @@ class TestRunCampaign:
         # each trial is rerun alone; the campaign still stops.
         scenario = small_scenario(trials=10)
         force_batch_size(monkeypatch, scenario, 4)
+        pin_cores(monkeypatch, 1)
         real_design = montecarlo.design_pattern
 
         def batch_only_bug(geometry, paths):
@@ -531,6 +550,193 @@ class TestRunCampaign:
             run_campaign(scenario, workers=2)
 
 
+def record_batches(monkeypatch):
+    """Record ``(thread, start, stop)`` of every ``run_trials`` call."""
+    real_run_trials = montecarlo.run_trials
+    calls = []
+
+    def recording(sc, start, stop, safeguard=False):
+        calls.append((threading.get_ident(), start, stop))
+        return real_run_trials(sc, start, stop, safeguard)
+
+    monkeypatch.setattr(montecarlo, "run_trials", recording)
+    return calls
+
+
+class TestLanes:
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_one_lane_per_usable_core(self, monkeypatch, cores):
+        # Five batches of six: lane k runs batches k, k + lanes, ... of
+        # ceil(6 / lanes) trials, and the calling thread is lane 0.
+        scenario = small_scenario(trials=30)
+        expected = single_trial_rows(scenario)
+        force_batch_size(monkeypatch, scenario, 6)
+        pin_cores(monkeypatch, cores)
+        calls = record_batches(monkeypatch)
+        outcomes = montecarlo._trial_outcomes(scenario, 1, False)
+        size = -(-6 // cores)
+        batches = sorted(calls, key=lambda call: call[1])
+        assert [call[1:] for call in batches] == [
+            (start, min(start + size, 30)) for start in range(0, 30, size)
+        ]
+        lanes = [{call[0] for call in batches[first::cores]} for first in range(cores)]
+        assert lanes[0] == {threading.get_ident()}
+        assert all(len(lane) == 1 for lane in lanes)
+        assert len(set.union(*lanes)) == cores
+        assert [outcome[0] for outcome in outcomes] == list(range(30))
+        for (_, physical, designed, _), (want_physical, want_designed) in zip(
+            outcomes, expected
+        ):
+            assert np.array_equal(physical, want_physical)
+            assert np.array_equal(designed, want_designed)
+
+    def test_more_lanes_than_cores_lose_no_batch(self, monkeypatch):
+        # Eight lanes of one-trial batches, switching threads every
+        # microsecond: every trial's row lands in its own place.
+        scenario = small_scenario(trials=64)
+        expected = single_trial_rows(scenario)
+        force_batch_size(monkeypatch, scenario, 8)
+        pin_cores(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outcomes = montecarlo._trial_outcomes(scenario, 1, False)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [outcome[0] for outcome in outcomes] == list(range(64))
+        for (_, physical, designed, _), (want_physical, want_designed) in zip(
+            outcomes, expected
+        ):
+            assert np.array_equal(physical, want_physical)
+            assert np.array_equal(designed, want_designed)
+
+    @pytest.mark.parametrize(
+        "size, trials, lanes", [(2, 30, 2), (6, 12, 2), (3, 3, 1), (25, 20, 1)]
+    )
+    def test_lanes_bounded_by_batch_size_and_batches(self, monkeypatch, size, trials, lanes):
+        scenario = small_scenario(trials=trials)
+        force_batch_size(monkeypatch, scenario, size)
+        pin_cores(monkeypatch, 8)
+        calls = record_batches(monkeypatch)
+        montecarlo._trial_outcomes(scenario, 1, False)
+        assert len({call[0] for call in calls}) == lanes
+
+    @pytest.mark.parametrize("cores, size, trials", [(1, 2, 12), (4, 4, 4)])
+    def test_one_lane_starts_no_thread(self, monkeypatch, cores, size, trials):
+        scenario = small_scenario(trials=trials)
+        force_batch_size(monkeypatch, scenario, size)
+        pin_cores(monkeypatch, cores)
+        expected = run_campaign(scenario)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        for got, want in zip(run_campaign(scenario), expected):
+            assert np.array_equal(got.mean, want.mean)
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize(
+        "n_cl, condition, trials", [(4, "good", 37), (10, "ill", 13), (20, "ill", 7)]
+    )
+    def test_campaign_rows_match_run_trial_bit_for_bit(
+        self, monkeypatch, cores, n_cl, condition, trials
+    ):
+        # The benchmark shapes, L = 8, 80 and 160 at n_t = 32, each with a
+        # short last lane batch.
+        scenario = Scenario(
+            ArrayGeometry(n_t=32, n_r=8),
+            n_cl=n_cl,
+            n_ray=2 if n_cl == 4 else 8,
+            condition=condition,
+            trials=trials,
+            master_seed=2024,
+        )
+        expected = single_trial_rows(scenario)
+        pin_cores(monkeypatch, cores)
+        calls = record_batches(monkeypatch)
+        outcomes = montecarlo._trial_outcomes(scenario, 1, False)
+        assert len({call[0] for call in calls}) == cores
+        assert [outcome[0] for outcome in outcomes] == list(range(trials))
+        for (_, physical, designed, error), (want_physical, want_designed) in zip(
+            outcomes, expected
+        ):
+            assert error is None
+            assert np.array_equal(physical, want_physical)
+            assert np.array_equal(designed, want_designed)
+
+    def test_only_the_main_thread_sets_the_blas_count(self, monkeypatch):
+        # A lane that set the count would stop OpenBLAS's pool while
+        # another lane runs BLAS work.
+        lib = numerics._openblas()
+        if lib is None:
+            pytest.skip("numpy's bundled OpenBLAS is not present")
+        real_set = numerics.set_blas_threads
+        real_run_trials = montecarlo.run_trials
+        setters, counts = [], []
+
+        def recording_set(count):
+            setters.append(threading.current_thread() is threading.main_thread())
+            return real_set(count)
+
+        def recording_run(sc, start, stop, safeguard=False):
+            counts.append(lib.scipy_openblas_get_num_threads64_())
+            return real_run_trials(sc, start, stop, safeguard)
+
+        scenario = small_scenario(trials=30)
+        force_batch_size(monkeypatch, scenario, 6)
+        pin_cores(monkeypatch, 3)
+        monkeypatch.setattr(numerics, "set_blas_threads", recording_set)
+        monkeypatch.setattr(montecarlo, "run_trials", recording_run)
+        previous = real_set(3)
+        try:
+            run_campaign(scenario)
+            assert lib.scipy_openblas_get_num_threads64_() == 3
+        finally:
+            real_set(previous)
+        assert setters == [True, True]
+        assert counts == [1] * 15
+
+    @pytest.mark.parametrize(
+        "workers, size, trials, most",
+        [
+            # Each other lane or worker starts at most the batch it had
+            # checked for before the failure: three lanes of one-trial
+            # batches, and two workers taking 120 one-trial batches in
+            # chunks of eight, a few of them queued in the workers.
+            (1, 3, 60, 2),
+            (2, 1, 120, 1),
+        ],
+    )
+    def test_abort_cancels_batches_not_started(
+        self, monkeypatch, tmp_path, workers, size, trials, most
+    ):
+        scenario = small_scenario(trials=trials)
+        force_batch_size(monkeypatch, scenario, size)
+        pin_cores(monkeypatch, 3)
+        real_run_trials = montecarlo.run_trials
+        log = tmp_path / "batches.txt"
+
+        def failing_first(sc, start, stop, safeguard=False):
+            # Appends from the workers too: they inherit this patch by fork.
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"start {start}\n")
+            if start == 0:
+                with open(log, "a", encoding="utf-8") as handle:
+                    handle.write("fail\n")
+                raise TypeError("synthetic bug")
+            time.sleep(0.005)
+            return real_run_trials(sc, start, stop, safeguard)
+
+        monkeypatch.setattr(montecarlo, "run_trials", failing_first)
+        with pytest.raises(CampaignError, match=r"trial 0 \(master_seed 99\) raised TypeError"):
+            run_campaign(scenario, workers=workers)
+        lines = log.read_text(encoding="utf-8").splitlines()
+        after = lines[lines.index("fail") + 1 :]
+        assert all(line.startswith("start ") for line in after)
+        assert len(after) <= most
+
+
 class TestCapacityCurve:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
@@ -586,6 +792,7 @@ class TestBlasThreads:
             return real_run_trials(sc, start, stop, safeguard)
 
         monkeypatch.setattr(montecarlo, "run_trials", recording)
+        pin_cores(monkeypatch, 1)
         previous = numerics.set_blas_threads(3)
         try:
             run_campaign(small_scenario(trials=120), workers=workers)

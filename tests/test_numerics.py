@@ -230,6 +230,24 @@ class TestBlasThreads:
         finally:
             set_blas_threads(previous)
 
+    def test_only_reads_the_count_when_it_is_one(self, monkeypatch):
+        # Campaign lanes enter it while other lanes run BLAS work, so it
+        # must not set the count (which stops the library's pool) then.
+        lib = numerics._openblas()
+        if lib is None:
+            pytest.skip("numpy's bundled OpenBLAS is not present")
+        previous = set_blas_threads(1)
+        try:
+
+            def no_set(count):
+                raise AssertionError("the count was set")
+
+            monkeypatch.setattr(numerics, "set_blas_threads", no_set)
+            with one_blas_thread():
+                assert lib.scipy_openblas_get_num_threads64_() == 1
+        finally:
+            set_blas_threads(previous)
+
     def test_noop_when_the_library_is_absent(self, monkeypatch):
         monkeypatch.setattr(numerics, "_openblas", lambda: None)
         assert set_blas_threads(1) is None
