@@ -88,7 +88,8 @@ def _build_parser():
                         help="comma list from: physical, pattern, ideal")
     parser.add_argument("--safeguard", action="store_const", const=True,
                         help="floor the designed pattern at the physical channel")
-    parser.add_argument("--workers", type=int, help="trial worker processes")
+    parser.add_argument("--workers", type=int,
+                        help="trial worker processes (default 1: one per usable core)")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--emit-plot", dest="emit_plot", action="store_const",

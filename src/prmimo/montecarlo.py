@@ -10,7 +10,6 @@ batch size and scheduling never change them.
 """
 
 import os
-import threading
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -197,10 +196,7 @@ def batch_size(n_paths, n_t):
 
     As many as keep the batch's peak (``trial_bytes``) within
     ``BATCH_STATE_BYTES`` and its per-step stacks within
-    ``BATCH_STEP_BYTES``, and at least one. A campaign in this process
-    splits it over its lanes (see ``run_campaign``), so it holds lanes x
-    ``ceil(batch_size / lanes)`` trials in flight, at most one more per
-    lane than one batch.
+    ``BATCH_STEP_BYTES``, and at least one.
     """
     peak, step = trial_bytes(n_paths, n_t)
     return max(1, int(min(BATCH_STATE_BYTES // peak, BATCH_STEP_BYTES // step)))
@@ -295,47 +291,6 @@ def _usable_cores():
         return os.cpu_count() or 1
 
 
-def _unless_aborted(abort, run, start, stop):
-    # The batch's outcomes, or none once a batch has failed: a failure
-    # sets ``abort``, so that the batches not yet started are skipped.
-    if abort.is_set():
-        return []
-    try:
-        return run(start, stop)
-    except BaseException:
-        abort.set()
-        raise
-
-
-def _in_lanes(run, starts, stops, lanes):
-    # Lane k runs batches k, k + lanes, ... in order; the calling thread
-    # is lane 0, so one lane starts no thread. Once all lanes have
-    # stopped, the earliest failed batch's exception is raised.
-    batches = [None] * len(starts)
-    errors = {}
-    abort = threading.Event()
-
-    def lane(first):
-        for index in range(first, len(starts), lanes):
-            try:
-                batches[index] = _unless_aborted(abort, run, starts[index], stops[index])
-            except BaseException as exc:  # raised again by the calling thread
-                errors[index] = exc
-                return
-
-    threads = [threading.Thread(target=lane, args=(first,)) for first in range(1, lanes)]
-    for thread in threads:
-        thread.start()
-    try:
-        lane(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[min(errors)]
-    return batches
-
-
 # A pool worker's copy of its pool's abort event (see ``_start_worker``).
 _worker_abort = None
 
@@ -348,34 +303,36 @@ def _start_worker(abort):
 
 
 def _pool_batch(run, start, stop):
-    return _unless_aborted(_worker_abort, run, start, stop)
+    # The batch's outcomes, or none once a batch has failed: a failure
+    # sets the abort event, so that the batches not yet started are skipped.
+    if _worker_abort.is_set():
+        return []
+    try:
+        return run(start, stop)
+    except BaseException:
+        _worker_abort.set()
+        raise
 
 
 def _trial_outcomes(scenario, workers, safeguard):
     # Consecutive lockstep batches, so only the campaign's last one is
-    # short. In this process they run on one lane per usable core, of
-    # ceil(batch_size / lanes) trials each, so that the trials in flight
-    # grow by at most one per lane. The pool, of no more workers than
-    # batches, takes full batches in chunks, about eight per worker: few
-    # enough tasks that dispatch stays cheap, enough to balance uneven
-    # trials. A failed batch stops the lanes or workers before their next
-    # batch.
+    # short, on no more workers than batches: one per usable core for
+    # ``workers == 1``. One worker is this process; more make a pool that
+    # takes the batches in chunks, about eight per worker: few enough
+    # tasks that dispatch stays cheap, enough to balance uneven trials.
+    # A failed batch stops the workers before their next batch.
     trials = scenario.trials
     size = batch_size(scenario.n_cl * scenario.n_ray, scenario.geometry.n_t)
-    n_batches = -(-trials // size)
-    workers = min(workers, n_batches)
-    lanes = 1 if workers > 1 else min(_usable_cores(), size, n_batches)
-    size = -(-size // lanes)
     starts = range(0, trials, size)
     stops = [min(start + size, trials) for start in starts]
     run = partial(_run_batch, scenario, safeguard=safeguard)
-    if workers <= 1:
-        # Set here once, so that no lane sets the count (see
-        # ``one_blas_thread``) while another runs BLAS work.
+    workers = min(_usable_cores() if workers == 1 else workers, len(starts))
+    if workers == 1:
         with one_blas_thread():
-            batches = _in_lanes(run, starts, stops, lanes)
+            batches = list(map(run, starts, stops))
     else:
-        # Imported here, so that a serial run loads no process machinery.
+        # Imported here, so that a run in this process loads no process
+        # machinery.
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import Event
 
@@ -390,27 +347,25 @@ def _trial_outcomes(scenario, workers, safeguard):
 def run_campaign(scenario, schemes=SCHEMES, workers=1, safeguard=False):
     """Run all trials and aggregate one capacity curve per scheme.
 
-    Trials run in consecutive lockstep batches. When ``workers <= 1`` or
-    there is one batch of ``batch_size`` trials, they run in this process
-    on ``lanes = min(usable cores, batch_size, batches)`` threads, the
-    caller's among them; the usable cores are the process's CPU affinity
-    (``os.sched_getaffinity``, else ``os.cpu_count()``), so ``taskset``
-    limits the lanes. Lane k runs batches k, k + lanes, ... of
-    ``ceil(batch_size / lanes)`` trials; numpy's eigensolves, products
-    and large ufunc loops release the GIL, so the lanes overlap. The
-    count of BLAS threads is set to one once, by the caller's thread.
-    Otherwise a pool of ``min(workers, batches)`` processes takes
-    batches of ``batch_size`` trials in chunks of about ``batches / (8 *
-    workers)``, each process on one BLAS thread. The caller's BLAS count
-    is restored either way. Only the pool imports the process machinery.
-    Results are reduced in trial order, so the output is
-    byte-reproducible for a fixed scenario regardless of lanes, workers,
+    Trials run in consecutive lockstep batches of ``batch_size`` trials
+    on ``min(workers, batches)`` processes, where ``workers`` is an
+    integer >= 1 and the default, 1, stands for the usable cores: the
+    process's CPU affinity (``os.sched_getaffinity``, else
+    ``os.cpu_count()``), so ``taskset`` limits them. One process is this
+    one; more make a pool that takes the batches in chunks of about
+    ``batches / (8 * workers)``. Every batch runs on one BLAS thread, and
+    the caller's count is restored. Only the pool imports the process
+    machinery. Results are reduced in trial order, so the output is
+    byte-reproducible for a fixed scenario regardless of workers,
     batching and the environment's BLAS thread count.
     Trials that raise a ``PrMimoError`` are excluded and counted; more
     than 1% of failures aborts with ``CampaignError``, and so does any
     other exception at once, naming the master seed and the trial index;
-    the lanes or workers then start no further batch.
+    the workers then start no further batch.
     """
+    workers = require_integer(workers, "workers")
+    if workers < 1:
+        raise InvalidInputError(f"workers must be >= 1, got {workers}")
     schemes = tuple(schemes)
     if not schemes:
         raise InvalidInputError("at least one scheme is required")

@@ -133,8 +133,8 @@ def one_blas_thread():
     """Run the block on one BLAS thread, then restore the caller's count.
 
     Where the count is already one, or the library is absent, this only
-    reads the count and sets nothing, so threads that enter it while
-    others run BLAS work never stop the library's pool under them.
+    reads the count and sets nothing, so a nested use (each batch of a
+    campaign, each batch in a pool worker) costs one read.
     """
     lib = _openblas()
     previous = None if lib is None else lib.scipy_openblas_get_num_threads64_()

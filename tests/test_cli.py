@@ -246,6 +246,15 @@ print(*sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "multi
 """
 
 
+# RUN_MAIN on one usable core (the lowest in the affinity), where the
+# default runs in this process.
+RUN_MAIN_ONE_CORE = """
+import os
+
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+""" + RUN_MAIN
+
+
 class TestPoolImport:
     def test_serial_run_loads_no_pool_machinery(self, tmp_path):
         assert fresh_interpreter(RUN_MAIN, *run_args(tmp_path / "serial")).split() == []
@@ -254,7 +263,7 @@ class TestPoolImport:
         # Eight trials at L = 80 are two batches, so two workers build a pool.
         flags = ["--trials", "8", "--snr-db", "0:10:10", "--seed", "7"]
         serial, parallel = tmp_path / "w1", tmp_path / "w2"
-        assert fresh_interpreter(RUN_MAIN, *flags, "--out", str(serial)).split() == []
+        assert fresh_interpreter(RUN_MAIN_ONE_CORE, *flags, "--out", str(serial)).split() == []
         loaded = fresh_interpreter(RUN_MAIN, *flags, "--workers", "2", "--out", str(parallel))
         assert "concurrent.futures.process" in loaded.split()
         assert (parallel / "capacity.csv").read_bytes() == (serial / "capacity.csv").read_bytes()

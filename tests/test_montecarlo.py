@@ -1,8 +1,6 @@
 import concurrent.futures
 import dataclasses
 import pickle
-import sys
-import threading
 import time
 import tracemalloc
 
@@ -222,7 +220,7 @@ def force_batch_size(monkeypatch, scenario, size):
 
 
 def pin_cores(monkeypatch, cores):
-    """Make the campaign see ``cores`` usable cores, so at most that many lanes."""
+    """Make the campaign see ``cores`` usable cores, so at most that many workers."""
     monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
 
 
@@ -337,6 +335,19 @@ class TestRunTrials:
         assert not np.array_equal(designed[3], run_trial(scenario, 3)[1])
 
 
+def record_pools(monkeypatch):
+    """Record the worker count of every pool the campaign builds."""
+    real_pool = concurrent.futures.ProcessPoolExecutor
+    sizes = []
+
+    def recording(workers, **kwargs):
+        sizes.append(workers)
+        return real_pool(workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    return sizes
+
+
 class TestRunCampaign:
     def test_single_trial_statistics(self):
         scenario = small_scenario(trials=1)
@@ -410,18 +421,20 @@ class TestRunCampaign:
     def test_pool_has_no_more_workers_than_batches(self, monkeypatch):
         scenario = small_scenario(trials=4)
         force_batch_size(monkeypatch, scenario, 2)
-        real_pool = concurrent.futures.ProcessPoolExecutor
-        sizes = []
-
-        def recording(workers, **kwargs):
-            sizes.append(workers)
-            return real_pool(workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+        pin_cores(monkeypatch, 1)
+        sizes = record_pools(monkeypatch)
         serial = run_campaign(scenario, workers=1)
         for got, want in zip(run_campaign(scenario, workers=3), serial):
             assert np.array_equal(got.mean, want.mean)
         assert sizes == [2]
+
+    @pytest.mark.parametrize("workers", [2.5, "2", 0, -3, True])
+    def test_rejects_bad_worker_counts(self, monkeypatch, workers):
+        # Three batches, so that a count taken as given reaches the pool.
+        scenario = small_scenario(trials=400)
+        force_batch_size(monkeypatch, scenario, 134)
+        with pytest.raises(InvalidInputError, match="workers"):
+            run_campaign(scenario, workers=workers)
 
     def test_failure_in_a_batch_fails_only_its_trial(self, monkeypatch):
         scenario = small_scenario(trials=12)
@@ -550,90 +563,40 @@ class TestRunCampaign:
             run_campaign(scenario, workers=2)
 
 
-def record_batches(monkeypatch):
-    """Record ``(thread, start, stop)`` of every ``run_trials`` call."""
-    real_run_trials = montecarlo.run_trials
-    calls = []
-
-    def recording(sc, start, stop, safeguard=False):
-        calls.append((threading.get_ident(), start, stop))
-        return real_run_trials(sc, start, stop, safeguard)
-
-    monkeypatch.setattr(montecarlo, "run_trials", recording)
-    return calls
+def assert_rows_match(outcomes, expected):
+    assert [outcome[0] for outcome in outcomes] == list(range(len(expected)))
+    for (_, physical, designed, error), (want_physical, want_designed) in zip(
+        outcomes, expected
+    ):
+        assert error is None
+        assert np.array_equal(physical, want_physical)
+        assert np.array_equal(designed, want_designed)
 
 
-class TestLanes:
+class TestDefaultPool:
     @pytest.mark.parametrize("cores", [1, 2, 3])
-    def test_one_lane_per_usable_core(self, monkeypatch, cores):
-        # Five batches of six: lane k runs batches k, k + lanes, ... of
-        # ceil(6 / lanes) trials, and the calling thread is lane 0.
+    def test_one_worker_per_usable_core(self, monkeypatch, cores):
+        # Five batches of six: the default takes one worker per usable
+        # core, and one core runs them in this process.
         scenario = small_scenario(trials=30)
         expected = single_trial_rows(scenario)
         force_batch_size(monkeypatch, scenario, 6)
         pin_cores(monkeypatch, cores)
-        calls = record_batches(monkeypatch)
-        outcomes = montecarlo._trial_outcomes(scenario, 1, False)
-        size = -(-6 // cores)
-        batches = sorted(calls, key=lambda call: call[1])
-        assert [call[1:] for call in batches] == [
-            (start, min(start + size, 30)) for start in range(0, 30, size)
-        ]
-        lanes = [{call[0] for call in batches[first::cores]} for first in range(cores)]
-        assert lanes[0] == {threading.get_ident()}
-        assert all(len(lane) == 1 for lane in lanes)
-        assert len(set.union(*lanes)) == cores
-        assert [outcome[0] for outcome in outcomes] == list(range(30))
-        for (_, physical, designed, _), (want_physical, want_designed) in zip(
-            outcomes, expected
-        ):
-            assert np.array_equal(physical, want_physical)
-            assert np.array_equal(designed, want_designed)
+        sizes = record_pools(monkeypatch)
+        assert_rows_match(montecarlo._trial_outcomes(scenario, 1, False), expected)
+        assert sizes == ([] if cores == 1 else [cores])
 
-    def test_more_lanes_than_cores_lose_no_batch(self, monkeypatch):
-        # Eight lanes of one-trial batches, switching threads every
-        # microsecond: every trial's row lands in its own place.
-        scenario = small_scenario(trials=64)
-        expected = single_trial_rows(scenario)
-        force_batch_size(monkeypatch, scenario, 8)
-        pin_cores(monkeypatch, 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            outcomes = montecarlo._trial_outcomes(scenario, 1, False)
-        finally:
-            sys.setswitchinterval(interval)
-        assert [outcome[0] for outcome in outcomes] == list(range(64))
-        for (_, physical, designed, _), (want_physical, want_designed) in zip(
-            outcomes, expected
-        ):
-            assert np.array_equal(physical, want_physical)
-            assert np.array_equal(designed, want_designed)
-
+    # One batch builds no pool, however many cores.
     @pytest.mark.parametrize(
-        "size, trials, lanes", [(2, 30, 2), (6, 12, 2), (3, 3, 1), (25, 20, 1)]
+        "size, trials, pools", [(2, 30, [3]), (6, 12, [2]), (3, 3, []), (25, 20, [])]
     )
-    def test_lanes_bounded_by_batch_size_and_batches(self, monkeypatch, size, trials, lanes):
+    def test_pool_bounded_by_batches(self, monkeypatch, size, trials, pools):
         scenario = small_scenario(trials=trials)
         force_batch_size(monkeypatch, scenario, size)
-        pin_cores(monkeypatch, 8)
-        calls = record_batches(monkeypatch)
+        pin_cores(monkeypatch, 3)
+        sizes = record_pools(monkeypatch)
         montecarlo._trial_outcomes(scenario, 1, False)
-        assert len({call[0] for call in calls}) == lanes
-
-    @pytest.mark.parametrize("cores, size, trials", [(1, 2, 12), (4, 4, 4)])
-    def test_one_lane_starts_no_thread(self, monkeypatch, cores, size, trials):
-        scenario = small_scenario(trials=trials)
-        force_batch_size(monkeypatch, scenario, size)
-        pin_cores(monkeypatch, cores)
-        expected = run_campaign(scenario)
-
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a thread was started")
-
-        monkeypatch.setattr(threading, "Thread", no_thread)
-        for got, want in zip(run_campaign(scenario), expected):
-            assert np.array_equal(got.mean, want.mean)
+        assert sizes == pools
 
     @pytest.mark.parametrize("cores", [2, 3])
     @pytest.mark.parametrize(
@@ -642,8 +605,8 @@ class TestLanes:
     def test_campaign_rows_match_run_trial_bit_for_bit(
         self, monkeypatch, cores, n_cl, condition, trials
     ):
-        # The benchmark shapes, L = 8, 80 and 160 at n_t = 32, each with a
-        # short last lane batch.
+        # The benchmark shapes, L = 8, 80 and 160 at n_t = 32, each in at
+        # least three batches with a short last one.
         scenario = Scenario(
             ArrayGeometry(n_t=32, n_r=8),
             n_cl=n_cl,
@@ -654,57 +617,18 @@ class TestLanes:
         )
         expected = single_trial_rows(scenario)
         pin_cores(monkeypatch, cores)
-        calls = record_batches(monkeypatch)
-        outcomes = montecarlo._trial_outcomes(scenario, 1, False)
-        assert len({call[0] for call in calls}) == cores
-        assert [outcome[0] for outcome in outcomes] == list(range(trials))
-        for (_, physical, designed, error), (want_physical, want_designed) in zip(
-            outcomes, expected
-        ):
-            assert error is None
-            assert np.array_equal(physical, want_physical)
-            assert np.array_equal(designed, want_designed)
-
-    def test_only_the_main_thread_sets_the_blas_count(self, monkeypatch):
-        # A lane that set the count would stop OpenBLAS's pool while
-        # another lane runs BLAS work.
-        lib = numerics._openblas()
-        if lib is None:
-            pytest.skip("numpy's bundled OpenBLAS is not present")
-        real_set = numerics.set_blas_threads
-        real_run_trials = montecarlo.run_trials
-        setters, counts = [], []
-
-        def recording_set(count):
-            setters.append(threading.current_thread() is threading.main_thread())
-            return real_set(count)
-
-        def recording_run(sc, start, stop, safeguard=False):
-            counts.append(lib.scipy_openblas_get_num_threads64_())
-            return real_run_trials(sc, start, stop, safeguard)
-
-        scenario = small_scenario(trials=30)
-        force_batch_size(monkeypatch, scenario, 6)
-        pin_cores(monkeypatch, 3)
-        monkeypatch.setattr(numerics, "set_blas_threads", recording_set)
-        monkeypatch.setattr(montecarlo, "run_trials", recording_run)
-        previous = real_set(3)
-        try:
-            run_campaign(scenario)
-            assert lib.scipy_openblas_get_num_threads64_() == 3
-        finally:
-            real_set(previous)
-        assert setters == [True, True]
-        assert counts == [1] * 15
+        sizes = record_pools(monkeypatch)
+        assert_rows_match(montecarlo._trial_outcomes(scenario, 1, False), expected)
+        assert sizes == [cores]
 
     @pytest.mark.parametrize(
         "workers, size, trials, most",
         [
-            # Each other lane or worker starts at most the batch it had
-            # checked for before the failure: three lanes of one-trial
-            # batches, and two workers taking 120 one-trial batches in
-            # chunks of eight, a few of them queued in the workers.
-            (1, 3, 60, 2),
+            # Each other worker starts at most the batch it had checked
+            # for before the failure: three workers (the default on three
+            # cores) and two, taking one-trial batches in chunks of one
+            # and eight, a few of them queued in the workers.
+            (1, 1, 60, 2),
             (2, 1, 120, 1),
         ],
     )
@@ -775,9 +699,13 @@ for rows in (single, batch, campaign):
 
 
 class TestBlasThreads:
-    @pytest.mark.parametrize("workers", [1, 2])
+    # In this process, on a pool of two, and on the default pool of
+    # three usable cores.
+    @pytest.mark.parametrize(
+        "workers, cores", [(1, 1), (2, 1), (1, 3)], ids=["1", "2", "1-on-3-cores"]
+    )
     def test_campaign_runs_on_one_thread_and_restores_the_count(
-        self, workers, monkeypatch, tmp_path
+        self, workers, cores, monkeypatch, tmp_path
     ):
         lib = numerics._openblas()
         if lib is None:
@@ -792,7 +720,7 @@ class TestBlasThreads:
             return real_run_trials(sc, start, stop, safeguard)
 
         monkeypatch.setattr(montecarlo, "run_trials", recording)
-        pin_cores(monkeypatch, 1)
+        pin_cores(monkeypatch, cores)
         previous = numerics.set_blas_threads(3)
         try:
             run_campaign(small_scenario(trials=120), workers=workers)

@@ -231,8 +231,8 @@ class TestBlasThreads:
             set_blas_threads(previous)
 
     def test_only_reads_the_count_when_it_is_one(self, monkeypatch):
-        # Campaign lanes enter it while other lanes run BLAS work, so it
-        # must not set the count (which stops the library's pool) then.
+        # A campaign's batches enter it already on one thread: inside the
+        # campaign's own pin, or in a pool worker.
         lib = numerics._openblas()
         if lib is None:
             pytest.skip("numpy's bundled OpenBLAS is not present")
