@@ -12,8 +12,6 @@ from .cfpa import (
     allocate_power,
     cfpa_weights,
     design_pattern,
-    power_factors,
-    power_scaling,
 )
 from .channel import (
     ArrayGeometry,
@@ -81,8 +79,6 @@ __all__ = [
     "eig_sym",
     "ideal_capacity",
     "logdet_capacity_kernel",
-    "power_factors",
-    "power_scaling",
     "run_campaign",
     "run_sof",
     "run_trial",

@@ -25,27 +25,19 @@ EPS_FLOOR = 1e-6
 class PowerAllocation:
     """Closed-form power split across the paths.
 
-    Holds the raw inverse-correlation weights, the normalized power
-    proportions, the budget scale factor, and the resulting per-path
-    factors, one entry per path and 0 on the paths that carry no energy;
-    or T of each stacked.
+    Holds the raw inverse-correlation weights and the normalized power
+    proportions, one entry per path and 0 on the paths that carry no
+    energy; or T of each stacked.
     """
 
     w_hat: np.ndarray
     w: np.ndarray
-    delta: float
-    p: np.ndarray
 
     def __post_init__(self):
         self.w_hat = np.atleast_1d(np.asarray(self.w_hat, dtype=float))
         self.w = np.atleast_1d(np.asarray(self.w, dtype=float))
-        self.p = np.atleast_1d(np.asarray(self.p, dtype=float))
         if np.any(self.w < 0) or np.any(np.abs(self.w.sum(axis=-1) - 1.0) > PROPORTION_SUM_TOL):
             raise InvalidInputError("proportions must be nonnegative and sum to 1")
-        if np.any(self.delta <= 0):
-            raise InvalidInputError("scale factor must be positive")
-        if np.any(self.p < 0) or np.any((self.p > 0) != (self.w > 0)):
-            raise InvalidInputError("power factors must be positive where the proportions are")
 
 
 def cfpa_weights(indicator):
@@ -78,57 +70,21 @@ def _gram_power(g, c):
     return power
 
 
-def power_scaling(geometry, g, w):
-    """Scale factor putting the proportion-weighted sum at the power budget.
-
-    ``sqrt(n_t*n_r / tr(S^H S))`` for ``S`` the w-weighted sum of the
-    modified subchannels. They have unit Frobenius norm and ``g`` is their
-    Gram matrix, so ``tr(S^H S) = Re(w^T G w)``. Raises if the sum
-    cancels. Stacked Grams and proportions give one factor per row.
-    """
-    g = np.asarray(g, dtype=complex)
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    if g.shape != w.shape + w.shape[-1:]:
-        raise InvalidInputError("need one gram row and column per weight")
-    if np.any(np.abs(w.sum(axis=-1) - 1.0) > PROPORTION_SUM_TOL):
-        raise InvalidInputError("proportions must sum to 1")
-    return np.sqrt(geometry.n_t * geometry.n_r / _gram_power(g, w))
-
-
-def power_factors(gains, w, delta):
-    """Per-path factors ``p_l = w_l * delta / |gain_l|``.
-
-    Equalizes the modified gain magnitudes at ``w_l * delta`` while the
-    original gain phases pass through untouched (the factors are real and
-    nonnegative). A zero-magnitude gain carries no energy: its proportion
-    must be 0, and so is its factor. Stacked rows take one scale factor
-    each.
-    """
-    magnitudes = np.abs(np.atleast_1d(np.asarray(gains, dtype=complex)))
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    dropped = magnitudes == 0.0
-    if np.any(w[dropped] != 0.0):
-        raise InvalidInputError(
-            "zero-magnitude path gains carry no energy; give them proportion 0"
-        )
-    return w * np.asarray(delta)[..., None] / np.where(dropped, 1.0, magnitudes)
-
-
 def allocate_power(geometry, paths, m_hat, gram):
     """Run the closed-form allocation and build the final pattern.
 
     ``gram`` is the ``SubchannelGram`` of the columns ``m_hat``: its
-    indicator sets the power proportions and its Gram matrix the budget
-    scale factor. Paths with zero gain are left out: their weight,
-    proportion and factor are 0, and the weight maximum and the
-    normalization run over the other paths. The factors are then
-    rescaled uniformly so the pattern channel meets the power budget
-    ``tr(H H^H) = n_t*n_r``; the scale factor alone only guarantees this
-    for the phase-free subchannel combination, and the gain phases
-    perturb it. The channel's power is read off the Gram matrix,
-    ``Re(c^H G c)`` with ``c = gains * p``, so no channel is assembled.
-    The returned ``PowerAllocation`` keeps the unrescaled closed-form
-    quantities (``allocation.p``).
+    indicator sets the power proportions and its Gram matrix the power
+    of the pattern channel. Paths with zero gain are left out: their
+    weight, proportion and factor are 0, and the weight maximum and the
+    normalization run over the other paths. The per-path factors are
+    ``w_hat / |gain|``, scaled by one factor so the pattern channel meets
+    the power budget ``tr(H H^H) = n_t*n_r``. The channel's power is read
+    off the Gram matrix, ``Re(c^H G c)`` with ``c = gains * p``, so no
+    channel is assembled. The paper's scale factor, which puts the
+    phase-free sum of the subchannels at the budget, and the
+    normalization of the proportions are constant factors of ``p``: this
+    one scale absorbs them.
 
     ``paths`` is one path set or a stacked one (``stack_paths``), with
     ``m_hat`` and ``gram`` stacked alike; each row is bit-identical to
@@ -147,12 +103,9 @@ def allocate_power(geometry, paths, m_hat, gram):
     # A zero indicator entry cannot raise the maximum; the weights of the
     # dropped paths are then zeroed and the proportions taken again.
     w_hat = np.where(keep, cfpa_weights(np.where(keep, gram.indicator, 0.0))[0], 0.0)
-    w = w_hat / w_hat.sum(axis=-1, keepdims=True)
-    delta = power_scaling(geometry, gram.g, w)
-    allocation = PowerAllocation(w_hat=w_hat, w=w, delta=delta, p=power_factors(gains, w, delta))
-
-    power = _gram_power(gram.g, gains * allocation.p)
-    p = allocation.p * np.sqrt(geometry.n_t * geometry.n_r / power)[..., None]
+    allocation = PowerAllocation(w_hat=w_hat, w=w_hat / w_hat.sum(axis=-1, keepdims=True))
+    p = w_hat / np.where(keep, np.abs(gains), 1.0)
+    p *= np.sqrt(geometry.n_t * geometry.n_r / _gram_power(gram.g, gains * p))[..., None]
     return PatternMatrix(m_hat=m_hat, p=p), allocation
 
 

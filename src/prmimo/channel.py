@@ -45,6 +45,13 @@ class ArrayGeometry:
             raise InvalidInputError("antenna spacings must be finite")
         if self.spacing_t <= 0 or self.spacing_r <= 0:
             raise InvalidInputError("antenna spacings must be positive")
+        # Steering and coupling phases reach 2*pi*d*(n-1) times a sine
+        # difference of up to 2; past that they overflow in every trial.
+        for side, spacing, n in (("t", self.spacing_t, self.n_t), ("r", self.spacing_r, self.n_r)):
+            if not np.isfinite(4.0 * np.pi * spacing * (n - 1)):
+                raise InvalidInputError(
+                    f"spacing_{side} is too large: its phase 4*pi*d*(n-1) overflows"
+                )
 
 
 @dataclass

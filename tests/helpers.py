@@ -8,6 +8,7 @@ import numpy as np
 
 import prmimo
 from prmimo import PathSet
+from prmimo.cfpa import _gram_power
 
 
 def random_paths(rng, n_paths, max_angle=np.pi / 2):
@@ -22,6 +23,15 @@ def feasible_m_hat(rng, n_t, n_paths):
     """Strictly positive modification columns with squared norm n_t."""
     raw = rng.uniform(0.1, 1.0, (n_t, n_paths))
     return raw * np.sqrt(n_t / np.sum(raw**2, axis=0))
+
+
+def rescaled_to_budget(geometry, gains, g, p):
+    """Factors ``p`` times the one scale that meets the budget ``n_t*n_r``.
+
+    The pattern channel's power is read off the Gram matrix,
+    ``Re(c^H G c)`` with ``c = gains * p``, as ``allocate_power`` does.
+    """
+    return p * np.sqrt(geometry.n_t * geometry.n_r / _gram_power(g, gains * p))
 
 
 def fresh_interpreter(code, *args, **env):

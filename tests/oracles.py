@@ -105,9 +105,11 @@ def direct_trace_gram(geometry, paths, m_hat):
 
 
 def kept_allocation_factors(geometry, gains, g, indicator):
-    """Closed-form power factors with the zero-gain paths removed first.
+    """The paper's closed-form power factors, zero-gain paths removed first.
 
-    Over the paths of nonzero gain only: weights
+    ``allocate_power`` returns these factors rescaled by one factor to the
+    power budget of the gain-weighted sum. Over the paths of nonzero gain
+    only: weights
     ``max(I) / max(I_l, EPS_FLOOR * max(I))`` (all ones for an all-zero
     indicator), proportions ``w = w_hat / sum(w_hat)``, scale factor
     ``delta = sqrt(n_t*n_r / w^T Re(G) w)`` on the kept rows and columns

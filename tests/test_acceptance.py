@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import modified_subchannels, singular_values
+from oracles import kept_allocation_factors, modified_subchannels, singular_values
 from prmimo import (
     ArrayGeometry,
     PatternMatrix,
@@ -210,9 +210,12 @@ def test_06_power_constraint_audit():
     for index in range(scenario.trials):
         paths = draw_paths(scenario, index)
         state = run_sof(scenario.geometry, paths)
-        pattern, allocation = allocate_power(scenario.geometry, paths, state.m_hat, state.gram)
-        # Renormalization on: the pattern; off: the literal factors.
-        literal = PatternMatrix(m_hat=state.m_hat, p=allocation.p)
+        pattern, _ = allocate_power(scenario.geometry, paths, state.m_hat, state.gram)
+        # Renormalization on: the pattern; off: the paper's closed-form factors.
+        closed = kept_allocation_factors(
+            scenario.geometry, paths.gains, state.gram.g, state.gram.indicator
+        )
+        literal = PatternMatrix(m_hat=state.m_hat, p=closed)
         for renormalize, chosen in ((True, pattern), (False, literal)):
             h = assemble_pattern_channel(scenario.geometry, paths, chosen)
             power = float(np.sum(np.abs(h) ** 2))

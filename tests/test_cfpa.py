@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import feasible_m_hat, random_paths
-from oracles import modified_subchannels, tensor_power_scaling
+from helpers import feasible_m_hat, random_paths, rescaled_to_budget
+from oracles import kept_allocation_factors, modified_subchannels, tensor_power_scaling
 from prmimo import (
     ArrayGeometry,
     DegenerateChannelError,
@@ -15,8 +15,6 @@ from prmimo import (
     assemble_pattern_channel,
     cfpa_weights,
     design_pattern,
-    power_factors,
-    power_scaling,
     run_sof,
     subchannel_gram,
 )
@@ -60,20 +58,22 @@ class TestCfpaWeights:
             cfpa_weights([1.0, -0.1])
 
 
-class TestPowerScaling:
+class TestPaperClosedForm:
+    # The oracle is the paper's allocation: scale factor delta for the
+    # phase-free sum, then factors w * delta / |gain|.
     def test_single_unit_subchannel(self):
         geom = ArrayGeometry(n_t=8, n_r=2)
         paths = PathSet(gains=[1.0], aod=[0.3], aoa=[-0.1])
         gram = subchannel_gram(geom, paths, np.ones((8, 1)))
-        delta = power_scaling(geom, gram.g, np.array([1.0]))
-        assert_allclose(delta, np.sqrt(16.0), rtol=1e-12)
+        p = kept_allocation_factors(geom, paths.gains, gram.g, gram.indicator)
+        assert_allclose(p, [np.sqrt(16.0)], rtol=1e-12)
 
     def test_identical_subchannels_collapse(self):
         geom = ArrayGeometry(n_t=8, n_r=2)
         paths = PathSet(gains=[1.0, 1.0], aod=[0.3, 0.3], aoa=[-0.1, -0.1])
         gram = subchannel_gram(geom, paths, np.ones((8, 2)))
-        delta = power_scaling(geom, gram.g, np.array([0.5, 0.5]))
-        assert_allclose(delta, np.sqrt(16.0), rtol=1e-12)
+        p = kept_allocation_factors(geom, paths.gains, gram.g, gram.indicator)
+        assert_allclose(p, np.full(2, 0.5 * np.sqrt(16.0)), rtol=1e-12)
 
     def test_defining_trace_identity(self):
         rng = np.random.default_rng(83)
@@ -82,71 +82,66 @@ class TestPowerScaling:
         m_hat = feasible_m_hat(rng, 8, 6)
         gram = subchannel_gram(geom, paths, m_hat)
         subs = modified_subchannels(geom, paths, m_hat)
-        _, w = cfpa_weights(rng.uniform(0.1, 2.0, 6))
-        delta = power_scaling(geom, gram.g, w)
-        combined = delta * np.tensordot(w, subs, axes=(0, 0))
+        indicator = rng.uniform(0.1, 2.0, 6)
+        _, w = cfpa_weights(indicator)
+        # p * |gain| is w * delta, and w sums to 1.
+        p = kept_allocation_factors(geom, paths.gains, gram.g, indicator)
+        weighted = p * np.abs(paths.gains)
+        combined = np.tensordot(weighted, subs, axes=(0, 0))
         budget = geom.n_t * geom.n_r
         assert abs(np.sum(np.abs(combined) ** 2) - budget) <= 1e-9 * budget
-        assert_allclose(delta, tensor_power_scaling(geom, subs, w), rtol=1e-12)
+        assert_allclose(weighted / w, np.full(6, tensor_power_scaling(geom, subs, w)), rtol=1e-12)
 
-    def test_exact_cancellation_raises(self):
-        # Gram of two unit slabs S and -S: the equal-weight sum is zero.
-        geom = ArrayGeometry(n_t=2, n_r=2)
-        g = np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex)
-        with pytest.raises(DegenerateChannelError):
-            power_scaling(geom, g, np.array([0.5, 0.5]))
-
-    def test_rejects_unnormalized_proportions(self):
-        geom = ArrayGeometry(n_t=2, n_r=2)
-        with pytest.raises(InvalidInputError):
-            power_scaling(geom, np.ones((2, 2), dtype=complex), np.array([0.5, 0.7]))
-
-    def test_rejects_gram_size_mismatch(self):
-        geom = ArrayGeometry(n_t=2, n_r=2)
-        with pytest.raises(InvalidInputError):
-            power_scaling(geom, np.eye(3, dtype=complex), np.array([0.5, 0.5]))
-
-    def test_proportion_sum_bound_is_shared(self):
-        # One bound for one invariant: power_scaling and PowerAllocation
-        # accept and reject the same proportion sums.
-        from prmimo.numerics import PROPORTION_SUM_TOL
-
-        geom = ArrayGeometry(n_t=2, n_r=2)
-        g = np.eye(2, dtype=complex)
-        inside = np.array([0.5, 0.5 + 0.5 * PROPORTION_SUM_TOL])
-        outside = np.array([0.5, 0.5 + 2.0 * PROPORTION_SUM_TOL])
-        delta = power_scaling(geom, g, inside)
-        PowerAllocation(w_hat=inside, w=inside, delta=delta, p=inside)
-        with pytest.raises(InvalidInputError, match="sum to 1"):
-            power_scaling(geom, g, outside)
-        with pytest.raises(InvalidInputError, match="sum to 1"):
-            PowerAllocation(w_hat=outside, w=outside, delta=delta, p=outside)
-
-
-class TestPowerFactors:
     def test_identity_allocation(self):
+        # Identical subchannels: the phase-free sum has unit power, so
+        # delta = sqrt(n_t * n_r) = 2, and gains w * delta give factors 1.
+        geom = ArrayGeometry(n_t=2, n_r=2)
         w = np.array([0.25, 0.75])
-        delta = 2.0
-        gains = w * delta * np.exp(1j * np.array([0.4, -1.0]))
-        assert_allclose(power_factors(gains, w, delta), np.ones(2), rtol=1e-12)
+        gains = w * 2.0 * np.exp(1j * np.array([0.4, -1.0]))
+        p = kept_allocation_factors(geom, gains, np.ones((2, 2), dtype=complex), [3.0, 1.0])
+        assert_allclose(p, np.ones(2), rtol=1e-12)
 
     def test_single_path(self):
-        p = power_factors([2.0], np.array([1.0]), np.sqrt(256.0))
+        geom = ArrayGeometry(n_t=32, n_r=8)
+        p = kept_allocation_factors(geom, np.array([2.0]), np.ones((1, 1), dtype=complex), [0.7])
         assert_allclose(p, [np.sqrt(256.0) / 2.0], rtol=1e-12)
 
-    def test_rejects_zero_gain(self):
-        with pytest.raises(InvalidInputError):
-            power_factors([1.0, 0.0], np.array([0.5, 0.5]), 1.0)
+    def test_zero_gain_path_is_removed_first(self):
+        geom = ArrayGeometry(n_t=2, n_r=2)
+        g = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
+        p = kept_allocation_factors(geom, np.array([1.0, 0.0]), g, [0.2, 0.9])
+        alone = kept_allocation_factors(geom, np.array([1.0]), g[:1, :1], [0.2])
+        assert p[1] == 0.0
+        assert_allclose(p[:1], alone, rtol=1e-12)
+
+    def test_rescaled_to_the_budget_it_is_the_pattern(self):
+        rng = np.random.default_rng(85)
+        geom = ArrayGeometry(n_t=16, n_r=4)
+        paths = random_paths(rng, 12)
+        state = run_sof(geom, paths)
+        pattern, _ = allocate_power(geom, paths, state.m_hat, state.gram)
+        closed = kept_allocation_factors(geom, paths.gains, state.gram.g, state.gram.indicator)
+        expected = rescaled_to_budget(geom, paths.gains, state.gram.g, closed)
+        assert_allclose(pattern.p, expected, rtol=1e-13)
 
 
 class TestPowerAllocationType:
     def test_rejects_bad_proportions(self):
         with pytest.raises(InvalidInputError):
-            PowerAllocation(w_hat=np.ones(2), w=np.array([0.6, 0.6]), delta=1.0, p=np.ones(2))
+            PowerAllocation(w_hat=np.ones(2), w=np.array([0.6, 0.6]))
 
-    def test_rejects_nonpositive_factor(self):
+    def test_rejects_negative_proportions(self):
         with pytest.raises(InvalidInputError):
-            PowerAllocation(w_hat=np.ones(2), w=np.array([0.5, 0.5]), delta=1.0, p=np.array([1.0, 0.0]))
+            PowerAllocation(w_hat=np.ones(2), w=np.array([1.5, -0.5]))
+
+    def test_proportion_sum_bound(self):
+        from prmimo.numerics import PROPORTION_SUM_TOL
+
+        inside = np.array([0.5, 0.5 + 0.5 * PROPORTION_SUM_TOL])
+        outside = np.array([0.5, 0.5 + 2.0 * PROPORTION_SUM_TOL])
+        PowerAllocation(w_hat=inside, w=inside)
+        with pytest.raises(InvalidInputError, match="sum to 1"):
+            PowerAllocation(w_hat=outside, w=outside)
 
 
 class TestAllocatePower:
@@ -155,23 +150,11 @@ class TestAllocatePower:
         geom = ArrayGeometry(n_t=16, n_r=4)
         paths = random_paths(rng, 12)
         state = run_sof(geom, paths)
-        pattern, allocation = allocate_power(geom, paths, state.m_hat, state.gram)
+        pattern, _ = allocate_power(geom, paths, state.m_hat, state.gram)
         h = assemble_pattern_channel(geom, paths, pattern)
         budget = geom.n_t * geom.n_r
         assert abs(np.sum(np.abs(h) ** 2) - budget) <= 1e-9 * budget
-        assert np.all(allocation.p > 0)
-
-    def test_allocation_keeps_literal_factors(self):
-        # allocation.p is the closed form; the pattern rescales it uniformly.
-        rng = np.random.default_rng(85)
-        geom = ArrayGeometry(n_t=16, n_r=4)
-        paths = random_paths(rng, 12)
-        state = run_sof(geom, paths)
-        pattern, allocation = allocate_power(geom, paths, state.m_hat, state.gram)
-        literal = power_factors(paths.gains, allocation.w, allocation.delta)
-        assert_allclose(allocation.p, literal, rtol=1e-12)
-        ratio = pattern.p / allocation.p
-        assert_allclose(ratio, np.full(12, ratio[0]), rtol=1e-12)
+        assert np.all(pattern.p > 0)
 
     def test_zero_gain_path_gets_zero_factor(self):
         rng = np.random.default_rng(86)
@@ -183,9 +166,9 @@ class TestAllocatePower:
         m_hat = feasible_m_hat(rng, 8, 4)
         gram = subchannel_gram(geom, paths, m_hat)
         pattern, allocation = allocate_power(geom, paths, m_hat, gram)
-        assert pattern.p[2] == 0.0
-        assert allocation.p.size == 4 and allocation.p[2] == 0.0
-        assert np.all(np.delete(allocation.p, 2) > 0)
+        assert pattern.p.size == 4 and pattern.p[2] == 0.0
+        assert np.all(np.delete(pattern.p, 2) > 0)
+        assert allocation.w_hat[2] == 0.0 and allocation.w[2] == 0.0
 
     def test_all_zero_gains_raise(self):
         geom = ArrayGeometry(n_t=4, n_r=2)
@@ -193,6 +176,24 @@ class TestAllocatePower:
         gram = subchannel_gram(geom, paths, np.ones((4, 2)))
         with pytest.raises(DegenerateChannelError):
             allocate_power(geom, paths, np.ones((4, 2)), gram)
+
+    def test_exact_cancellation_raises(self):
+        # Two identical unit subchannels with gains 1 and -1 and equal
+        # factors: the gain-weighted sum is zero.
+        geom = ArrayGeometry(n_t=2, n_r=2)
+        paths = PathSet(gains=[1.0, -1.0], aod=[0.3, 0.3], aoa=[-0.1, -0.1])
+        gram = subchannel_gram(geom, paths, np.ones((2, 2)))
+        message = "weighted subchannel sum cancels to zero"
+        with pytest.raises(DegenerateChannelError, match=message):
+            allocate_power(geom, paths, np.ones((2, 2)), gram)
+
+    def test_rejects_gram_size_mismatch(self):
+        geom = ArrayGeometry(n_t=2, n_r=2)
+        paths = PathSet(gains=[1.0, 0.5], aod=[0.3, -0.2], aoa=[-0.1, 0.4])
+        three = PathSet(gains=[1.0, 0.5, 0.2], aod=[0.3, -0.2, 0.1], aoa=[-0.1, 0.4, 0.0])
+        gram = subchannel_gram(geom, three, np.ones((2, 3)))
+        with pytest.raises(InvalidInputError):
+            allocate_power(geom, paths, np.ones((2, 2)), gram)
 
 
 class TestDesignPattern:
@@ -205,7 +206,7 @@ class TestDesignPattern:
         assert np.array_equal(pattern.m_hat, state.m_hat)
         assert sorted(state.order.tolist()) == list(range(10))
         assert np.all(pattern.p > 0)
-        assert allocation.delta > 0
+        assert np.all(allocation.w > 0)
 
     def test_batch_matches_single_designs(self):
         from prmimo.channel import stack_paths
@@ -219,4 +220,4 @@ class TestDesignPattern:
             single_pattern, single_allocation, single_state = design_pattern(geom, paths)
             assert np.array_equal(pattern.m_hat[row], single_state.m_hat)
             assert np.array_equal(pattern.p[row], single_pattern.p)
-            assert np.array_equal(allocation.p[row], single_allocation.p)
+            assert np.array_equal(allocation.w[row], single_allocation.w)

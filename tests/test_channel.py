@@ -46,6 +46,24 @@ class TestArrayGeometry:
         with pytest.raises(InvalidInputError, match="finite"):
             ArrayGeometry(n_t=4, n_r=2, spacing_r=value)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n_t=4, n_r=2, spacing_t=1e308),
+            dict(n_t=32, n_r=8, spacing_t=6e305),
+            dict(n_t=4, n_r=2, spacing_r=1e308),
+            dict(n_t=1, n_r=1, spacing_t=1e308),
+        ],
+    )
+    def test_rejects_spacing_whose_phases_overflow(self, kwargs):
+        # Each of these failed every trial in its steering or coupling phases.
+        with pytest.raises(InvalidInputError, match="too large"):
+            ArrayGeometry(**kwargs)
+
+    def test_accepts_spacing_whose_largest_phase_is_finite(self):
+        # 4*pi*d*(n-1) stays finite, and so do all phases.
+        ArrayGeometry(n_t=32, n_r=8, spacing_t=1e305, spacing_r=1e305)
+
 
 class TestPathSet:
     def test_rejects_length_mismatch(self):

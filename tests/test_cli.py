@@ -200,6 +200,14 @@ class TestMain:
         assert capsys.readouterr().err.startswith("prmimo: usage error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("spacing", ["1e308", "6e305"])
+    def test_spacing_whose_phases_overflow_is_usage_error(self, spacing, tmp_path, capsys):
+        # Both failed every trial or most of them, and exited 2.
+        out = tmp_path / "huge-spacing"
+        assert main(["--spacing", spacing, "--trials", "3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("prmimo: usage error: spacing_t is too large")
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["0:1e-300:1", "0:1:1e300"])
     def test_huge_snr_grid_is_usage_error(self, grid, tmp_path, capsys):
         out = tmp_path / "huge-grid"

@@ -15,6 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import rescaled_to_budget
 from oracles import (
     direct_trace_gram,
     kept_allocation_factors,
@@ -88,10 +89,15 @@ def test_gram_scale_factor_matches_tensor_oracle(geometry, paths):
     state = run_sof(geometry, paths)
     pattern, allocation = allocate_power(geometry, paths, state.m_hat, state.gram)
 
-    # Zero-gain paths have proportion 0, so they add nothing to the sum.
+    # The paper's closed form, w * delta / |gain| with delta from the
+    # explicit slabs: zero-gain paths have proportion 0, so they add
+    # nothing to the sum, and their factor is 0.
     subchannels = modified_subchannels(geometry, paths, state.m_hat)
-    expected = tensor_power_scaling(geometry, subchannels, allocation.w)
-    assert abs(allocation.delta - expected) <= 1e-12 * expected
+    delta = tensor_power_scaling(geometry, subchannels, allocation.w)
+    magnitudes = np.abs(paths.gains)
+    closed = allocation.w * delta / np.where(magnitudes > 0.0, magnitudes, 1.0)
+    expected = rescaled_to_budget(geometry, paths.gains, state.gram.g, closed)
+    assert np.all(np.abs(pattern.p - expected) <= 1e-13 * expected)
 
     h = assemble_pattern_channel(geometry, paths, pattern)
     budget = geometry.n_t * geometry.n_r
@@ -136,18 +142,28 @@ def test_zero_gain_paths_are_left_out_of_the_allocation(batch):
     for row, paths in enumerate(sets):
         single_pattern, single_allocation, state = design_pattern(geometry, paths)
         assert np.array_equal(pattern.p[row], single_pattern.p)
-        assert np.array_equal(allocation.p[row], single_allocation.p)
+        assert np.array_equal(allocation.w_hat[row], single_allocation.w_hat)
         assert np.array_equal(allocation.w[row], single_allocation.w)
-        assert allocation.delta[row] == single_allocation.delta
 
         keep = np.abs(paths.gains) > 0.0
-        expected = kept_allocation_factors(
+        closed = kept_allocation_factors(
             geometry, paths.gains, state.gram.g, state.gram.indicator
         )
-        p = single_allocation.p
+        expected = rescaled_to_budget(geometry, paths.gains, state.gram.g, closed)
+        p = single_pattern.p
         assert p.shape == paths.gains.shape
-        assert np.all(p[~keep] == 0.0) and np.all(single_pattern.p[~keep] == 0.0)
+        assert np.all(p[~keep] == 0.0)
         assert np.all(np.abs(p[keep] - expected[keep]) <= 1e-13 * expected[keep])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(batch=batches())
+def test_power_factors_are_positive_exactly_on_the_nonzero_gains(batch):
+    geometry, sets = batch
+    paths = stack_paths(sets)
+    pattern, _, _ = design_pattern(geometry, paths)
+    assert np.array_equal(pattern.p > 0.0, np.abs(paths.gains) > 0.0)
+    assert np.all(pattern.p[np.abs(paths.gains) == 0.0] == 0.0)
 
 
 @st.composite

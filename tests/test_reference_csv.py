@@ -53,3 +53,15 @@ def test_dense_csv_independent_of_blas_threads(threads, tmp_path):
     command = [sys.executable, "-m", "prmimo.cli", *entry["flags"].split(), "--out", str(tmp_path)]
     subprocess.run(command, env=env, check=True, timeout=120)
     assert (tmp_path / "capacity.csv").read_text(encoding="utf-8") == entry["csv"]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(set(PINNED) - {"dense_ncl20"}))
+def test_every_pinned_csv_independent_of_blas_threads(name, threads, tmp_path):
+    # dense_ncl20 runs under these counts in the test above.
+    entry = PINNED[name]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "prmimo.cli", *entry["flags"].split(), "--out", str(tmp_path)]
+    subprocess.run(command, env=env, check=True, timeout=120)
+    assert (tmp_path / "capacity.csv").read_text(encoding="utf-8") == entry["csv"]
