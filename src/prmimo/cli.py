@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime or campaign error.
 import argparse
 import sys
 from dataclasses import dataclass
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -18,28 +19,6 @@ from . import __version__
 from .channel import ArrayGeometry
 from .errors import PrMimoError
 from .montecarlo import SCHEMES, Scenario, run_campaign
-
-_DEFAULTS = {
-    "nt": 32,
-    "nr": 8,
-    "ncl": 10,
-    "nray": 8,
-    "xi_deg": 3.0,
-    "spacing": 0.5,
-    "snr_db": "-10:5:20",
-    "trials": 1000,
-    "seed": 12345,
-    "condition": "ill",
-    "schemes": "physical,pattern,ideal",
-    "safeguard": False,
-    "workers": 1,
-    "out": ".",
-    "emit_plot": False,
-}
-
-_INT_KEYS = ("nt", "nr", "ncl", "nray", "trials", "seed", "workers")
-_FLOAT_KEYS = ("xi_deg", "spacing")
-_BOOL_KEYS = ("safeguard", "emit_plot")
 
 CSV_HEADER = "scheme,snr_db,mean_capacity_bps_hz,std_capacity_bps_hz,trials"
 
@@ -66,47 +45,51 @@ class RunConfig:
 
 
 def _build_parser():
+    # Each option's one default and type; config file keys are its destinations.
     parser = _Parser(
         prog="prmimo",
         description="Capacity-vs-SNR campaigns for transmit-pattern design.",
+        allow_abbrev=False,
     )
-    parser.add_argument("--nt", type=int, help="transmit antenna count")
-    parser.add_argument("--nr", type=int, help="receive antenna count")
-    parser.add_argument("--ncl", type=int, help="scattering cluster count")
-    parser.add_argument("--nray", type=int, help="rays per cluster")
-    parser.add_argument("--xi-deg", dest="xi_deg", type=float,
+    parser.add_argument("--nt", type=int, default=32, help="transmit antenna count")
+    parser.add_argument("--nr", type=int, default=8, help="receive antenna count")
+    parser.add_argument("--ncl", type=int, default=10, help="scattering cluster count")
+    parser.add_argument("--nray", type=int, default=8, help="rays per cluster")
+    parser.add_argument("--xi-deg", dest="xi_deg", type=float, default=3.0,
                         help="ray angle spread std deviation, degrees")
-    parser.add_argument("--spacing", type=float,
+    parser.add_argument("--spacing", type=float, default=0.5,
                         help="normalized antenna spacing at both arrays")
-    parser.add_argument("--snr-db", dest="snr_db",
+    parser.add_argument("--snr-db", dest="snr_db", type=parse_snr_grid, default="-10:5:20",
                         help="SNR grid as start:step:stop in dB")
-    parser.add_argument("--trials", type=int, help="Monte Carlo trial count")
-    parser.add_argument("--seed", type=int, help="campaign master seed")
-    parser.add_argument("--condition", choices=("good", "ill"),
+    parser.add_argument("--trials", type=int, default=1000, help="Monte Carlo trial count")
+    parser.add_argument("--seed", type=int, default=12345, help="campaign master seed")
+    parser.add_argument("--condition", choices=("good", "ill"), default="ill",
                         help="cluster power conditioning regime")
-    parser.add_argument("--schemes",
+    parser.add_argument("--schemes", default="physical,pattern,ideal",
                         help="comma list from: physical, pattern, ideal")
-    parser.add_argument("--safeguard", action="store_const", const=True,
+    parser.add_argument("--safeguard", action="store_true",
                         help="floor the designed pattern at the physical channel")
-    parser.add_argument("--workers", type=int,
+    parser.add_argument("--workers", type=int, default=1,
                         help="trial worker processes (default 1: one per usable core)")
-    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--out", type=Path, default=".", help="output directory")
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--emit-plot", dest="emit_plot", action="store_const",
-                        const=True, help="also write a plot script for the CSV")
+    parser.add_argument("--emit-plot", dest="emit_plot", action="store_true",
+                        help="also write a plot script for the CSV")
     return parser
 
 
-def _parse_bool(key, text):
-    lowered = str(text).strip().lower()
+def _parse_bool(text):
+    lowered = text.lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise UsageError(f"config key {key!r} expects a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _read_config_file(path):
+def _read_config_file(parser, path):
+    # The file's values, each converted as its flag's value would be.
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -121,24 +104,19 @@ def _read_config_file(path):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _DEFAULTS:
+        action = actions.get(key)
+        if action is None:
             raise UsageError(f"{path}:{line_no}: unknown key {key!r}")
+        convert = _parse_bool if action.nargs == 0 else action.type or str
         try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key in _BOOL_KEYS:
-                values[key] = _parse_bool(key, value)
-            else:
-                values[key] = value
-        except ValueError as exc:
+            values[key] = convert(value)
+        except (ValueError, UsageError) as exc:
             raise UsageError(f"{path}:{line_no}: bad value for {key!r}: {exc}") from exc
     return values
 
 
 def parse_snr_grid(text):
-    """Expand a start:step:stop dB string into an inclusive grid."""
+    """Expand a start:step:stop dB string into an inclusive grid, distinct at 9 digits."""
     parts = str(text).split(":")
     if len(parts) != 3:
         raise UsageError(f"snr grid must be start:step:stop, got {text!r}")
@@ -154,65 +132,62 @@ def parse_snr_grid(text):
         raise UsageError("snr grid stop must be >= start")
     try:
         count = int(np.floor((stop - start) / step + 1e-9)) + 1
-        return start + step * np.arange(count)
+        grid = start + step * np.arange(count)
     except (OverflowError, ValueError, MemoryError) as exc:
         raise UsageError(f"snr grid {text!r} has too many points: {exc}") from exc
+    # The grid ascends, so points that print alike are neighbours.
+    if any(a == b for a, b in pairwise(map(_fmt, grid))):
+        raise UsageError(f"snr grid {text!r} has points alike at 9 significant digits")
+    return grid
 
 
 def _normalize_argv(argv):
     # Fold the snr grid value into --snr-db=... form; grids starting at a
     # negative dB value would otherwise be mistaken for option strings.
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = list(sys.argv[1:] if argv is None else argv)
     folded = []
-    index = 0
-    while index < len(argv):
-        token = argv[index]
-        if token == "--snr-db" and index + 1 < len(argv):
-            folded.append(f"--snr-db={argv[index + 1]}")
-            index += 2
-        else:
-            folded.append(token)
-            index += 1
+    while argv:
+        token = argv.pop(0)
+        if token == "--snr-db" and argv:
+            token = f"--snr-db={argv.pop(0)}"
+        folded.append(token)
     return folded
 
 
 def parse_config(argv=None):
-    """Resolve defaults, config file, and flags into a RunConfig."""
-    args = _build_parser().parse_args(_normalize_argv(argv))
-    merged = dict(_DEFAULTS)
-    if args.config is not None:
-        merged.update(_read_config_file(args.config))
-    for key in _DEFAULTS:
-        flag = getattr(args, key)
-        if flag is not None:
-            merged[key] = flag
+    """Resolve defaults, config file, and flags (which win) into a RunConfig."""
+    parser = _build_parser()
+    argv = _normalize_argv(argv)
+    config_file = parser.parse_known_args(argv)[0].config
+    if config_file is not None:
+        parser.set_defaults(**_read_config_file(parser, config_file))
+    args = parser.parse_args(argv)
 
-    schemes = tuple(s.strip() for s in str(merged["schemes"]).split(",") if s.strip())
+    schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
     if not schemes:
         raise UsageError("at least one scheme is required")
     unknown = set(schemes) - set(SCHEMES)
     if unknown:
         raise UsageError(f"unknown schemes: {sorted(unknown)}")
-    if merged["workers"] < 1:
+    if args.workers < 1:
         raise UsageError("workers must be >= 1")
 
     try:
         geometry = ArrayGeometry(
-            n_t=merged["nt"],
-            n_r=merged["nr"],
-            spacing_t=merged["spacing"],
-            spacing_r=merged["spacing"],
+            n_t=args.nt,
+            n_r=args.nr,
+            spacing_t=args.spacing,
+            spacing_r=args.spacing,
         )
         scenario = Scenario(
             geometry=geometry,
-            n_cl=merged["ncl"],
-            n_ray=merged["nray"],
-            condition=merged["condition"],
-            angle_spread=np.deg2rad(merged["xi_deg"]),
-            snr_db=parse_snr_grid(merged["snr_db"]),
-            trials=merged["trials"],
-            master_seed=merged["seed"],
+            n_cl=args.ncl,
+            n_ray=args.nray,
+            condition=args.condition,
+            angle_spread=np.deg2rad(args.xi_deg),
+            snr_db=args.snr_db,
+            trials=args.trials,
+            master_seed=args.seed,
         )
     except PrMimoError as exc:
         raise UsageError(str(exc)) from exc
@@ -220,10 +195,10 @@ def parse_config(argv=None):
     return RunConfig(
         scenario=scenario,
         schemes=schemes,
-        safeguard=bool(merged["safeguard"]),
-        workers=merged["workers"],
-        out=Path(merged["out"]),
-        emit_plot=bool(merged["emit_plot"]),
+        safeguard=args.safeguard,
+        workers=args.workers,
+        out=args.out,
+        emit_plot=args.emit_plot,
     )
 
 

@@ -108,9 +108,8 @@ def subchannel_gram(geometry, paths, m_hat):
             f"m_hat shape {m_hat.shape} does not match {len(paths)} paths at n_t={geometry.n_t}"
         )
     require_unit_power_columns(m_hat)
-    recv = receiver_factor_matrix(geometry, paths.aoa)
-    g = _factored_gram(geometry, recv, _transmit_basis(geometry, paths.aod, m_hat))
-    return SubchannelGram(g=g, indicator=correlation_indicator(g))
+    _, _, g, _, indicator = _initial_state(geometry, paths, m_hat)
+    return SubchannelGram(g=g, indicator=indicator)
 
 
 def correlation_indicator(g):
@@ -197,17 +196,17 @@ def solve_modification_vector(b_sum, n_t):
     return candidate
 
 
-def _initial_state(geometry, paths):
+def _initial_state(geometry, paths, m_hat):
     # The receive factor, transmit basis, Gram matrix, its squared
     # off-diagonal magnitudes and their row sums (the indicator) of the
-    # all-ones columns; the L x L ones are the 40 L^2 bytes per trial of
+    # columns ``m_hat``; the L x L ones are the 40 L^2 bytes per trial of
     # ``montecarlo.trial_bytes``.
     recv = receiver_factor_matrix(geometry, paths.aoa)
-    basis = _transmit_basis(geometry, paths.aod, np.ones((geometry.n_t, paths.gains.shape[-1])))
+    basis = _transmit_basis(geometry, paths.aod, m_hat)
     g = _factored_gram(geometry, recv, basis)
     diagonal = np.arange(g.shape[-1])
     sq = _squared_off_diagonal(g, (..., diagonal, diagonal))
-    return recv, basis, g, sq, sq.sum(axis=2)
+    return recv, basis, g, sq, sq.sum(axis=-1)
 
 
 def _next_target(indicator, visited):
@@ -286,7 +285,8 @@ def run_sof(geometry, paths):
         return SofState(order=state.order[0], m_hat=state.m_hat[0], gram=gram)
     n_trials, n_paths = paths.gains.shape
     trials = np.arange(n_trials)
-    recv, basis, g, sq, indicator = _initial_state(geometry, paths)
+    ones = np.ones((geometry.n_t, n_paths))
+    recv, basis, g, sq, indicator = _initial_state(geometry, paths, ones)
     sin_aod = np.sin(paths.aod)
     order = np.empty((n_trials, n_paths), dtype=int)
     visited = np.zeros((n_trials, n_paths))

@@ -6,10 +6,32 @@ from helpers import fresh_interpreter
 from prmimo.cli import (
     CSV_HEADER,
     UsageError,
+    _build_parser,
     main,
     parse_config,
     parse_snr_grid,
 )
+
+# Config file keys: every parser destination but help and config, with
+# the default each flag states.
+DEFAULTS = {
+    action.dest: action.default
+    for action in _build_parser()._actions
+    if action.dest not in ("help", "config")
+}
+
+
+def resolved(config):
+    # A RunConfig as a comparable text: its fields, with the read-only
+    # grid as bytes.
+    scenario = vars(config.scenario) | {"snr_db": config.scenario.snr_db.tobytes()}
+    return repr(vars(config) | {"scenario": scenario})
+
+
+def config_file(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
 
 
 class TestParseSnrGrid:
@@ -46,6 +68,14 @@ class TestParseSnrGrid:
         with pytest.raises(UsageError, match="too many points"):
             parse_snr_grid(text)
 
+    def test_rejects_points_alike_at_csv_digits(self):
+        # 1000, 1000.0000001 and 1000.0000002 all print as 1000 in the CSV.
+        with pytest.raises(UsageError, match="9 significant digits"):
+            parse_snr_grid("1000:1e-7:1000.0000002")
+
+    def test_small_steps_that_print_apart_are_kept(self):
+        assert_allclose(parse_snr_grid("0:1e-7:2e-7"), [0.0, 1e-7, 2e-7])
+
 
 class TestParseConfig:
     def test_defaults(self):
@@ -69,6 +99,10 @@ class TestParseConfig:
 
     def test_negative_snr_grid_flag(self):
         config = parse_config(["--snr-db", "-10:5:20"])
+        assert_allclose(config.scenario.snr_db, np.arange(-10.0, 21.0, 5.0))
+
+    def test_negative_snr_grid_flag_with_equals(self):
+        config = parse_config(["--snr-db=-10:5:20"])
         assert_allclose(config.scenario.snr_db, np.arange(-10.0, 21.0, 5.0))
 
     def test_geometry_invariant_is_usage_error(self):
@@ -96,6 +130,39 @@ class TestParseConfig:
         config_file.write_text("widgets=2\n")
         with pytest.raises(UsageError):
             parse_config(["--config", str(config_file)])
+
+    @pytest.mark.parametrize("key", ["help", "config"])
+    def test_parser_keys_that_are_not_options_are_unknown(self, key, tmp_path):
+        with pytest.raises(UsageError, match=f"run.cfg:1: unknown key '{key}'"):
+            parse_config(["--config", config_file(tmp_path, f"{key}=x\n")])
+
+    @pytest.mark.parametrize("key", sorted(DEFAULTS))
+    def test_config_key_at_its_default_resolves_as_no_file(self, key, tmp_path):
+        default = DEFAULTS[key]
+        text = str(default).lower() if isinstance(default, bool) else str(default)
+        path = config_file(tmp_path, f"{key}={text}\n")
+        assert resolved(parse_config(["--config", path])) == resolved(parse_config([]))
+
+    @pytest.mark.parametrize("line", ["nt=abc", "xi_deg=wide", "snr_db=10:5:0", "safeguard=maybe"])
+    def test_bad_config_value_names_its_line(self, line, tmp_path):
+        key = line.split("=")[0]
+        path = config_file(tmp_path, f"{line}\n")
+        with pytest.raises(UsageError, match=f"run.cfg:1: bad value for '{key}'"):
+            parse_config(["--config", path])
+
+    @pytest.mark.parametrize(
+        "line, flags",
+        [
+            ("trials=5", ["--trials", "3"]),
+            ("xi_deg=2.0", ["--xi-deg", "4.5"]),
+            ("snr_db=0:5:10", ["--snr-db", "-5:5:5"]),
+            ("schemes=ideal", ["--schemes", "pattern"]),
+        ],
+    )
+    def test_flag_beats_the_file(self, line, flags, tmp_path):
+        path = config_file(tmp_path, f"{line}\n")
+        assert resolved(parse_config(["--config", path])) != resolved(parse_config([]))
+        assert resolved(parse_config(["--config", path, *flags])) == resolved(parse_config(flags))
 
     def test_unreadable_config_file(self, tmp_path):
         with pytest.raises(UsageError):
@@ -176,6 +243,32 @@ class TestMain:
         script = (out / "plot.script").read_text(encoding="utf-8")
         assert script.startswith("#!/usr/bin/env python3")
         assert "capacity.csv" in script
+
+    def test_config_file_run_writes_the_flag_run_bytes(self, tmp_path):
+        flags, out = tmp_path / "flags", tmp_path / "file"
+        path = config_file(
+            tmp_path, "nt=8\nnr=2\nncl=4\nnray=2\ntrials=2\nsnr_db=0:10:10\nseed=7\n"
+        )
+        assert main(run_args(flags)) == 0
+        assert main(["--config", path, "--out", str(out)]) == 0
+        for name in ("capacity.csv", "run.meta"):
+            assert (out / name).read_bytes() == (flags / name).read_bytes()
+
+    @pytest.mark.parametrize("flags", [["--snr", "-10:5:20"], ["--tri", "2"]])
+    def test_abbreviated_flag_is_usage_error(self, flags, tmp_path, capsys):
+        # Each flag has one spelling, so the grid fold covers every one.
+        out = tmp_path / "abbrev"
+        assert main(flags + ["--out", str(out)]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_snr_grid_alike_at_csv_digits_is_usage_error(self, tmp_path, capsys):
+        # It wrote three identical rows per scheme and exited 0.
+        out = tmp_path / "alike"
+        args = run_args(out, "--snr-db", "1000:1e-7:1000.0000002")
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("prmimo: usage error: snr grid")
+        assert not out.exists()
 
     def test_ill_with_too_few_clusters_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "ncl3"
