@@ -88,13 +88,14 @@ def _parse_bool(text):
 
 
 def _read_config_file(parser, path):
-    # The file's values, each converted as its flag's value would be.
+    # The file's values, each converted as its flag's value would be, and
+    # the line that set each.
     actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    values = {}
+    values, lines = {}, {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -112,7 +113,8 @@ def _read_config_file(parser, path):
             values[key] = convert(value)
         except (ValueError, UsageError) as exc:
             raise UsageError(f"{path}:{line_no}: bad value for {key!r}: {exc}") from exc
-    return values
+        lines[key] = line_no
+    return values, lines
 
 
 def parse_snr_grid(text):
@@ -155,32 +157,30 @@ def _normalize_argv(argv):
 
 
 def parse_config(argv=None):
-    """Resolve defaults, config file, and flags (which win) into a RunConfig."""
+    """Resolve defaults, config file, and flags (which win) into a RunConfig.
+
+    A configuration that fails its checks names the file's lines whose
+    values no flag overrode.
+    """
     parser = _build_parser()
     argv = _normalize_argv(argv)
-    config_file = parser.parse_known_args(argv)[0].config
-    if config_file is not None:
-        parser.set_defaults(**_read_config_file(parser, config_file))
+    path = parser.parse_known_args(argv)[0].config
+    lines = {}
+    if path is not None:
+        values, lines = _read_config_file(parser, path)
+        parser.set_defaults(**values)
     args = parser.parse_args(argv)
-
-    schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
-    if not schemes:
-        raise UsageError("at least one scheme is required")
-    unknown = set(schemes) - set(SCHEMES)
-    if unknown:
-        raise UsageError(f"unknown schemes: {sorted(unknown)}")
-    if args.workers < 1:
-        raise UsageError("workers must be >= 1")
-
     try:
-        geometry = ArrayGeometry(
-            n_t=args.nt,
-            n_r=args.nr,
-            spacing_t=args.spacing,
-            spacing_r=args.spacing,
-        )
+        schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
+        if not schemes:
+            raise UsageError("at least one scheme is required")
+        unknown = set(schemes) - set(SCHEMES)
+        if unknown:
+            raise UsageError(f"unknown schemes: {sorted(unknown)}")
+        if args.workers < 1:
+            raise UsageError("workers must be >= 1")
         scenario = Scenario(
-            geometry=geometry,
+            geometry=ArrayGeometry(args.nt, args.nr, spacing_t=args.spacing, spacing_r=args.spacing),
             n_cl=args.ncl,
             n_ray=args.nray,
             condition=args.condition,
@@ -189,8 +189,11 @@ def parse_config(argv=None):
             trials=args.trials,
             master_seed=args.seed,
         )
-    except PrMimoError as exc:
-        raise UsageError(str(exc)) from exc
+    except (UsageError, PrMimoError) as exc:
+        # A flag replaces its key's None here; the file's other keys keep it.
+        flags = parser.parse_args(argv, argparse.Namespace(**dict.fromkeys(lines)))
+        kept = [f"{path}:{n} {key}" for key, n in lines.items() if getattr(flags, key) is None]
+        raise UsageError(f"{exc} (from {', '.join(kept)})" if kept else str(exc)) from exc
 
     return RunConfig(
         scenario=scenario,
@@ -208,18 +211,11 @@ def _fmt(value):
 
 def write_capacity_csv(path, curves):
     """Write the per-scheme curves as deterministic, diff-friendly CSV."""
-    rows = []
-    for curve in curves:
-        for j in range(curve.snr_db.size):
-            rows.append(
-                (
-                    curve.scheme,
-                    float(curve.snr_db[j]),
-                    float(curve.mean[j]),
-                    float(curve.std[j]),
-                    int(curve.trials),
-                )
-            )
+    rows = [
+        (curve.scheme, float(snr), float(mean), float(std), int(curve.trials))
+        for curve in curves
+        for snr, mean, std in zip(curve.snr_db, curve.mean, curve.std)
+    ]
     rows.sort(key=lambda row: (row[0], row[1]))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(CSV_HEADER + "\n")

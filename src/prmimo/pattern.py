@@ -47,11 +47,6 @@ class PatternMatrix:
             raise InvalidInputError("power factors must be nonnegative")
         self.m = self.m_hat * self.p[..., None, :]
 
-    @classmethod
-    def all_ones(cls, n_t, n_paths):
-        """Neutral pattern: every column all-ones, unit power factors."""
-        return cls(m_hat=np.ones((n_t, n_paths)), p=np.ones(n_paths))
-
 
 def capacity(h, snr):
     """Channel capacity ``log2 det(I + snr/n_r * H H^H)`` in bits/s/Hz.

@@ -226,13 +226,21 @@ def _penalty_matrix(geometry, recv, order, m_prior, sin_prior, step):
     trials_col = np.arange(len(order))[:, None]
     weights = np.abs(recv[trials_col, order[:, step, None], order[:, :step]] / geometry.n_r) ** 2
     # Coupling columns m_j exp(j 2 pi d_t k (sin phi_t - sin phi_j)) / n_t,
-    # built in place: these (T, n_t, step) and (T, n_t, n_t) temporaries
-    # are most of a step's memory.
+    # taken where the clip left m_j nonzero only (about half the entries)
+    # and scattered into a zeroed stack, whose +0 terms cannot move the
+    # product's sums; numpy divides a complex by n_t as a product with
+    # 1 / n_t. The flat temporaries go before the product, so that these
+    # (T, n_t, step) and (T, n_t, n_t) stacks stay most of a step's memory.
+    m = m_prior[:, :, :step]
+    live = np.flatnonzero(m != 0.0)
     delta = sin_prior[:, step, None, None] - sin_prior[:, None, :step]
-    b_cols = 2j * np.pi * geometry.spacing_t * (k[:, None] * delta)
-    np.exp(b_cols, out=b_cols)
-    b_cols *= m_prior[:, :, :step]
-    b_cols /= n_t
+    phase = 1j * ((k[:, None] * delta).reshape(-1)[live] * (2 * np.pi * geometry.spacing_t))
+    np.exp(phase, out=phase)
+    phase *= m.reshape(-1)[live]
+    phase *= 1.0 / n_t
+    b_cols = np.zeros(m.shape, dtype=complex)
+    b_cols.reshape(-1)[live] = phase
+    del m, delta, phase, live
     weighted = b_cols.conj()
     weighted *= weights[:, None, :]
     # A real copy: the complex product and the coupling stacks are freed

@@ -5,9 +5,12 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import prmimo
-from prmimo import PathSet
+import prmimo.sof as sof
+from oracles import full_phase_penalty_matrix
+from prmimo import PathSet, PatternMatrix, run_sof
 from prmimo.cfpa import _gram_power
 
 
@@ -17,6 +20,11 @@ def random_paths(rng, n_paths, max_angle=np.pi / 2):
     aod = rng.uniform(-max_angle, max_angle, n_paths)
     aoa = rng.uniform(-max_angle, max_angle, n_paths)
     return PathSet(gains=gains, aod=aod, aoa=aoa)
+
+
+def neutral_pattern(n_t, n_paths):
+    """The all-ones pattern: every column all-ones, unit power factors."""
+    return PatternMatrix(m_hat=np.ones((n_t, n_paths)), p=np.ones(n_paths))
 
 
 def feasible_m_hat(rng, n_t, n_paths):
@@ -32,6 +40,22 @@ def rescaled_to_budget(geometry, gains, g, p):
     ``Re(c^H G c)`` with ``c = gains * p``, as ``allocate_power`` does.
     """
     return p * np.sqrt(geometry.n_t * geometry.n_r / _gram_power(g, gains * p))
+
+
+def assert_sof_bits_match_full_phase_penalty(geometry, paths):
+    """``run_sof`` gives the same bytes as with ``full_phase_penalty_matrix``.
+
+    Compares the order, the columns, the Gram matrix and the indicator
+    with ``tobytes``, so a moved bit or a changed zero sign fails.
+    """
+    state = run_sof(geometry, paths)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sof, "_penalty_matrix", full_phase_penalty_matrix)
+        expected = run_sof(geometry, paths)
+    for name in ("order", "m_hat"):
+        assert getattr(state, name).tobytes() == getattr(expected, name).tobytes(), name
+    for name in ("g", "indicator"):
+        assert getattr(state.gram, name).tobytes() == getattr(expected.gram, name).tobytes(), name
 
 
 def fresh_interpreter(code, *args, **env):

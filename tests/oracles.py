@@ -125,3 +125,25 @@ def kept_allocation_factors(geometry, gains, g, indicator):
     p = np.zeros(np.shape(gains))
     p[keep] = w * delta / np.abs(gains[keep])
     return p
+
+
+def full_phase_penalty_matrix(geometry, recv, order, m_prior, sin_prior, step):
+    """``sof._penalty_matrix`` with the phases taken on every entry.
+
+    The coupling columns ``m_j exp(j 2 pi d_t k (sin phi_t - sin phi_j)) / n_t``
+    are built in full, zero entries of ``m_j`` included, and the penalty is
+    ``Re(sum_j w_j conj(b_j) b_j^T)`` with ``w_j = |rho^R|^2``. The library
+    skips the phases where ``m_j`` is 0; the tests hold its results to
+    these bits.
+    """
+    n_t, k = geometry.n_t, np.arange(geometry.n_t)
+    trials_col = np.arange(len(order))[:, None]
+    weights = np.abs(recv[trials_col, order[:, step, None], order[:, :step]] / geometry.n_r) ** 2
+    delta = sin_prior[:, step, None, None] - sin_prior[:, None, :step]
+    b_cols = 2j * np.pi * geometry.spacing_t * (k[:, None] * delta)
+    np.exp(b_cols, out=b_cols)
+    b_cols *= m_prior[:, :, :step]
+    b_cols /= n_t
+    weighted = b_cols.conj()
+    weighted *= weights[:, None, :]
+    return (weighted @ b_cols.swapaxes(1, 2)).real.copy()

@@ -164,6 +164,31 @@ class TestParseConfig:
         assert resolved(parse_config(["--config", path])) != resolved(parse_config([]))
         assert resolved(parse_config(["--config", path, *flags])) == resolved(parse_config(flags))
 
+    @pytest.mark.parametrize(
+        "line", ["condition=bad", "schemes=psychic", "nt=0", "snr_db=0:1000:4000", "ncl=3"]
+    )
+    def test_file_value_failing_a_later_check_names_its_line(self, line, tmp_path):
+        # Each converts, then fails the scheme list or the scenario's checks.
+        key = line.split("=")[0]
+        path = config_file(tmp_path, f"# campaign\n{line}\n")
+        with pytest.raises(UsageError) as raised:
+            parse_config(["--config", path])
+        assert str(raised.value).endswith(f"(from {path}:2 {key})")
+
+    def test_file_lines_no_flag_overrode_are_named(self, tmp_path):
+        path = config_file(tmp_path, "trials=4\nnt=0\nncl=3\n")
+        with pytest.raises(UsageError) as raised:
+            parse_config(["--config", path, "--ncl", "12"])
+        assert str(raised.value).endswith(f"(from {path}:1 trials, {path}:2 nt)")
+
+    def test_flag_that_overrides_the_file_keeps_its_message(self, tmp_path):
+        path = config_file(tmp_path, "ncl=3\n")
+        with pytest.raises(UsageError) as from_flag:
+            parse_config(["--ncl", "2"])
+        with pytest.raises(UsageError) as over_file:
+            parse_config(["--config", path, "--ncl", "2"])
+        assert str(over_file.value) == str(from_flag.value)
+
     def test_unreadable_config_file(self, tmp_path):
         with pytest.raises(UsageError):
             parse_config(["--config", str(tmp_path / "missing.cfg")])
@@ -326,6 +351,12 @@ class TestMain:
 
     def test_good_with_few_clusters_runs(self, tmp_path):
         assert main(run_args(tmp_path / "good", "--ncl", "3", "--condition", "good")) == 0
+
+    def test_good_flag_runs_the_file_few_clusters(self, tmp_path):
+        path = config_file(tmp_path, "ncl=3\n")
+        args = ["--config", path, "--condition", "good", "--nt", "8", "--nr", "2", "--nray", "2",
+                "--trials", "2", "--snr-db", "0:10:10", "--out", str(tmp_path / "good")]
+        assert main(args) == 0
 
     def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import feasible_m_hat, random_paths
+from helpers import feasible_m_hat, neutral_pattern, random_paths
 from oracles import modified_subchannels, singular_values
 from prmimo import (
     ArrayGeometry,
@@ -25,7 +25,7 @@ from prmimo.sof import SubchannelGram
 
 class TestPatternMatrix:
     def test_all_ones_is_feasible(self):
-        pattern = PatternMatrix.all_ones(4, 3)
+        pattern = neutral_pattern(4, 3)
         assert_allclose(pattern.m, np.ones((4, 3)))
 
     def test_product_is_computed(self):
@@ -146,7 +146,7 @@ class TestAssemblePatternChannel:
         rng = np.random.default_rng(53)
         geom = ArrayGeometry(n_t=8, n_r=4)
         paths = random_paths(rng, 5)
-        pattern = PatternMatrix.all_ones(geom.n_t, len(paths))
+        pattern = neutral_pattern(geom.n_t, len(paths))
         assert np.array_equal(
             assemble_pattern_channel(geom, paths, pattern), assemble_physical(geom, paths)
         )
@@ -185,7 +185,7 @@ class TestAssemblePatternChannel:
         geom = ArrayGeometry(n_t=6, n_r=3)
         paths = random_paths(rng, 7)
         with pytest.raises(InvalidInputError):
-            assemble_pattern_channel(geom, paths, PatternMatrix.all_ones(6, 4))
+            assemble_pattern_channel(geom, paths, neutral_pattern(6, 4))
 
 
 class TestSubchannelGram:

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rescaled_to_budget
+from helpers import assert_sof_bits_match_full_phase_penalty, rescaled_to_budget
 from oracles import (
     direct_trace_gram,
     kept_allocation_factors,
@@ -129,6 +129,13 @@ def test_lockstep_sof_matches_single_runs_and_keeps_gram_invariants(batch):
         assert np.array_equal(g, g.conj().T)
         assert np.all(np.abs(np.diag(g) - 1.0) <= COLUMN_NORM_RTOL)
         assert np.max(np.abs(g - direct_trace_gram(geometry, paths, stacked.m_hat[row]))) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(batch=batches())
+def test_sof_bits_match_the_full_phase_penalty(batch):
+    geometry, sets = batch
+    assert_sof_bits_match_full_phase_penalty(geometry, stack_paths(sets))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

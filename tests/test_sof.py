@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import feasible_m_hat, random_paths
+from helpers import assert_sof_bits_match_full_phase_penalty, feasible_m_hat, random_paths
 from oracles import b_vector, quadratic_matrix, receiver_correlation
 from prmimo import (
     ArrayGeometry,
@@ -309,6 +309,36 @@ class TestRunSofOnStacks:
         assert single.gram.g.shape == (3, 3) and single.gram.indicator.shape == (3,)
         assert np.array_equal(single.m_hat, stacked.m_hat[0])
         assert np.array_equal(single.gram.g, stacked.gram.g[0])
+
+
+class TestPenaltyBits:
+    """The penalty takes its phases where the columns are nonzero only, and
+    ``run_sof`` keeps the bits of the phases taken on every entry."""
+
+    @pytest.mark.parametrize(
+        "n_t, n_r, spacing_t, n_paths",
+        [(7, 3, 0.5, 21), (12, 4, 0.5, 40), (12, 4, 0.37, 40), (32, 8, 0.37, 80)],
+    )
+    def test_batches(self, n_t, n_r, spacing_t, n_paths):
+        rng = np.random.default_rng(n_t * n_paths)
+        geometry = ArrayGeometry(n_t=n_t, n_r=n_r, spacing_t=spacing_t)
+        sets = [random_paths(rng, n_paths) for _ in range(3)]
+        assert_sof_bits_match_full_phase_penalty(geometry, stack_paths(sets))
+
+    def test_duplicated_departure_angles(self):
+        rng = np.random.default_rng(91)
+        paths = random_paths(rng, 24)
+        aod = np.repeat(paths.aod[:8], 3)
+        paths = PathSet(gains=paths.gains, aod=aod, aoa=paths.aoa)
+        assert_sof_bits_match_full_phase_penalty(ArrayGeometry(n_t=12, n_r=4), paths)
+
+    def test_zero_gain_path(self):
+        rng = np.random.default_rng(92)
+        paths = random_paths(rng, 16)
+        gains = paths.gains.copy()
+        gains[5] = 0.0
+        paths = PathSet(gains=gains, aod=paths.aod, aoa=paths.aoa)
+        assert_sof_bits_match_full_phase_penalty(ArrayGeometry(n_t=7, n_r=3, spacing_t=0.37), paths)
 
 
 def test_solve_rejects_shape_mismatch():
