@@ -15,7 +15,9 @@ from .numerics import require_integer
 
 HALF_PI = np.pi / 2.0
 
-# Fewest clusters the ill-conditioned power profile is defined for.
+# The cluster power regimes of ``condition_profile``, and the fewest
+# clusters the ill-conditioned one is defined for.
+CONDITIONS = ("good", "ill")
 ILL_MIN_CLUSTERS = 4
 
 
@@ -98,8 +100,7 @@ class ClusterProfile:
     angle_spread: float
 
     def __post_init__(self):
-        if self.n_cl < 1 or self.n_ray < 1:
-            raise InvalidInputError("cluster and ray counts must be >= 1")
+        _check_clusters(self.n_cl, self.n_ray, self.angle_spread)
         self.sigma_sq = np.atleast_1d(np.asarray(self.sigma_sq, dtype=float))
         if self.sigma_sq.shape != (self.n_cl,):
             raise InvalidInputError(
@@ -109,10 +110,21 @@ class ClusterProfile:
             raise InvalidInputError("cluster powers must be finite")
         if np.any(self.sigma_sq <= 0):
             raise InvalidInputError("cluster powers must be positive")
-        if not np.isfinite(self.angle_spread):
-            raise InvalidInputError("angle spread must be finite")
-        if self.angle_spread < 0:
-            raise InvalidInputError("angle spread must be nonnegative")
+
+
+def _check_clusters(n_cl, n_ray, angle_spread, condition=None):
+    # The cluster rules, which ``ClusterProfile`` (no ``condition``),
+    # ``condition_profile`` and ``montecarlo.Scenario`` check here.
+    if n_cl < 1 or n_ray < 1:
+        raise InvalidInputError("cluster and ray counts must be >= 1")
+    if not np.isfinite(angle_spread):
+        raise InvalidInputError("angle spread must be finite")
+    if angle_spread < 0:
+        raise InvalidInputError("angle spread must be nonnegative")
+    if condition is not None and condition not in CONDITIONS:
+        raise InvalidInputError(f"unknown condition {condition!r}")
+    if condition == "ill" and n_cl < ILL_MIN_CLUSTERS:
+        raise InvalidInputError(f"ill-conditioned profile needs n_cl >= {ILL_MIN_CLUSTERS}")
 
 
 def steering_phases(n, spacing, angles):
@@ -200,22 +212,11 @@ def condition_profile(kind, geometry, n_cl, n_ray, angle_spread, rng):
     equals ``n_t*n_r/n_ray``, which keeps the expected squared Frobenius
     norm of a sampled channel at ``n_t*n_r``.
     """
-    if n_cl < 1 or n_ray < 1:
-        raise InvalidInputError("cluster and ray counts must be >= 1")
+    _check_clusters(n_cl, n_ray, angle_spread, kind)
     budget = geometry.n_t * geometry.n_r / n_ray
     if kind == "ill":
-        if n_cl < ILL_MIN_CLUSTERS:
-            raise InvalidInputError(
-                f"ill-conditioned profile needs n_cl >= {ILL_MIN_CLUSTERS}"
-            )
-        ratios = np.ones(n_cl)
-        ratios[0] = 100.0
-        ratios[1:3] = 50.0
-    elif kind == "good":
-        ratios = np.abs(rng.standard_normal(n_cl))
+        ratios = np.array([100.0, 50.0, 50.0] + [1.0] * (n_cl - 3))
     else:
-        raise InvalidInputError(f"unknown condition kind {kind!r}")
+        ratios = np.abs(rng.standard_normal(n_cl))
     sigma_sq = ratios * (budget / ratios.sum())
-    return ClusterProfile(
-        n_cl=n_cl, n_ray=n_ray, sigma_sq=sigma_sq, angle_spread=angle_spread
-    )
+    return ClusterProfile(n_cl, n_ray, sigma_sq, angle_spread)

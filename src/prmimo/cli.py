@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import ArrayGeometry
+from .channel import CONDITIONS, ArrayGeometry
 from .errors import PrMimoError
-from .montecarlo import SCHEMES, Scenario, run_campaign
+from .montecarlo import Scenario, _check_request, run_campaign
 
 CSV_HEADER = "scheme,snr_db,mean_capacity_bps_hz,std_capacity_bps_hz,trials"
 
@@ -63,7 +63,8 @@ def _build_parser():
                         help="SNR grid as start:step:stop in dB")
     parser.add_argument("--trials", type=int, default=1000, help="Monte Carlo trial count")
     parser.add_argument("--seed", type=int, default=12345, help="campaign master seed")
-    parser.add_argument("--condition", choices=("good", "ill"), default="ill",
+    # The library checks the value, so the choices are only shown.
+    parser.add_argument("--condition", metavar="{%s}" % ",".join(CONDITIONS), default="ill",
                         help="cluster power conditioning regime")
     parser.add_argument("--schemes", default="physical,pattern,ideal",
                         help="comma list from: physical, pattern, ideal")
@@ -159,8 +160,8 @@ def _normalize_argv(argv):
 def parse_config(argv=None):
     """Resolve defaults, config file, and flags (which win) into a RunConfig.
 
-    A configuration that fails its checks names the file's lines whose
-    values no flag overrode.
+    A stage of the run that fails its check names the file lines of its
+    own keys that no flag overrode.
     """
     parser = _build_parser()
     argv = _normalize_argv(argv)
@@ -171,16 +172,14 @@ def parse_config(argv=None):
         parser.set_defaults(**values)
     args = parser.parse_args(argv)
     try:
-        schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
-        if not schemes:
-            raise UsageError("at least one scheme is required")
-        unknown = set(schemes) - set(SCHEMES)
-        if unknown:
-            raise UsageError(f"unknown schemes: {sorted(unknown)}")
-        if args.workers < 1:
-            raise UsageError("workers must be >= 1")
+        keys = ("schemes", "workers")
+        schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
+        schemes, workers = _check_request(schemes, args.workers)
+        keys = ("nt", "nr", "spacing")
+        geometry = ArrayGeometry(args.nt, args.nr, spacing_t=args.spacing, spacing_r=args.spacing)
+        keys = ("ncl", "nray", "condition", "xi_deg", "snr_db", "trials", "seed")
         scenario = Scenario(
-            geometry=ArrayGeometry(args.nt, args.nr, spacing_t=args.spacing, spacing_r=args.spacing),
+            geometry=geometry,
             n_cl=args.ncl,
             n_ray=args.nray,
             condition=args.condition,
@@ -189,9 +188,9 @@ def parse_config(argv=None):
             trials=args.trials,
             master_seed=args.seed,
         )
-    except (UsageError, PrMimoError) as exc:
-        # A flag replaces its key's None here; the file's other keys keep it.
-        flags = parser.parse_args(argv, argparse.Namespace(**dict.fromkeys(lines)))
+    except PrMimoError as exc:
+        # Only the stage's keys start at None here, and a flag replaces its own.
+        flags = parser.parse_args(argv, argparse.Namespace(**dict.fromkeys(keys)))
         kept = [f"{path}:{n} {key}" for key, n in lines.items() if getattr(flags, key) is None]
         raise UsageError(f"{exc} (from {', '.join(kept)})" if kept else str(exc)) from exc
 
@@ -199,7 +198,7 @@ def parse_config(argv=None):
         scenario=scenario,
         schemes=schemes,
         safeguard=args.safeguard,
-        workers=args.workers,
+        workers=workers,
         out=args.out,
         emit_plot=args.emit_plot,
     )

@@ -18,8 +18,8 @@ import numpy as np
 
 from .cfpa import design_pattern
 from .channel import (
-    ILL_MIN_CLUSTERS,
     ArrayGeometry,
+    _check_clusters,
     assemble_physical,
     channel_factors,
     condition_profile,
@@ -46,6 +46,11 @@ BATCH_STEP_BYTES = 544 << 10
 
 def _default_snr_grid():
     return np.arange(-10.0, 20.0 + 1e-9, 5.0)
+
+
+def _linear(snr_db):
+    # An SNR grid in linear units: the one dB conversion.
+    return 10.0 ** (snr_db / 10.0)
 
 
 @dataclass(frozen=True)
@@ -81,25 +86,14 @@ class Scenario:
         # Trials take the grid in linear units, where it must stay positive
         # and finite too.
         with np.errstate(over="ignore"):
-            linear = 10.0 ** (self.snr_db / 10.0)
+            linear = _linear(self.snr_db)
         if not np.all(np.isfinite(linear) & (linear > 0.0)):
             raise InvalidInputError("snr grid overflows or underflows in linear units")
         if self.trials < 1:
             raise InvalidInputError("trials must be >= 1")
         if self.master_seed < 0:
             raise InvalidInputError(f"master seed must be >= 0, got {self.master_seed}")
-        if not np.isfinite(self.angle_spread):
-            raise InvalidInputError("angle spread must be finite")
-        if self.angle_spread < 0:
-            raise InvalidInputError("angle spread must be nonnegative")
-        if self.condition not in ("good", "ill"):
-            raise InvalidInputError(f"unknown condition {self.condition!r}")
-        if self.n_cl < 1 or self.n_ray < 1:
-            raise InvalidInputError("cluster and ray counts must be >= 1")
-        if self.condition == "ill" and self.n_cl < ILL_MIN_CLUSTERS:
-            raise InvalidInputError(
-                f"ill-conditioned profile needs n_cl >= {ILL_MIN_CLUSTERS}"
-            )
+        _check_clusters(self.n_cl, self.n_ray, self.angle_spread, self.condition)
 
     def __setstate__(self, state):
         # Unpickling (as the worker pool does) skips __post_init__ and
@@ -221,7 +215,7 @@ def run_trials(scenario, start, stop, safeguard=False):
             f"trial range [{start}, {stop}) is empty or outside [0, {scenario.trials})"
         )
     geometry = scenario.geometry
-    snr = 10.0 ** (scenario.snr_db / 10.0)
+    snr = _linear(scenario.snr_db)
     with one_blas_thread():
         paths = stack_paths(draw_paths(scenario, index) for index in range(start, stop))
         factors = channel_factors(geometry, paths)
@@ -344,6 +338,21 @@ def _trial_outcomes(scenario, workers, safeguard):
     return [outcome for outcomes in batches for outcome in outcomes]
 
 
+def _check_request(schemes, workers):
+    # The request rules, which ``run_campaign`` and the CLI check here:
+    # one or more of ``SCHEMES``, on an integer count of workers >= 1.
+    workers = require_integer(workers, "workers")
+    if workers < 1:
+        raise InvalidInputError(f"workers must be >= 1, got {workers}")
+    schemes = tuple(schemes)
+    if not schemes:
+        raise InvalidInputError("at least one scheme is required")
+    unknown = set(schemes) - set(SCHEMES)
+    if unknown:
+        raise InvalidInputError(f"unknown schemes: {sorted(unknown)}")
+    return schemes, workers
+
+
 def run_campaign(scenario, schemes=SCHEMES, workers=1, safeguard=False):
     """Run all trials and aggregate one capacity curve per scheme.
 
@@ -363,16 +372,7 @@ def run_campaign(scenario, schemes=SCHEMES, workers=1, safeguard=False):
     other exception at once, naming the master seed and the trial index;
     the workers then start no further batch.
     """
-    workers = require_integer(workers, "workers")
-    if workers < 1:
-        raise InvalidInputError(f"workers must be >= 1, got {workers}")
-    schemes = tuple(schemes)
-    if not schemes:
-        raise InvalidInputError("at least one scheme is required")
-    unknown = set(schemes) - set(SCHEMES)
-    if unknown:
-        raise InvalidInputError(f"unknown schemes: {sorted(unknown)}")
-
+    schemes, workers = _check_request(schemes, workers)
     curves = []
     if "physical" in schemes or "pattern" in schemes:
         outcomes = _trial_outcomes(scenario, workers, safeguard)
@@ -410,12 +410,11 @@ def run_campaign(scenario, schemes=SCHEMES, workers=1, safeguard=False):
                 )
 
     if "ideal" in schemes:
-        snr = 10.0 ** (scenario.snr_db / 10.0)
         curves.append(
             CapacityCurve(
                 scheme="ideal",
                 snr_db=scenario.snr_db.copy(),
-                mean=ideal_capacity(scenario.geometry, snr),
+                mean=ideal_capacity(scenario.geometry, _linear(scenario.snr_db)),
                 std=np.zeros_like(scenario.snr_db),
                 trials=0,
             )

@@ -176,10 +176,31 @@ class TestParseConfig:
         assert str(raised.value).endswith(f"(from {path}:2 {key})")
 
     def test_file_lines_no_flag_overrode_are_named(self, tmp_path):
+        # The geometry fails; trials is the scenario's key, so its line is not named.
         path = config_file(tmp_path, "trials=4\nnt=0\nncl=3\n")
         with pytest.raises(UsageError) as raised:
             parse_config(["--config", path, "--ncl", "12"])
-        assert str(raised.value).endswith(f"(from {path}:1 trials, {path}:2 nt)")
+        assert str(raised.value).endswith(f"(from {path}:2 nt)")
+
+    @pytest.mark.parametrize(
+        "text, flags, named",
+        [
+            # The request check reads schemes and workers.
+            ("workers=2\nschemes=psychic\nnt=16\n", [], [(1, "workers"), (2, "schemes")]),
+            ("workers=2\nschemes=psychic\nnt=16\n", ["--workers", "3"], [(2, "schemes")]),
+            # The geometry reads nt, nr and spacing.
+            ("spacing=0.25\nncl=12\nnr=40\n", [], [(1, "spacing"), (3, "nr")]),
+            # The scenario reads the rest; the geometry's nt line is not named.
+            ("nt=16\ntrials=4\nncl=3\n", [], [(2, "trials"), (3, "ncl")]),
+            ("nt=16\ntrials=4\nncl=3\n", ["--trials", "5"], [(3, "ncl")]),
+        ],
+    )
+    def test_a_failed_stage_names_only_its_own_keys(self, text, flags, named, tmp_path):
+        path = config_file(tmp_path, text)
+        with pytest.raises(UsageError) as raised:
+            parse_config(["--config", path, *flags])
+        lines = ", ".join(f"{path}:{n} {key}" for n, key in named)
+        assert str(raised.value).endswith(f"(from {lines})")
 
     def test_flag_that_overrides_the_file_keeps_its_message(self, tmp_path):
         path = config_file(tmp_path, "ncl=3\n")
