@@ -8,7 +8,6 @@ campaigns.
 """
 
 from .cfpa import (
-    PowerAllocation,
     allocate_power,
     cfpa_weights,
     design_pattern,
@@ -35,7 +34,6 @@ from .montecarlo import (
     draw_paths,
     ideal_capacity,
     run_campaign,
-    run_trial,
     run_trials,
     trial_rng,
 )
@@ -62,7 +60,6 @@ __all__ = [
     "NumericalFailureError",
     "PathSet",
     "PatternMatrix",
-    "PowerAllocation",
     "PrMimoError",
     "Scenario",
     "SofState",
@@ -81,7 +78,6 @@ __all__ = [
     "logdet_capacity_kernel",
     "run_campaign",
     "run_sof",
-    "run_trial",
     "run_trials",
     "sample_cluster_paths",
     "solve_modification_vector",

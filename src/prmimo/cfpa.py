@@ -6,12 +6,9 @@ scaled to the channel power budget, and folded into the final pattern
 matrix as per-path factors.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateChannelError, InvalidInputError
-from .numerics import PROPORTION_SUM_TOL
 from .pattern import PatternMatrix
 from .sof import run_sof
 
@@ -21,42 +18,25 @@ from .sof import run_sof
 EPS_FLOOR = 1e-6
 
 
-@dataclass
-class PowerAllocation:
-    """Closed-form power split across the paths.
-
-    Holds the raw inverse-correlation weights and the normalized power
-    proportions, one entry per path and 0 on the paths that carry no
-    energy; or T of each stacked.
-    """
-
-    w_hat: np.ndarray
-    w: np.ndarray
-
-    def __post_init__(self):
-        self.w_hat = np.atleast_1d(np.asarray(self.w_hat, dtype=float))
-        self.w = np.atleast_1d(np.asarray(self.w, dtype=float))
-        if np.any(self.w < 0) or np.any(np.abs(self.w.sum(axis=-1) - 1.0) > PROPORTION_SUM_TOL):
-            raise InvalidInputError("proportions must be nonnegative and sum to 1")
-
-
 def cfpa_weights(indicator):
-    """Inverse-correlation weights and their normalized proportions.
+    """Inverse-correlation weights of the subchannels.
 
-    The raw weight of subchannel l is ``max(indicator) / indicator[l]``
-    with the denominator floored at ``EPS_FLOOR * max(indicator)``. An
+    The weight of subchannel l is ``max(indicator) / indicator[l]`` with
+    the denominator floored at ``EPS_FLOOR * max(indicator)``. An
     all-zero indicator (a fully uncorrelated set) degenerates to uniform
-    proportions rather than an error. Works row by row on (T, L) stacks.
+    weights rather than an error. Works row by row on (T, L) stacks.
     """
     g = np.atleast_1d(np.asarray(indicator, dtype=float))
     if g.ndim > 2 or g.shape[-1] < 1:
         raise InvalidInputError("indicator must be a nonempty vector")
+    if not np.isfinite(g).all():
+        raise InvalidInputError("indicator entries must be finite")
     if np.any(g < 0):
         raise InvalidInputError("indicator entries must be nonnegative")
     g_max = g.max(axis=-1, keepdims=True)
     w_hat = np.ones_like(g)
     np.divide(g_max, np.maximum(g, EPS_FLOOR * g_max), out=w_hat, where=g_max > 0.0)
-    return w_hat, w_hat / w_hat.sum(axis=-1, keepdims=True)
+    return w_hat
 
 
 def _gram_power(g, c):
@@ -74,12 +54,12 @@ def allocate_power(geometry, paths, m_hat, gram):
     """Run the closed-form allocation and build the final pattern.
 
     ``gram`` is the ``SubchannelGram`` of the columns ``m_hat``: its
-    indicator sets the power proportions and its Gram matrix the power
-    of the pattern channel. Paths with zero gain are left out: their
-    weight, proportion and factor are 0, and the weight maximum and the
-    normalization run over the other paths. The per-path factors are
-    ``w_hat / |gain|``, scaled by one factor so the pattern channel meets
-    the power budget ``tr(H H^H) = n_t*n_r``. The channel's power is read
+    indicator sets the weights ``w_hat`` (``cfpa_weights``) and its Gram
+    matrix the power of the pattern channel. Paths with zero gain are
+    left out: their weight and factor are 0, and the weight maximum runs
+    over the other paths. The per-path factors are ``w_hat / |gain|``,
+    scaled by one factor so the pattern channel meets the power budget
+    ``tr(H H^H) = n_t*n_r``. The channel's power is read
     off the Gram matrix, ``Re(c^H G c)`` with ``c = gains * p``, so no
     channel is assembled. The paper's scale factor, which puts the
     phase-free sum of the subchannels at the budget, and the
@@ -90,7 +70,7 @@ def allocate_power(geometry, paths, m_hat, gram):
     ``m_hat`` and ``gram`` stacked alike; each row is bit-identical to
     the call on its path set.
 
-    Returns ``(pattern, allocation)``.
+    Returns the ``PatternMatrix``.
     """
     gains = paths.gains
     if np.shape(m_hat) != gains.shape[:-1] + (geometry.n_t, len(paths)) or (
@@ -101,24 +81,22 @@ def allocate_power(geometry, paths, m_hat, gram):
     if not np.all(np.any(keep, axis=-1)):
         raise DegenerateChannelError("every path gain is zero")
     # A zero indicator entry cannot raise the maximum; the weights of the
-    # dropped paths are then zeroed and the proportions taken again.
-    w_hat = np.where(keep, cfpa_weights(np.where(keep, gram.indicator, 0.0))[0], 0.0)
-    allocation = PowerAllocation(w_hat=w_hat, w=w_hat / w_hat.sum(axis=-1, keepdims=True))
+    # dropped paths are then zeroed.
+    w_hat = np.where(keep, cfpa_weights(np.where(keep, gram.indicator, 0.0)), 0.0)
     p = w_hat / np.where(keep, np.abs(gains), 1.0)
     p *= np.sqrt(geometry.n_t * geometry.n_r / _gram_power(gram.g, gains * p))[..., None]
-    return PatternMatrix(m_hat=m_hat, p=p), allocation
+    return PatternMatrix(m_hat=m_hat, p=p)
 
 
 def design_pattern(geometry, paths):
     """Full transmit-pattern design: correlation modification, then power.
 
     ``run_sof`` followed by ``allocate_power``, on one path set or a
-    stacked one. Returns ``(pattern, allocation, state)`` where ``state``
-    is the finished sequential-modification state the allocation was
-    based on. Like ``run_sof``, it runs on the caller's BLAS thread count,
-    which can move its result by ulps; ``montecarlo.run_trials`` pins it
-    to one thread.
+    stacked one. Returns ``(pattern, state)`` where ``state`` is the
+    finished sequential-modification state the allocation was based on.
+    Like ``run_sof``, it runs on the caller's BLAS thread count, which
+    can move its result by ulps; ``montecarlo.run_trials`` pins it to one
+    thread.
     """
     state = run_sof(geometry, paths)
-    pattern, allocation = allocate_power(geometry, paths, state.m_hat, state.gram)
-    return pattern, allocation, state
+    return allocate_power(geometry, paths, state.m_hat, state.gram), state

@@ -142,10 +142,14 @@ def steering_matrix(n, spacing, angles):
 
     Entry (k, l) (0-based) is
     ``exp(-j*2*pi*spacing*k*sin(angles[l])) / sqrt(n)``; a (T, L) stack
-    of azimuths gives a (T, n, L) stack.
+    of azimuths gives a (T, n, L) stack. ``n`` is an integer as in
+    ``ArrayGeometry``, and ``spacing`` finite and positive.
     """
+    n = require_integer(n, "antenna count")
     if n < 1:
         raise InvalidInputError("antenna count must be >= 1")
+    if not np.isfinite(spacing):
+        raise InvalidInputError("spacing must be finite")
     if spacing <= 0:
         raise InvalidInputError("spacing must be positive")
     return steering_phases(n, spacing, angles) / np.sqrt(n)

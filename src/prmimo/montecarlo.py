@@ -200,16 +200,23 @@ def run_trials(scenario, start, stop, safeguard=False):
     """Evaluate trials ``start .. stop-1`` in lockstep on the SNR grid.
 
     Returns ``(physical, pattern)`` capacity arrays of shape
-    (stop - start, SNR points) in bits/s/Hz. Each trial draws its paths
-    from its own stream; the rest runs on the stacked batch: one steering
-    ``exp`` per array side for both channel assemblies, the lockstep
-    design (``design_pattern``) and one eigendecomposition per sweep.
-    Row ``i`` is bit-identical to ``run_trial(scenario, start + i)`` and
-    to the campaign's row of that trial, under any BLAS thread count of
-    the caller: the batch runs on one BLAS thread (the caller's count is
-    restored). The batch's memory grows with its size (see
-    ``batch_size``). ``safeguard`` acts as in ``run_trial``.
+    (stop - start, SNR points) in bits/s/Hz; ``start`` and ``stop`` are
+    integers, and ``run_trials(scenario, i, i + 1)`` is trial ``i``
+    alone. Each trial draws its paths from its own stream; the rest runs
+    on the stacked batch: one steering ``exp`` per array side for both
+    channel assemblies, the lockstep design (``design_pattern``) and one
+    eigendecomposition per sweep. Each row is bit-identical to the call
+    on its trial alone and to the campaign's row of that trial, under any
+    BLAS thread count of the caller: the batch runs on one BLAS thread
+    (the caller's count is restored). The batch's memory grows with its
+    size (see ``batch_size``). With ``safeguard=True`` a trial's designed
+    pattern falls back to the neutral all-ones pattern (the physical
+    channel) whenever the design loses to the physical channel at the
+    highest grid SNR; the default leaves the heuristic unguarded so
+    improvements are measured, not enforced.
     """
+    start = require_integer(start, "start")
+    stop = require_integer(stop, "stop")
     if not 0 <= start < stop <= scenario.trials:
         raise InvalidInputError(
             f"trial range [{start}, {stop}) is empty or outside [0, {scenario.trials})"
@@ -229,20 +236,6 @@ def run_trials(scenario, start, stop, safeguard=False):
         lost = designed[:, reference] < physical[:, reference]
         designed = np.where(lost[:, None], physical, designed)
     return physical, designed
-
-
-def run_trial(scenario, trial_index, safeguard=False):
-    """Evaluate one channel realization on the scenario's SNR grid.
-
-    Returns ``(physical, pattern)`` capacity arrays in bits/s/Hz. With
-    ``safeguard=True`` the designed pattern falls back to the neutral
-    all-ones pattern (the physical channel) whenever the design loses to
-    the physical channel at the highest grid SNR; the default leaves the
-    heuristic unguarded so improvements are measured, not enforced.
-    This is ``run_trials`` on the one trial.
-    """
-    physical, designed = run_trials(scenario, trial_index, trial_index + 1, safeguard)
-    return physical[0], designed[0]
 
 
 def _run_batch(scenario, start, stop, safeguard):

@@ -24,11 +24,6 @@ PSD_CLAMP_REL = 1e-8
 # The design's own round-off stays below 1e-15.
 COLUMN_NORM_RTOL = 1e-13
 
-# Absolute tolerance on power proportions summing to 1. Normalizing a
-# weight vector leaves a few ulps of round-off; the proportions of any
-# path count used here stay far below this bound.
-PROPORTION_SUM_TOL = 1e-12
-
 # Absolute tolerance on the Hermitian symmetry of a Gram matrix.
 HERMITIAN_TOL = 1e-12
 

@@ -10,7 +10,7 @@ import pytest
 import prmimo
 import prmimo.sof as sof
 from oracles import full_phase_penalty_matrix
-from prmimo import PathSet, PatternMatrix, run_sof
+from prmimo import PathSet, PatternMatrix, run_sof, run_trials
 from prmimo.cfpa import _gram_power
 
 
@@ -25,6 +25,12 @@ def random_paths(rng, n_paths, max_angle=np.pi / 2):
 def neutral_pattern(n_t, n_paths):
     """The all-ones pattern: every column all-ones, unit power factors."""
     return PatternMatrix(m_hat=np.ones((n_t, n_paths)), p=np.ones(n_paths))
+
+
+def one_trial(scenario, index, safeguard=False):
+    """``(physical, pattern)`` capacities of trial ``index`` run alone."""
+    physical, designed = run_trials(scenario, index, index + 1, safeguard)
+    return physical[0], designed[0]
 
 
 def feasible_m_hat(rng, n_t, n_paths):

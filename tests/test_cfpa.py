@@ -10,7 +10,6 @@ from prmimo import (
     InvalidInputError,
     PathSet,
     PatternMatrix,
-    PowerAllocation,
     allocate_power,
     assemble_pattern_channel,
     cfpa_weights,
@@ -18,44 +17,69 @@ from prmimo import (
     run_sof,
     subchannel_gram,
 )
+from prmimo.cfpa import EPS_FLOOR
+
+
+def proportions(w_hat):
+    """The paper's power proportions: the weights normalized to sum to 1."""
+    return w_hat / w_hat.sum(axis=-1, keepdims=True)
 
 
 class TestCfpaWeights:
     def test_inverse_proportions(self):
-        w_hat, w = cfpa_weights([4.0, 2.0, 1.0])
+        w_hat = cfpa_weights([4.0, 2.0, 1.0])
         assert_allclose(w_hat, [1.0, 2.0, 4.0], rtol=1e-12)
-        assert_allclose(w, [1 / 7, 2 / 7, 4 / 7], rtol=1e-12)
+        assert_allclose(proportions(w_hat), [1 / 7, 2 / 7, 4 / 7], rtol=1e-12)
 
     def test_uniform_indicator(self):
-        _, w = cfpa_weights([0.3, 0.3, 0.3, 0.3])
+        w = proportions(cfpa_weights([0.3, 0.3, 0.3, 0.3]))
         assert_allclose(w, np.full(4, 0.25), rtol=1e-12)
 
     def test_zero_entry_hits_floor(self):
-        w_hat, w = cfpa_weights([1.0, 0.0])
+        w_hat = cfpa_weights([1.0, 0.0])
         assert_allclose(w_hat, [1.0, 1e6], rtol=1e-12)
-        assert_allclose(w, [1.0 / (1.0 + 1e6), 1e6 / (1.0 + 1e6)], rtol=1e-12)
+        assert_allclose(proportions(w_hat), [1.0 / (1.0 + 1e6), 1e6 / (1.0 + 1e6)], rtol=1e-12)
 
     def test_all_zero_degenerates_to_uniform(self):
-        w_hat, w = cfpa_weights([0.0, 0.0, 0.0])
+        w_hat = cfpa_weights([0.0, 0.0, 0.0])
         assert_allclose(w_hat, np.ones(3))
-        assert_allclose(w, np.full(3, 1 / 3))
+        assert_allclose(proportions(w_hat), np.full(3, 1 / 3))
 
-    def test_proportions_sum_to_one(self):
+    def test_weights_run_from_one_to_the_floor_ratio(self):
+        # The most correlated subchannel gets weight 1 exactly, and the
+        # floor caps the others at 1 / EPS_FLOOR.
         rng = np.random.default_rng(81)
         for _ in range(20):
-            _, w = cfpa_weights(rng.uniform(0.0, 5.0, int(rng.integers(1, 40))))
-            assert abs(w.sum() - 1.0) <= 1e-12
+            indicator = rng.uniform(0.0, 5.0, int(rng.integers(1, 40)))
+            w_hat = cfpa_weights(indicator)
+            assert w_hat.shape == indicator.shape
+            assert w_hat[np.argmax(indicator)] == 1.0 and w_hat.min() == 1.0
+            assert w_hat.max() <= (1.0 + 1e-12) / EPS_FLOOR
 
     def test_more_correlated_gets_less_power(self):
         rng = np.random.default_rng(82)
         indicator = rng.uniform(0.1, 5.0, 30)
-        _, w = cfpa_weights(indicator)
+        w_hat = cfpa_weights(indicator)
         order = np.argsort(indicator)
-        assert np.all(np.diff(w[order]) <= 0)
+        assert np.all(np.diff(w_hat[order]) <= 0)
 
     def test_rejects_negative_entries(self):
         with pytest.raises(InvalidInputError):
             cfpa_weights([1.0, -0.1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(InvalidInputError, match="indicator entries must be finite"):
+            cfpa_weights([bad, 1.0])
+
+    def test_allocation_rejects_a_non_finite_indicator(self):
+        # SubchannelGram checks the indicator's sign, not its finiteness.
+        geom = ArrayGeometry(n_t=4, n_r=2)
+        paths = PathSet(gains=[1.0, 0.5], aod=[0.1, -0.4], aoa=[0.2, 0.0])
+        gram = subchannel_gram(geom, paths, np.ones((4, 2)))
+        gram.indicator[0] = np.nan
+        with pytest.raises(InvalidInputError, match="indicator entries must be finite"):
+            allocate_power(geom, paths, np.ones((4, 2)), gram)
 
 
 class TestPaperClosedForm:
@@ -83,7 +107,7 @@ class TestPaperClosedForm:
         gram = subchannel_gram(geom, paths, m_hat)
         subs = modified_subchannels(geom, paths, m_hat)
         indicator = rng.uniform(0.1, 2.0, 6)
-        _, w = cfpa_weights(indicator)
+        w = proportions(cfpa_weights(indicator))
         # p * |gain| is w * delta, and w sums to 1.
         p = kept_allocation_factors(geom, paths.gains, gram.g, indicator)
         weighted = p * np.abs(paths.gains)
@@ -119,29 +143,10 @@ class TestPaperClosedForm:
         geom = ArrayGeometry(n_t=16, n_r=4)
         paths = random_paths(rng, 12)
         state = run_sof(geom, paths)
-        pattern, _ = allocate_power(geom, paths, state.m_hat, state.gram)
+        pattern = allocate_power(geom, paths, state.m_hat, state.gram)
         closed = kept_allocation_factors(geom, paths.gains, state.gram.g, state.gram.indicator)
         expected = rescaled_to_budget(geom, paths.gains, state.gram.g, closed)
         assert_allclose(pattern.p, expected, rtol=1e-13)
-
-
-class TestPowerAllocationType:
-    def test_rejects_bad_proportions(self):
-        with pytest.raises(InvalidInputError):
-            PowerAllocation(w_hat=np.ones(2), w=np.array([0.6, 0.6]))
-
-    def test_rejects_negative_proportions(self):
-        with pytest.raises(InvalidInputError):
-            PowerAllocation(w_hat=np.ones(2), w=np.array([1.5, -0.5]))
-
-    def test_proportion_sum_bound(self):
-        from prmimo.numerics import PROPORTION_SUM_TOL
-
-        inside = np.array([0.5, 0.5 + 0.5 * PROPORTION_SUM_TOL])
-        outside = np.array([0.5, 0.5 + 2.0 * PROPORTION_SUM_TOL])
-        PowerAllocation(w_hat=inside, w=inside)
-        with pytest.raises(InvalidInputError, match="sum to 1"):
-            PowerAllocation(w_hat=outside, w=outside)
 
 
 class TestAllocatePower:
@@ -150,7 +155,7 @@ class TestAllocatePower:
         geom = ArrayGeometry(n_t=16, n_r=4)
         paths = random_paths(rng, 12)
         state = run_sof(geom, paths)
-        pattern, _ = allocate_power(geom, paths, state.m_hat, state.gram)
+        pattern = allocate_power(geom, paths, state.m_hat, state.gram)
         h = assemble_pattern_channel(geom, paths, pattern)
         budget = geom.n_t * geom.n_r
         assert abs(np.sum(np.abs(h) ** 2) - budget) <= 1e-9 * budget
@@ -165,10 +170,12 @@ class TestAllocatePower:
         paths = PathSet(gains=gains, aod=base.aod, aoa=base.aoa)
         m_hat = feasible_m_hat(rng, 8, 4)
         gram = subchannel_gram(geom, paths, m_hat)
-        pattern, allocation = allocate_power(geom, paths, m_hat, gram)
+        pattern = allocate_power(geom, paths, m_hat, gram)
         assert pattern.p.size == 4 and pattern.p[2] == 0.0
         assert np.all(np.delete(pattern.p, 2) > 0)
-        assert allocation.w_hat[2] == 0.0 and allocation.w[2] == 0.0
+        closed = kept_allocation_factors(geom, gains, gram.g, gram.indicator)
+        assert closed[2] == 0.0
+        assert_allclose(pattern.p, rescaled_to_budget(geom, gains, gram.g, closed), rtol=1e-13)
 
     def test_all_zero_gains_raise(self):
         geom = ArrayGeometry(n_t=4, n_r=2)
@@ -197,16 +204,17 @@ class TestAllocatePower:
 
 
 class TestDesignPattern:
-    def test_returns_consistent_triple(self):
+    def test_returns_consistent_pair(self):
         rng = np.random.default_rng(87)
         geom = ArrayGeometry(n_t=16, n_r=4)
         paths = random_paths(rng, 10)
-        pattern, allocation, state = design_pattern(geom, paths)
+        pattern, state = design_pattern(geom, paths)
         assert isinstance(pattern, PatternMatrix)
         assert np.array_equal(pattern.m_hat, state.m_hat)
         assert sorted(state.order.tolist()) == list(range(10))
         assert np.all(pattern.p > 0)
-        assert np.all(allocation.w > 0)
+        allocated = allocate_power(geom, paths, state.m_hat, state.gram)
+        assert np.array_equal(pattern.p, allocated.p)
 
     def test_batch_matches_single_designs(self):
         from prmimo.channel import stack_paths
@@ -214,10 +222,9 @@ class TestDesignPattern:
         rng = np.random.default_rng(88)
         geom = ArrayGeometry(n_t=16, n_r=4)
         path_sets = [random_paths(rng, 10) for _ in range(4)]
-        pattern, allocation, _ = design_pattern(geom, stack_paths(path_sets))
+        pattern, _ = design_pattern(geom, stack_paths(path_sets))
         assert pattern.m_hat.shape == (4, 16, 10) and pattern.p.shape == (4, 10)
         for row, paths in enumerate(path_sets):
-            single_pattern, single_allocation, single_state = design_pattern(geom, paths)
+            single_pattern, single_state = design_pattern(geom, paths)
             assert np.array_equal(pattern.m_hat[row], single_state.m_hat)
             assert np.array_equal(pattern.p[row], single_pattern.p)
-            assert np.array_equal(allocation.w[row], single_allocation.w)

@@ -11,6 +11,7 @@ from prmimo import (
     assemble_physical,
     condition_profile,
     sample_cluster_paths,
+    steering_matrix,
 )
 
 
@@ -142,6 +143,30 @@ class TestSteeringVector:
     def test_rejects_zero_elements(self):
         with pytest.raises(InvalidInputError):
             steering_vector(0, 0.5, 0.0)
+
+
+class TestSteeringMatrix:
+    # It takes a bare count and spacing, not a checked ArrayGeometry, so
+    # it checks them itself.
+    @pytest.mark.parametrize(
+        "n, spacing, message",
+        [
+            (2.5, 0.5, "antenna count must be an integer"),
+            (True, 0.5, "antenna count must be an integer"),
+            (2, np.inf, "spacing must be finite"),
+            (2, np.nan, "spacing must be finite"),
+        ],
+        ids=["fractional-count", "bool-count", "inf-spacing", "nan-spacing"],
+    )
+    def test_rejects_counts_and_spacings_that_give_wrong_columns(self, n, spacing, message):
+        with pytest.raises(InvalidInputError, match=message):
+            steering_matrix(n, spacing, [0.3])
+
+    def test_numpy_count_gives_unit_norm_columns(self):
+        a = steering_matrix(np.int64(5), 0.5, [0.3, -1.2])
+        assert a.shape == (5, 2)
+        assert_allclose(np.linalg.norm(a, axis=0), 1.0, rtol=1e-12)
+        assert_allclose(a[:, 0], steering_vector(5, 0.5, 0.3), atol=1e-14)
 
 
 class TestAssemblePhysical:

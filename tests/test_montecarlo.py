@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import fresh_interpreter
+from helpers import fresh_interpreter, one_trial
 import prmimo.montecarlo as montecarlo
 import prmimo.numerics as numerics
 from prmimo import (
@@ -23,7 +23,6 @@ from prmimo import (
     draw_paths,
     ideal_capacity,
     run_campaign,
-    run_trial,
     run_trials,
     trial_rng,
 )
@@ -165,17 +164,17 @@ class TestIdealCapacity:
             assert abs(direct - closed) <= 1e-9 * max(1.0, closed)
 
 
-class TestRunTrial:
+class TestOneTrial:
     def test_deterministic(self):
         scenario = small_scenario()
-        first = run_trial(scenario, 1)
-        second = run_trial(scenario, 1)
+        first = one_trial(scenario, 1)
+        second = one_trial(scenario, 1)
         assert np.array_equal(first[0], second[0])
         assert np.array_equal(first[1], second[1])
 
     def test_single_path_is_rescaled_physical(self):
         scenario = small_scenario(condition="good", n_cl=1, n_ray=1, angle_spread=0.0)
-        physical, designed = run_trial(scenario, 0)
+        physical, designed = one_trial(scenario, 0)
         paths = draw_paths(scenario, 0)
         geom = scenario.geometry
         # One path: the designed channel is the physical one rescaled to
@@ -190,7 +189,7 @@ class TestRunTrial:
 
     def test_rejects_out_of_range_index(self):
         with pytest.raises(InvalidInputError):
-            run_trial(small_scenario(), 4)
+            one_trial(small_scenario(), 4)
 
     def test_safeguard_floors_at_physical(self, monkeypatch):
         scenario = small_scenario()
@@ -201,12 +200,12 @@ class TestRunTrial:
             p = np.zeros(paths.gains.shape)
             p[:, 0] = 1.0
             m_hat = np.ones((len(p), geometry.n_t, len(paths)))
-            return PatternMatrix(m_hat=m_hat, p=p), None, None
+            return PatternMatrix(m_hat=m_hat, p=p), None
 
         monkeypatch.setattr(montecarlo, "design_pattern", sabotaged_design)
-        physical, unguarded = run_trial(scenario, 0, safeguard=False)
+        physical, unguarded = one_trial(scenario, 0, safeguard=False)
         assert unguarded[-1] < physical[-1]
-        physical2, guarded = run_trial(scenario, 0, safeguard=True)
+        physical2, guarded = one_trial(scenario, 0, safeguard=True)
         assert np.array_equal(guarded, physical2)
 
 
@@ -225,7 +224,7 @@ def pin_cores(monkeypatch, cores):
 
 
 def single_trial_rows(scenario):
-    return [run_trial(scenario, index) for index in range(scenario.trials)]
+    return [one_trial(scenario, index) for index in range(scenario.trials)]
 
 
 class TestBatchSize:
@@ -274,7 +273,7 @@ class TestRunTrials:
         physical, designed = run_trials(scenario, 2, 2 + size)
         assert physical.shape == designed.shape == (size, scenario.snr_db.size)
         for row in range(size):
-            single_physical, single_designed = run_trial(scenario, 2 + row)
+            single_physical, single_designed = one_trial(scenario, 2 + row)
             assert np.array_equal(physical[row], single_physical)
             assert np.array_equal(designed[row], single_designed)
 
@@ -284,11 +283,11 @@ class TestRunTrials:
 
         def sabotage_odd(geometry, paths):
             # Odd rows get a rank-one pattern that loses at high SNR.
-            pattern, allocation, state = real_design(geometry, paths)
+            pattern, state = real_design(geometry, paths)
             p = pattern.p.copy()
             p[1::2] = 0.0
             p[1::2, 0] = 1.0
-            return PatternMatrix(m_hat=pattern.m_hat, p=p), allocation, state
+            return PatternMatrix(m_hat=pattern.m_hat, p=p), state
 
         monkeypatch.setattr(montecarlo, "design_pattern", sabotage_odd)
         physical, unguarded = run_trials(scenario, 0, 6)
@@ -303,13 +302,28 @@ class TestRunTrials:
         with pytest.raises(InvalidInputError):
             run_trials(small_scenario(trials=4), start, stop)
 
+    @pytest.mark.parametrize(
+        "start,stop,name",
+        [(1.5, 3, "start"), (0, 3.0, "stop"), (False, True, "start"), (0, True, "stop")],
+    )
+    def test_rejects_non_integer_bounds(self, start, stop, name):
+        with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
+            run_trials(small_scenario(trials=4), start, stop)
+
+    def test_numpy_integer_bounds_give_the_same_rows(self):
+        scenario = small_scenario(trials=4)
+        physical, designed = run_trials(scenario, np.int64(1), np.int32(3))
+        expected = run_trials(scenario, 1, 3)
+        assert np.array_equal(physical, expected[0])
+        assert np.array_equal(designed, expected[1])
+
     def test_single_path_batch_matches_single_trials(self):
         # L = 1: every indicator is zero, so every row takes uniform weights.
         scenario = small_scenario(n_cl=1, n_ray=1, condition="good", trials=5)
         physical, designed = run_trials(scenario, 0, 5)
         assert np.isfinite(designed).all()
         for row in range(5):
-            single_physical, single_designed = run_trial(scenario, row)
+            single_physical, single_designed = one_trial(scenario, row)
             assert np.array_equal(physical[row], single_physical)
             assert np.array_equal(designed[row], single_designed)
 
@@ -327,12 +341,12 @@ class TestRunTrials:
         monkeypatch.setattr(montecarlo, "draw_paths", one_dead_path)
         physical, designed = run_trials(scenario, 0, 7)
         for row in range(7):
-            single_physical, single_designed = run_trial(scenario, row)
+            single_physical, single_designed = one_trial(scenario, row)
             assert np.array_equal(physical[row], single_physical)
             assert np.array_equal(designed[row], single_designed)
         # The dead path really changed the design of its row.
         monkeypatch.setattr(montecarlo, "draw_paths", real_draw)
-        assert not np.array_equal(designed[3], run_trial(scenario, 3)[1])
+        assert not np.array_equal(designed[3], one_trial(scenario, 3)[1])
 
 
 def record_pools(monkeypatch):
@@ -352,7 +366,7 @@ class TestRunCampaign:
     def test_single_trial_statistics(self):
         scenario = small_scenario(trials=1)
         curves = {c.scheme: c for c in run_campaign(scenario)}
-        physical, designed = run_trial(scenario, 0)
+        physical, designed = one_trial(scenario, 0)
         assert_allclose(curves["physical"].mean, physical)
         assert_allclose(curves["pattern"].mean, designed)
         assert_allclose(curves["physical"].std, 0.0)
@@ -686,11 +700,11 @@ class TestCapacityCurve:
 RUN_TRIALS_ROWS = """
 import hashlib
 import numpy as np
-from prmimo import ArrayGeometry, Scenario, run_trial, run_trials
+from prmimo import ArrayGeometry, Scenario, run_trials
 from prmimo.montecarlo import _trial_outcomes
 
 scenario = Scenario(ArrayGeometry(n_t=32, n_r=8), n_cl=20, trials=3, master_seed=777)
-single = [np.concatenate(run_trial(scenario, index)) for index in range(3)]
+single = [np.concatenate(run_trials(scenario, i, i + 1), axis=1)[0] for i in range(3)]
 batch = np.concatenate(run_trials(scenario, 0, 3), axis=1)
 campaign = [np.concatenate(outcome[1:3]) for outcome in _trial_outcomes(scenario, 1, False)]
 for rows in (single, batch, campaign):

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_sof_bits_match_full_phase_penalty, rescaled_to_budget
+from helpers import assert_sof_bits_match_full_phase_penalty, one_trial, rescaled_to_budget
 from oracles import (
     direct_trace_gram,
     kept_allocation_factors,
@@ -31,10 +31,10 @@ from prmimo import (
     Scenario,
     allocate_power,
     assemble_pattern_channel,
+    cfpa_weights,
     design_pattern,
     ideal_capacity,
     run_sof,
-    run_trial,
     run_trials,
     subchannel_gram,
 )
@@ -87,15 +87,18 @@ def path_sets(draw, max_paths=12, n_paths=None):
 @given(geometry=geometries(), paths=path_sets())
 def test_gram_scale_factor_matches_tensor_oracle(geometry, paths):
     state = run_sof(geometry, paths)
-    pattern, allocation = allocate_power(geometry, paths, state.m_hat, state.gram)
+    pattern = allocate_power(geometry, paths, state.m_hat, state.gram)
 
     # The paper's closed form, w * delta / |gain| with delta from the
     # explicit slabs: zero-gain paths have proportion 0, so they add
     # nothing to the sum, and their factor is 0.
-    subchannels = modified_subchannels(geometry, paths, state.m_hat)
-    delta = tensor_power_scaling(geometry, subchannels, allocation.w)
     magnitudes = np.abs(paths.gains)
-    closed = allocation.w * delta / np.where(magnitudes > 0.0, magnitudes, 1.0)
+    keep = magnitudes > 0.0
+    w_hat = np.where(keep, cfpa_weights(np.where(keep, state.gram.indicator, 0.0)), 0.0)
+    w = w_hat / w_hat.sum()
+    subchannels = modified_subchannels(geometry, paths, state.m_hat)
+    delta = tensor_power_scaling(geometry, subchannels, w)
+    closed = w * delta / np.where(keep, magnitudes, 1.0)
     expected = rescaled_to_budget(geometry, paths.gains, state.gram.g, closed)
     assert np.all(np.abs(pattern.p - expected) <= 1e-13 * expected)
 
@@ -145,12 +148,10 @@ def test_zero_gain_paths_are_left_out_of_the_allocation(batch):
     # oracle removes them before the closed form. A stack, zero-gain rows
     # included, gives each row the bits of its one-set call.
     geometry, sets = batch
-    pattern, allocation, _ = design_pattern(geometry, stack_paths(sets))
+    pattern, _ = design_pattern(geometry, stack_paths(sets))
     for row, paths in enumerate(sets):
-        single_pattern, single_allocation, state = design_pattern(geometry, paths)
+        single_pattern, state = design_pattern(geometry, paths)
         assert np.array_equal(pattern.p[row], single_pattern.p)
-        assert np.array_equal(allocation.w_hat[row], single_allocation.w_hat)
-        assert np.array_equal(allocation.w[row], single_allocation.w)
 
         keep = np.abs(paths.gains) > 0.0
         closed = kept_allocation_factors(
@@ -168,7 +169,7 @@ def test_zero_gain_paths_are_left_out_of_the_allocation(batch):
 def test_power_factors_are_positive_exactly_on_the_nonzero_gains(batch):
     geometry, sets = batch
     paths = stack_paths(sets)
-    pattern, _, _ = design_pattern(geometry, paths)
+    pattern, _ = design_pattern(geometry, paths)
     assert np.array_equal(pattern.p > 0.0, np.abs(paths.gains) > 0.0)
     assert np.all(pattern.p[np.abs(paths.gains) == 0.0] == 0.0)
 
@@ -249,13 +250,13 @@ def test_lockstep_trials_match_single_trials(scenario, start, size, safeguard):
         failures = 0
         for index in range(start, stop):
             try:
-                run_trial(scenario, index, safeguard)
+                one_trial(scenario, index, safeguard)
             except PrMimoError:
                 failures += 1
         assert failures
         return
     for row, index in enumerate(range(start, stop)):
-        single_physical, single_designed = run_trial(scenario, index, safeguard)
+        single_physical, single_designed = one_trial(scenario, index, safeguard)
         assert np.array_equal(physical[row], single_physical)
         assert np.array_equal(designed[row], single_designed)
     if not safeguard:
