@@ -14,11 +14,8 @@ from .cfpa import (
 )
 from .channel import (
     ArrayGeometry,
-    ClusterProfile,
     PathSet,
     assemble_physical,
-    condition_profile,
-    sample_cluster_paths,
     steering_matrix,
 )
 from .errors import (
@@ -54,7 +51,6 @@ __all__ = [
     "ArrayGeometry",
     "CampaignError",
     "CapacityCurve",
-    "ClusterProfile",
     "DegenerateChannelError",
     "InvalidInputError",
     "NumericalFailureError",
@@ -69,7 +65,6 @@ __all__ = [
     "assemble_physical",
     "capacity",
     "cfpa_weights",
-    "condition_profile",
     "correlation_indicator",
     "design_pattern",
     "draw_paths",
@@ -79,7 +74,6 @@ __all__ = [
     "run_campaign",
     "run_sof",
     "run_trials",
-    "sample_cluster_paths",
     "solve_modification_vector",
     "steering_matrix",
     "subchannel_gram",

@@ -1,9 +1,9 @@
 """Geometric multi-path channels for uniform linear arrays.
 
-Steering vectors, deterministic channel assembly from a path set, and a
-randomized cluster-channel generator with good- and ill-conditioned
-cluster power profiles. All angles are azimuths in radians; spacings are
-normalized to the carrier wavelength.
+Steering vectors, path sets and deterministic channel assembly from
+them, with the rules of the cluster model whose random path sets
+``montecarlo.draw_paths`` draws. All angles are azimuths in radians;
+spacings are normalized to the carrier wavelength.
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,7 @@ from .numerics import require_integer
 
 HALF_PI = np.pi / 2.0
 
-# The cluster power regimes of ``condition_profile``, and the fewest
+# The cluster power regimes of ``montecarlo.draw_paths``, and the fewest
 # clusters the ill-conditioned one is defined for.
 CONDITIONS = ("good", "ill")
 ILL_MIN_CLUSTERS = 4
@@ -43,17 +43,20 @@ class ArrayGeometry:
             raise InvalidInputError(
                 f"need n_t >= n_r >= 1, got n_t={self.n_t}, n_r={self.n_r}"
             )
-        if not (np.isfinite(self.spacing_t) and np.isfinite(self.spacing_r)):
-            raise InvalidInputError("antenna spacings must be finite")
-        if self.spacing_t <= 0 or self.spacing_r <= 0:
-            raise InvalidInputError("antenna spacings must be positive")
-        # Steering and coupling phases reach 2*pi*d*(n-1) times a sine
-        # difference of up to 2; past that they overflow in every trial.
-        for side, spacing, n in (("t", self.spacing_t, self.n_t), ("r", self.spacing_r, self.n_r)):
-            if not np.isfinite(4.0 * np.pi * spacing * (n - 1)):
-                raise InvalidInputError(
-                    f"spacing_{side} is too large: its phase 4*pi*d*(n-1) overflows"
-                )
+        _check_spacing(self.n_t, self.spacing_t, "spacing_t")
+        _check_spacing(self.n_r, self.spacing_r, "spacing_r")
+
+
+def _check_spacing(n, spacing, name):
+    # The spacing rules of ``ArrayGeometry`` and ``steering_matrix``.
+    # Steering and coupling phases reach 2*pi*d*(n-1) times a sine
+    # difference of up to 2; past that they overflow in every trial.
+    if not np.isfinite(spacing):
+        raise InvalidInputError(f"{name} must be finite")
+    if spacing <= 0:
+        raise InvalidInputError(f"{name} must be positive")
+    if not np.isfinite(4.0 * np.pi * spacing * (n - 1)):
+        raise InvalidInputError(f"{name} is too large: its phase 4*pi*d*(n-1) overflows")
 
 
 @dataclass
@@ -90,38 +93,15 @@ def stack_paths(path_sets):
     return PathSet(*(np.stack([getattr(p, f) for p in path_sets]) for f in ("gains", "aod", "aoa")))
 
 
-@dataclass
-class ClusterProfile:
-    """Per-cluster average ray powers and the common angular spread."""
-
-    n_cl: int
-    n_ray: int
-    sigma_sq: np.ndarray
-    angle_spread: float
-
-    def __post_init__(self):
-        _check_clusters(self.n_cl, self.n_ray, self.angle_spread)
-        self.sigma_sq = np.atleast_1d(np.asarray(self.sigma_sq, dtype=float))
-        if self.sigma_sq.shape != (self.n_cl,):
-            raise InvalidInputError(
-                f"sigma_sq must have length n_cl={self.n_cl}, got {self.sigma_sq.shape}"
-            )
-        if not np.isfinite(self.sigma_sq).all():
-            raise InvalidInputError("cluster powers must be finite")
-        if np.any(self.sigma_sq <= 0):
-            raise InvalidInputError("cluster powers must be positive")
-
-
-def _check_clusters(n_cl, n_ray, angle_spread, condition=None):
-    # The cluster rules, which ``ClusterProfile`` (no ``condition``),
-    # ``condition_profile`` and ``montecarlo.Scenario`` check here.
+def _check_clusters(n_cl, n_ray, angle_spread, condition):
+    # The cluster rules, which ``montecarlo.Scenario`` checks here.
     if n_cl < 1 or n_ray < 1:
         raise InvalidInputError("cluster and ray counts must be >= 1")
     if not np.isfinite(angle_spread):
         raise InvalidInputError("angle spread must be finite")
     if angle_spread < 0:
         raise InvalidInputError("angle spread must be nonnegative")
-    if condition is not None and condition not in CONDITIONS:
+    if condition not in CONDITIONS:
         raise InvalidInputError(f"unknown condition {condition!r}")
     if condition == "ill" and n_cl < ILL_MIN_CLUSTERS:
         raise InvalidInputError(f"ill-conditioned profile needs n_cl >= {ILL_MIN_CLUSTERS}")
@@ -142,16 +122,13 @@ def steering_matrix(n, spacing, angles):
 
     Entry (k, l) (0-based) is
     ``exp(-j*2*pi*spacing*k*sin(angles[l])) / sqrt(n)``; a (T, L) stack
-    of azimuths gives a (T, n, L) stack. ``n`` is an integer as in
-    ``ArrayGeometry``, and ``spacing`` finite and positive.
+    of azimuths gives a (T, n, L) stack. ``n`` and ``spacing`` follow the
+    rules of ``ArrayGeometry``.
     """
     n = require_integer(n, "antenna count")
     if n < 1:
         raise InvalidInputError("antenna count must be >= 1")
-    if not np.isfinite(spacing):
-        raise InvalidInputError("spacing must be finite")
-    if spacing <= 0:
-        raise InvalidInputError("spacing must be positive")
+    _check_spacing(n, spacing, "spacing")
     return steering_phases(n, spacing, angles) / np.sqrt(n)
 
 
@@ -176,51 +153,3 @@ def assemble_physical(geometry, paths, factors=None):
     """
     gained_r, a_t = factors or channel_factors(geometry, paths)
     return gained_r @ a_t.conj().swapaxes(-1, -2)
-
-
-def sample_cluster_paths(profile, means_aod, means_aoa, rng):
-    """Draw one random path set from a cluster scattering profile.
-
-    Ray gains in cluster i are circularly symmetric complex Gaussian with
-    variance ``sigma_sq[i]``. Ray angles are uniform around the cluster
-    mean with standard deviation ``angle_spread`` (half-width
-    ``sqrt(3)*spread``, the unique symmetric uniform with that deviation)
-    and are clipped to [-pi/2, pi/2]. Paths are ordered cluster-major.
-    Draw order is gains (real then imaginary), departures, arrivals, so a
-    given generator state maps to exactly one path set.
-    """
-    means_aod = np.atleast_1d(np.asarray(means_aod, dtype=float))
-    means_aoa = np.atleast_1d(np.asarray(means_aoa, dtype=float))
-    if means_aod.shape != (profile.n_cl,) or means_aoa.shape != (profile.n_cl,):
-        raise InvalidInputError(
-            f"cluster means must have length n_cl={profile.n_cl}"
-        )
-    total = profile.n_cl * profile.n_ray
-    sigma = np.repeat(profile.sigma_sq, profile.n_ray)
-    scale = np.sqrt(sigma / 2.0)
-    gains = scale * (rng.standard_normal(total) + 1j * rng.standard_normal(total))
-    half = np.sqrt(3.0) * profile.angle_spread
-    centers_t = np.repeat(means_aod, profile.n_ray)
-    centers_r = np.repeat(means_aoa, profile.n_ray)
-    aod = np.clip(rng.uniform(centers_t - half, centers_t + half), -HALF_PI, HALF_PI)
-    aoa = np.clip(rng.uniform(centers_r - half, centers_r + half), -HALF_PI, HALF_PI)
-    return PathSet(gains=gains, aod=aod, aoa=aoa)
-
-
-def condition_profile(kind, geometry, n_cl, n_ray, angle_spread, rng):
-    """Build the cluster power profile for one conditioning regime.
-
-    ``"ill"`` fixes the cluster power ratios at 100:50:50:1:...:1 (needs
-    at least four clusters). ``"good"`` draws magnitudes of standard
-    normal variables. Either way the powers are rescaled so their total
-    equals ``n_t*n_r/n_ray``, which keeps the expected squared Frobenius
-    norm of a sampled channel at ``n_t*n_r``.
-    """
-    _check_clusters(n_cl, n_ray, angle_spread, kind)
-    budget = geometry.n_t * geometry.n_r / n_ray
-    if kind == "ill":
-        ratios = np.array([100.0, 50.0, 50.0] + [1.0] * (n_cl - 3))
-    else:
-        ratios = np.abs(rng.standard_normal(n_cl))
-    sigma_sq = ratios * (budget / ratios.sum())
-    return ClusterProfile(n_cl, n_ray, sigma_sq, angle_spread)

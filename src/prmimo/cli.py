@@ -17,8 +17,8 @@ import numpy as np
 
 from . import __version__
 from .channel import CONDITIONS, ArrayGeometry
-from .errors import PrMimoError
-from .montecarlo import Scenario, _check_request, run_campaign
+from .errors import InvalidInputError, PrMimoError
+from .montecarlo import Scenario, _check_finite_grid, _check_request, run_campaign
 
 CSV_HEADER = "scheme,snr_db,mean_capacity_bps_hz,std_capacity_bps_hz,trials"
 
@@ -127,8 +127,10 @@ def parse_snr_grid(text):
         start, step, stop = (float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"bad snr grid {text!r}: {exc}") from exc
-    if not np.isfinite([start, step, stop]).all():
-        raise UsageError(f"snr grid values must be finite, got {text!r}")
+    try:
+        _check_finite_grid([start, step, stop])
+    except InvalidInputError as exc:
+        raise UsageError(str(exc)) from exc
     if step <= 0:
         raise UsageError("snr grid step must be positive")
     if stop < start:

@@ -18,13 +18,12 @@ import numpy as np
 
 from .cfpa import design_pattern
 from .channel import (
+    HALF_PI,
     ArrayGeometry,
+    PathSet,
     _check_clusters,
     assemble_physical,
     channel_factors,
-    condition_profile,
-    sample_cluster_paths,
-    stack_paths,
 )
 from .errors import CampaignError, InvalidInputError, PrMimoError
 from .numerics import one_blas_thread, require_integer, set_blas_threads
@@ -51,6 +50,13 @@ def _default_snr_grid():
 def _linear(snr_db):
     # An SNR grid in linear units: the one dB conversion.
     return 10.0 ** (snr_db / 10.0)
+
+
+def _check_finite_grid(values):
+    # The grid rule that ``Scenario`` checks on its grid and the CLI on
+    # its start:step:stop, before it counts the points.
+    if not np.isfinite(values).all():
+        raise InvalidInputError("snr grid values must be finite")
 
 
 @dataclass(frozen=True)
@@ -81,8 +87,7 @@ class Scenario:
         object.__setattr__(self, "snr_db", snr_db)
         if self.snr_db.size < 1:
             raise InvalidInputError("snr grid must be nonempty")
-        if not np.isfinite(self.snr_db).all():
-            raise InvalidInputError("snr grid values must be finite")
+        _check_finite_grid(self.snr_db)
         # Trials take the grid in linear units, where it must stay positive
         # and finite too.
         with np.errstate(over="ignore"):
@@ -137,25 +142,57 @@ def trial_rng(master_seed, trial_index):
     return np.random.default_rng(seq)
 
 
-def draw_paths(scenario, trial_index):
-    """Sample the trial's scattering realization.
+def draw_paths(scenario, start, stop):
+    """The path sets of trials ``start .. stop-1``, as (stop - start, L) arrays.
 
-    Draw order within the trial stream: cluster power profile (randomized
-    only for the good-conditioned regime), cluster mean departures,
-    cluster mean arrivals, then the per-ray path set.
+    Each trial draws from its own stream, ``trial_rng(master_seed,
+    index)``, in this order: the ``good`` regime's cluster power ratios
+    (magnitudes of ``n_cl`` standard normals; ``ill`` fixes them at
+    100:50:50:1:...:1 and draws none), the cluster mean departures, then
+    arrivals (uniform on [-pi/2, pi/2]), the ray gains' real parts, then
+    imaginary parts, and the ray departures, then arrivals. So a
+    (seed, index) pair maps to exactly one path set, whatever the batch.
+
+    The cluster powers ``sigma_sq`` are the ratios rescaled to total
+    ``n_t*n_r/n_ray``, which keeps the expected squared Frobenius norm of
+    a channel at ``n_t*n_r``. Ray gains in cluster i are circularly
+    symmetric complex Gaussian with variance ``sigma_sq[i]``. Ray angles
+    are uniform around their cluster mean with standard deviation
+    ``angle_spread`` (half-width ``sqrt(3)*spread``, the unique symmetric
+    uniform with that deviation), clipped to [-pi/2, pi/2]. Paths are
+    ordered cluster-major. ``start`` and ``stop`` are integers with
+    ``0 <= start < stop <= trials``.
     """
-    rng = trial_rng(scenario.master_seed, trial_index)
-    profile = condition_profile(
-        scenario.condition,
-        scenario.geometry,
-        scenario.n_cl,
-        scenario.n_ray,
-        scenario.angle_spread,
-        rng,
+    start = require_integer(start, "start")
+    stop = require_integer(stop, "stop")
+    if not 0 <= start < stop <= scenario.trials:
+        raise InvalidInputError(
+            f"trial range [{start}, {stop}) is empty or outside [0, {scenario.trials})"
+        )
+    n_cl, n_ray = scenario.n_cl, scenario.n_ray
+    ratios = np.empty((stop - start, n_cl))
+    real, imag, aod, aoa = np.empty((4, stop - start, n_cl * n_ray))
+    half = np.sqrt(3.0) * scenario.angle_spread
+    good = scenario.condition == "good"
+    for row, index in enumerate(range(start, stop)):
+        rng = trial_rng(scenario.master_seed, index)
+        if good:
+            ratios[row] = rng.standard_normal(n_cl)
+        centers_t = np.repeat(rng.uniform(-HALF_PI, HALF_PI, n_cl), n_ray)
+        centers_r = np.repeat(rng.uniform(-HALF_PI, HALF_PI, n_cl), n_ray)
+        real[row] = rng.standard_normal(n_cl * n_ray)
+        imag[row] = rng.standard_normal(n_cl * n_ray)
+        aod[row] = rng.uniform(centers_t - half, centers_t + half)
+        aoa[row] = rng.uniform(centers_r - half, centers_r + half)
+    ratios = np.abs(ratios) if good else np.array([100.0, 50.0, 50.0] + [1.0] * (n_cl - 3))
+    budget = scenario.geometry.n_t * scenario.geometry.n_r / n_ray
+    sigma_sq = ratios * (budget / ratios.sum(axis=-1, keepdims=True))
+    scale = np.sqrt(np.repeat(sigma_sq, n_ray, axis=-1) / 2.0)
+    return PathSet(
+        gains=scale * (real + 1j * imag),
+        aod=np.clip(aod, -HALF_PI, HALF_PI),
+        aoa=np.clip(aoa, -HALF_PI, HALF_PI),
     )
-    means_aod = rng.uniform(-np.pi / 2, np.pi / 2, scenario.n_cl)
-    means_aoa = rng.uniform(-np.pi / 2, np.pi / 2, scenario.n_cl)
-    return sample_cluster_paths(profile, means_aod, means_aoa, rng)
 
 
 def ideal_capacity(geometry, snr):
@@ -201,9 +238,10 @@ def run_trials(scenario, start, stop, safeguard=False):
 
     Returns ``(physical, pattern)`` capacity arrays of shape
     (stop - start, SNR points) in bits/s/Hz; ``start`` and ``stop`` are
-    integers, and ``run_trials(scenario, i, i + 1)`` is trial ``i``
-    alone. Each trial draws its paths from its own stream; the rest runs
-    on the stacked batch: one steering ``exp`` per array side for both
+    those of ``draw_paths``, and ``run_trials(scenario, i, i + 1)`` is
+    trial ``i`` alone. Each trial draws its paths from its own stream
+    (``draw_paths``, one path set for the batch); the rest runs on the
+    stacked batch: one steering ``exp`` per array side for both
     channel assemblies, the lockstep design (``design_pattern``) and one
     eigendecomposition per sweep. Each row is bit-identical to the call
     on its trial alone and to the campaign's row of that trial, under any
@@ -215,16 +253,10 @@ def run_trials(scenario, start, stop, safeguard=False):
     highest grid SNR; the default leaves the heuristic unguarded so
     improvements are measured, not enforced.
     """
-    start = require_integer(start, "start")
-    stop = require_integer(stop, "stop")
-    if not 0 <= start < stop <= scenario.trials:
-        raise InvalidInputError(
-            f"trial range [{start}, {stop}) is empty or outside [0, {scenario.trials})"
-        )
     geometry = scenario.geometry
     snr = _linear(scenario.snr_db)
     with one_blas_thread():
-        paths = stack_paths(draw_paths(scenario, index) for index in range(start, stop))
+        paths = draw_paths(scenario, start, stop)
         factors = channel_factors(geometry, paths)
         physical = capacity(assemble_physical(geometry, paths, factors), snr)
 

@@ -10,7 +10,7 @@ import pytest
 import prmimo
 import prmimo.sof as sof
 from oracles import full_phase_penalty_matrix
-from prmimo import PathSet, PatternMatrix, run_sof, run_trials
+from prmimo import PathSet, PatternMatrix, draw_paths, run_sof, run_trials
 from prmimo.cfpa import _gram_power
 
 
@@ -20,6 +20,12 @@ def random_paths(rng, n_paths, max_angle=np.pi / 2):
     aod = rng.uniform(-max_angle, max_angle, n_paths)
     aoa = rng.uniform(-max_angle, max_angle, n_paths)
     return PathSet(gains=gains, aod=aod, aoa=aoa)
+
+
+def trial_paths(scenario, index):
+    """Trial ``index``'s path set: the one row of its ``draw_paths`` batch."""
+    batch = draw_paths(scenario, index, index + 1)
+    return PathSet(gains=batch.gains[0], aod=batch.aod[0], aoa=batch.aoa[0])
 
 
 def neutral_pattern(n_t, n_paths):

@@ -4,11 +4,13 @@ Each oracle evaluates a quantity one term at a time, straight from its
 definition, so the factored library code can be checked against it.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
-from prmimo import InvalidInputError
+from prmimo import InvalidInputError, PathSet, steering_matrix, trial_rng
 from prmimo.cfpa import EPS_FLOOR
-from prmimo import steering_matrix
+from prmimo.channel import HALF_PI
 
 
 def steering_vector(n, spacing, angle):
@@ -147,3 +149,68 @@ def full_phase_penalty_matrix(geometry, recv, order, m_prior, sin_prior, step):
     weighted = b_cols.conj()
     weighted *= weights[:, None, :]
     return (weighted @ b_cols.swapaxes(1, 2)).real.copy()
+
+
+# The per-trial channel draw, one generator call after another, as
+# ``montecarlo.draw_paths`` composed it before it drew a batch at once;
+# each row of a batch must carry these bytes.
+ClusterProfile = namedtuple("ClusterProfile", "n_cl n_ray sigma_sq angle_spread")
+
+
+def per_trial_draw(scenario, trial_index):
+    """One trial's path set, drawn alone from ``trial_rng(seed, index)``.
+
+    Draw order within the trial stream: cluster power profile (randomized
+    only for the good-conditioned regime), cluster mean departures,
+    cluster mean arrivals, then the per-ray path set.
+    """
+    rng = trial_rng(scenario.master_seed, trial_index)
+    profile = condition_profile(
+        scenario.condition,
+        scenario.geometry,
+        scenario.n_cl,
+        scenario.n_ray,
+        scenario.angle_spread,
+        rng,
+    )
+    means_aod = rng.uniform(-np.pi / 2, np.pi / 2, scenario.n_cl)
+    means_aoa = rng.uniform(-np.pi / 2, np.pi / 2, scenario.n_cl)
+    return sample_cluster_paths(profile, means_aod, means_aoa, rng)
+
+
+def sample_cluster_paths(profile, means_aod, means_aoa, rng):
+    """Draw one random path set from a cluster scattering profile.
+
+    Ray gains in cluster i are circularly symmetric complex Gaussian with
+    variance ``sigma_sq[i]``. Ray angles are uniform around the cluster
+    mean with standard deviation ``angle_spread`` (half-width
+    ``sqrt(3)*spread``) and are clipped to [-pi/2, pi/2]. Paths are
+    ordered cluster-major. Draw order is gains (real then imaginary),
+    departures, arrivals.
+    """
+    total = profile.n_cl * profile.n_ray
+    sigma = np.repeat(profile.sigma_sq, profile.n_ray)
+    scale = np.sqrt(sigma / 2.0)
+    gains = scale * (rng.standard_normal(total) + 1j * rng.standard_normal(total))
+    half = np.sqrt(3.0) * profile.angle_spread
+    centers_t = np.repeat(means_aod, profile.n_ray)
+    centers_r = np.repeat(means_aoa, profile.n_ray)
+    aod = np.clip(rng.uniform(centers_t - half, centers_t + half), -HALF_PI, HALF_PI)
+    aoa = np.clip(rng.uniform(centers_r - half, centers_r + half), -HALF_PI, HALF_PI)
+    return PathSet(gains=gains, aod=aod, aoa=aoa)
+
+
+def condition_profile(kind, geometry, n_cl, n_ray, angle_spread, rng):
+    """The cluster power profile of one conditioning regime.
+
+    ``"ill"`` fixes the cluster power ratios at 100:50:50:1:...:1.
+    ``"good"`` draws magnitudes of standard normal variables. Either way
+    the powers are rescaled so their total equals ``n_t*n_r/n_ray``.
+    """
+    budget = geometry.n_t * geometry.n_r / n_ray
+    if kind == "ill":
+        ratios = np.array([100.0, 50.0, 50.0] + [1.0] * (n_cl - 3))
+    else:
+        ratios = np.abs(rng.standard_normal(n_cl))
+    sigma_sq = ratios * (budget / ratios.sum())
+    return ClusterProfile(n_cl, n_ray, sigma_sq, angle_spread)

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import steering_vector
+from oracles import condition_profile, steering_vector
 from prmimo import (
     ArrayGeometry,
-    ClusterProfile,
     InvalidInputError,
     PathSet,
+    Scenario,
     assemble_physical,
-    condition_profile,
-    sample_cluster_paths,
+    draw_paths,
     steering_matrix,
 )
 
@@ -105,18 +104,6 @@ class TestPathSet:
             PathSet(gains=gains, aod=np.zeros((2, 3)), aoa=np.zeros((2, 3)))
 
 
-class TestClusterProfile:
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_rejects_non_finite_cluster_power(self, value):
-        with pytest.raises(InvalidInputError, match="cluster powers must be finite"):
-            ClusterProfile(n_cl=2, n_ray=1, sigma_sq=[1.0, value], angle_spread=0.0)
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_rejects_non_finite_angle_spread(self, value):
-        with pytest.raises(InvalidInputError, match="angle spread must be finite"):
-            ClusterProfile(n_cl=2, n_ray=1, sigma_sq=[1.0, 1.0], angle_spread=value)
-
-
 class TestSteeringVector:
     def test_broadside(self):
         assert_allclose(steering_vector(4, 0.5, 0.0), 0.5 * np.ones(4))
@@ -155,12 +142,23 @@ class TestSteeringMatrix:
             (True, 0.5, "antenna count must be an integer"),
             (2, np.inf, "spacing must be finite"),
             (2, np.nan, "spacing must be finite"),
+            (2, 1e308, "spacing is too large"),
         ],
-        ids=["fractional-count", "bool-count", "inf-spacing", "nan-spacing"],
+        ids=["fractional-count", "bool-count", "inf-spacing", "nan-spacing", "overflowing-spacing"],
     )
     def test_rejects_counts_and_spacings_that_give_wrong_columns(self, n, spacing, message):
         with pytest.raises(InvalidInputError, match=message):
             steering_matrix(n, spacing, [0.3])
+
+    def test_spacing_has_the_rule_of_array_geometry(self):
+        # The largest phase that ArrayGeometry accepts (n = 8 elements)
+        # gives finite columns; just past it, both refuse.
+        steering_matrix(8, 1e305, [0.3, -1.2])
+        for n, spacing in ((8, 3e306), (32, 6e305)):
+            with pytest.raises(InvalidInputError, match="too large"):
+                ArrayGeometry(n_t=n, n_r=1, spacing_t=spacing)
+            with pytest.raises(InvalidInputError, match="too large"):
+                steering_matrix(n, spacing, [0.3])
 
     def test_numpy_count_gives_unit_norm_columns(self):
         a = steering_matrix(np.int64(5), 0.5, [0.3, -1.2])
@@ -205,52 +203,56 @@ class TestAssemblePhysical:
         assert_allclose(h, expected, atol=1e-12)
 
 
-class TestSampleClusterPaths:
-    def test_zero_spread_pins_rays_to_means(self):
-        profile = ClusterProfile(n_cl=2, n_ray=3, sigma_sq=[1.0, 2.0], angle_spread=0.0)
-        rng = np.random.default_rng(43)
-        means_aod = np.array([0.3, -0.5])
-        means_aoa = np.array([-0.1, 0.8])
-        paths = sample_cluster_paths(profile, means_aod, means_aoa, rng)
-        assert_allclose(paths.aod, np.repeat(means_aod, 3))
-        assert_allclose(paths.aoa, np.repeat(means_aoa, 3))
+def cluster_scenario(**kwargs):
+    kwargs = dict(geometry=ArrayGeometry(n_t=32, n_r=8), n_cl=10, n_ray=8) | kwargs
+    return Scenario(**kwargs)
+
+
+class TestDrawPaths:
+    def test_zero_spread_pins_rays_to_their_cluster_mean(self):
+        scenario = cluster_scenario(n_cl=4, n_ray=3, angle_spread=0.0, trials=5)
+        paths = draw_paths(scenario, 1, 5)
+        assert paths.gains.shape == (4, 12)
+        for angles in (paths.aod, paths.aoa):
+            rays = angles.reshape(4, 4, 3)
+            assert np.array_equal(rays, np.repeat(rays[..., :1], 3, axis=-1))
 
     def test_gain_variance(self):
-        target = 2.5
-        profile = ClusterProfile(n_cl=1, n_ray=100_000, sigma_sq=[target], angle_spread=0.0)
-        rng = np.random.default_rng(44)
-        paths = sample_cluster_paths(profile, [0.0], [0.0], rng)
-        empirical = np.mean(np.abs(paths.gains) ** 2)
-        assert abs(empirical - target) <= 0.03 * target
+        # One cluster holds the whole budget: E|g|^2 = n_t*n_r/n_ray.
+        scenario = cluster_scenario(n_cl=1, n_ray=100_000, condition="good", trials=1)
+        paths = draw_paths(scenario, 0, 1)
+        empirical = np.mean(np.abs(paths.gains) ** 2) * scenario.n_ray
+        assert abs(empirical - 256.0) <= 0.03 * 256.0
 
     def test_angles_clipped_to_range(self):
-        profile = ClusterProfile(n_cl=1, n_ray=200, sigma_sq=[1.0], angle_spread=np.deg2rad(20.0))
-        rng = np.random.default_rng(45)
-        paths = sample_cluster_paths(profile, [np.pi / 2], [-np.pi / 2], rng)
-        assert np.all(np.abs(paths.aod) <= np.pi / 2)
-        assert np.all(np.abs(paths.aoa) <= np.pi / 2)
+        # A 60 degree spread reaches past +-pi/2 around most cluster means.
+        scenario = cluster_scenario(angle_spread=np.deg2rad(60.0), trials=20)
+        paths = draw_paths(scenario, 0, 20)
+        for angles in (paths.aod, paths.aoa):
+            assert np.all(np.abs(angles) <= np.pi / 2)
+            assert np.any(angles == np.pi / 2) and np.any(angles == -np.pi / 2)
 
     def test_mean_channel_power(self):
         geom = ArrayGeometry(n_t=32, n_r=8)
-        rng = np.random.default_rng(46)
+        scenario = cluster_scenario(angle_spread=np.deg2rad(3.0), trials=2000)
         total = 0.0
-        draws = 2000
-        for _ in range(draws):
-            profile = condition_profile("ill", geom, 10, 8, np.deg2rad(3.0), rng)
-            means_aod = rng.uniform(-np.pi / 2, np.pi / 2, 10)
-            means_aoa = rng.uniform(-np.pi / 2, np.pi / 2, 10)
-            paths = sample_cluster_paths(profile, means_aod, means_aoa, rng)
-            total += np.linalg.norm(assemble_physical(geom, paths)) ** 2
+        for start in range(0, 2000, 500):
+            h = assemble_physical(geom, draw_paths(scenario, start, start + 500))
+            total += np.sum(np.abs(h) ** 2)
         expected = geom.n_t * geom.n_r
-        assert abs(total / draws - expected) <= 0.05 * expected
+        assert abs(total / 2000 - expected) <= 0.05 * expected
 
-    def test_rejects_wrong_mean_count(self):
-        profile = ClusterProfile(n_cl=2, n_ray=1, sigma_sq=[1.0, 1.0], angle_spread=0.0)
-        with pytest.raises(InvalidInputError):
-            sample_cluster_paths(profile, [0.0], [0.0, 0.0], np.random.default_rng(0))
+    @pytest.mark.parametrize(
+        "start, stop", [(0, 0), (3, 2), (-1, 2), (0, 6), (0.0, 2), (0, True)]
+    )
+    def test_rejects_trial_ranges_outside_the_campaign(self, start, stop):
+        with pytest.raises(InvalidInputError, match="trial range|must be an integer"):
+            draw_paths(cluster_scenario(trials=5), start, stop)
 
 
 class TestConditionProfile:
+    # The oracle's per-trial profile, whose draws ``draw_paths`` matches
+    # byte for byte (tests/test_properties.py).
     def test_ill_four_clusters(self):
         geom = ArrayGeometry(n_t=32, n_r=8)
         profile = condition_profile("ill", geom, 4, 8, 0.0, np.random.default_rng(0))
@@ -269,13 +271,3 @@ class TestConditionProfile:
         profile = condition_profile("good", geom, 10, 8, 0.0, np.random.default_rng(5))
         assert np.all(profile.sigma_sq > 0)
         assert abs(profile.sigma_sq.sum() - 32.0) <= 1e-12 * 32.0
-
-    def test_ill_needs_four_clusters(self):
-        geom = ArrayGeometry(n_t=8, n_r=2)
-        with pytest.raises(InvalidInputError):
-            condition_profile("ill", geom, 3, 4, 0.0, np.random.default_rng(0))
-
-    def test_rejects_unknown_kind(self):
-        geom = ArrayGeometry(n_t=8, n_r=2)
-        with pytest.raises(InvalidInputError):
-            condition_profile("medium", geom, 4, 4, 0.0, np.random.default_rng(0))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import fresh_interpreter, one_trial
+from helpers import fresh_interpreter, one_trial, trial_paths
 import prmimo.montecarlo as montecarlo
 import prmimo.numerics as numerics
 from prmimo import (
@@ -17,10 +17,10 @@ from prmimo import (
     CapacityCurve,
     InvalidInputError,
     NumericalFailureError,
+    PathSet,
     PatternMatrix,
     Scenario,
     capacity,
-    draw_paths,
     ideal_capacity,
     run_campaign,
     run_trials,
@@ -175,7 +175,7 @@ class TestOneTrial:
     def test_single_path_is_rescaled_physical(self):
         scenario = small_scenario(condition="good", n_cl=1, n_ray=1, angle_spread=0.0)
         physical, designed = one_trial(scenario, 0)
-        paths = draw_paths(scenario, 0)
+        paths = trial_paths(scenario, 0)
         geom = scenario.geometry
         # One path: the designed channel is the physical one rescaled to
         # the full power budget.
@@ -277,6 +277,27 @@ class TestRunTrials:
             assert np.array_equal(physical[row], single_physical)
             assert np.array_equal(designed[row], single_designed)
 
+    def test_one_draw_and_one_path_set_per_batch(self, monkeypatch):
+        # The batch's paths come from one draw_paths call as one checked
+        # PathSet; no trial builds a path set of its own.
+        scenario = small_scenario(trials=6)
+        real_draw, real_check = montecarlo.draw_paths, PathSet.__post_init__
+        draws, checks = [], []
+
+        def recording_draw(sc, start, stop):
+            draws.append((start, stop))
+            return real_draw(sc, start, stop)
+
+        def counting_check(paths):
+            checks.append(paths.gains.shape)
+            real_check(paths)
+
+        monkeypatch.setattr(montecarlo, "draw_paths", recording_draw)
+        monkeypatch.setattr(PathSet, "__post_init__", counting_check)
+        run_trials(scenario, 1, 6)
+        assert draws == [(1, 6)]
+        assert checks == [(5, 8)]
+
     def test_safeguard_acts_per_row(self, monkeypatch):
         scenario = small_scenario(trials=6)
         real_design = montecarlo.design_pattern
@@ -332,10 +353,10 @@ class TestRunTrials:
         scenario = small_scenario(trials=7)
         real_draw = montecarlo.draw_paths
 
-        def one_dead_path(sc, index):
-            paths = real_draw(sc, index)
-            if index == 3:
-                paths.gains[2] = 0.0
+        def one_dead_path(sc, start, stop):
+            paths = real_draw(sc, start, stop)
+            if start <= 3 < stop:
+                paths.gains[3 - start, 2] = 0.0
             return paths
 
         monkeypatch.setattr(montecarlo, "draw_paths", one_dead_path)
@@ -456,10 +477,10 @@ class TestRunCampaign:
         force_batch_size(monkeypatch, scenario, 3)
         real_draw_paths = montecarlo.draw_paths
 
-        def flaky(sc, index):
-            if index == 4:
+        def flaky(sc, start, stop):
+            if start <= 4 < stop:
                 raise NumericalFailureError("synthetic failure")
-            return real_draw_paths(sc, index)
+            return real_draw_paths(sc, start, stop)
 
         monkeypatch.setattr(montecarlo, "draw_paths", flaky)
         outcomes = montecarlo._trial_outcomes(scenario, 1, False)
@@ -527,10 +548,10 @@ class TestRunCampaign:
         scenario = small_scenario(trials=200, snr_db=np.array([10.0]))
         real_draw_paths = montecarlo.draw_paths
 
-        def flaky(sc, index):
-            if index == 17:
+        def flaky(sc, start, stop):
+            if start <= 17 < stop:
                 raise NumericalFailureError("synthetic failure")
-            return real_draw_paths(sc, index)
+            return real_draw_paths(sc, start, stop)
 
         monkeypatch.setattr(montecarlo, "draw_paths", flaky)
         with pytest.warns(RuntimeWarning, match="excluded 1 failed"):
@@ -541,10 +562,10 @@ class TestRunCampaign:
         scenario = small_scenario(trials=50, snr_db=np.array([10.0]))
         real_draw_paths = montecarlo.draw_paths
 
-        def flaky(sc, index):
-            if index in (3, 11):
+        def flaky(sc, start, stop):
+            if any(start <= i < stop for i in (3, 11)):
                 raise NumericalFailureError("synthetic failure")
-            return real_draw_paths(sc, index)
+            return real_draw_paths(sc, start, stop)
 
         monkeypatch.setattr(montecarlo, "draw_paths", flaky)
         with pytest.raises(CampaignError):
@@ -556,10 +577,10 @@ class TestRunCampaign:
         scenario = small_scenario(trials=200, snr_db=np.array([10.0]))
         real_draw_paths = montecarlo.draw_paths
 
-        def buggy(sc, index):
-            if index == 17:
+        def buggy(sc, start, stop):
+            if start <= 17 < stop:
                 raise TypeError("synthetic bug")
-            return real_draw_paths(sc, index)
+            return real_draw_paths(sc, start, stop)
 
         monkeypatch.setattr(montecarlo, "draw_paths", buggy)
         with pytest.raises(CampaignError, match=r"trial 17 \(master_seed 99\) raised TypeError"):

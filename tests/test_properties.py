@@ -5,14 +5,17 @@ other than half a wavelength, single-path sets, more paths than
 n_t * n_r, repeated and endfire (+-pi/2) angles, zero-gain paths and
 campaigns with no angular spread (xi = 0). It checks the power
 allocation, the Gram power of a pattern channel against its assembled
-power, the invariants of the SOF Gram matrix, and that lockstep
-batches of trials give the bits of one-at-a-time runs. Examples are
-derandomized, so a run is reproducible, and few, so the suite stays
-quick.
+power, the invariants of the SOF Gram matrix, that lockstep batches of
+trials give the bits of one-at-a-time runs, and that a batch draw gives
+the bits of per-trial draws. Two symmetries of the model hold on draws
+of the benchmark's workload shapes: relabeling the paths and scaling
+every gain. Examples are derandomized, so a run is reproducible, and
+few, so the suite stays quick.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_sof_bits_match_full_phase_penalty, one_trial, rescaled_to_budget
@@ -20,6 +23,7 @@ from oracles import (
     direct_trace_gram,
     kept_allocation_factors,
     modified_subchannels,
+    per_trial_draw,
     tensor_power_scaling,
 )
 from prmimo import (
@@ -31,8 +35,12 @@ from prmimo import (
     Scenario,
     allocate_power,
     assemble_pattern_channel,
+    assemble_physical,
+    capacity,
     cfpa_weights,
+    correlation_indicator,
     design_pattern,
+    draw_paths,
     ideal_capacity,
     run_sof,
     run_trials,
@@ -40,7 +48,7 @@ from prmimo import (
 )
 from prmimo.cfpa import _gram_power
 from prmimo.channel import stack_paths
-from prmimo.numerics import COLUMN_NORM_RTOL
+from prmimo.numerics import COLUMN_NORM_RTOL, one_blas_thread
 
 HALF_PI = np.pi / 2.0
 
@@ -264,3 +272,120 @@ def test_lockstep_trials_match_single_trials(scenario, start, size, safeguard):
         # the equal-eigenvalue ideal channel.
         ideal = ideal_capacity(scenario.geometry, 10.0 ** (scenario.snr_db / 10.0))
         assert np.all(designed <= ideal * (1.0 + 1e-9))
+
+
+@st.composite
+def draw_scenarios(draw):
+    """Campaigns of 64 trials over the cluster model's corners."""
+    condition = draw(st.sampled_from(("good", "ill")))
+    n_r = draw(st.integers(1, 8))
+    # A spread of 60 degrees or more reaches past +-pi/2 around most means.
+    spread = st.one_of(st.sampled_from((0.0, np.deg2rad(3.0), np.deg2rad(60.0))), st.floats(0, 2))
+    return Scenario(
+        geometry=ArrayGeometry(n_t=draw(st.integers(n_r, 64)), n_r=n_r),
+        n_cl=draw(st.integers(4 if condition == "ill" else 1, 20)),
+        n_ray=draw(st.integers(1, 8)),
+        condition=condition,
+        angle_spread=draw(spread),
+        trials=64,
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def corner(condition, n_cl, n_ray, spread):
+    return Scenario(ArrayGeometry(n_t=32, n_r=8), n_cl=n_cl, n_ray=n_ray, condition=condition,
+                    angle_spread=np.deg2rad(spread), trials=64, master_seed=12345)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(scenario=draw_scenarios(), start=st.integers(0, 40), size=st.integers(1, 24))
+@example(scenario=corner("good", 1, 1, 0.0), start=0, size=3)
+@example(scenario=corner("ill", 4, 8, 90.0), start=5, size=7)
+@example(scenario=corner("ill", 20, 8, 3.0), start=63, size=1)
+@example(scenario=corner("good", 20, 1, 60.0), start=10, size=24)
+def test_batch_draw_rows_are_the_per_trial_draws(scenario, start, size):
+    # The batch draw keeps every byte of the trial drawn alone.
+    batch = draw_paths(scenario, start, start + size)
+    for row, index in enumerate(range(start, start + size)):
+        alone = per_trial_draw(scenario, index)
+        for name in ("gains", "aod", "aoa"):
+            assert getattr(batch, name)[row].tobytes() == getattr(alone, name).tobytes(), name
+
+
+# The (n_cl, n_ray, condition) of the benchmark's workloads on 32 x 8
+# arrays with a 3 degree spread.
+WORKLOAD_SHAPES = pytest.mark.parametrize(
+    "shape",
+    [(10, 8, "ill"), (20, 8, "ill"), (4, 2, "good")],
+    ids=["ref_ill", "dense_ncl20", "sweep_w2"],
+)
+SYMMETRY_SNR = 10.0 ** (np.array([-10.0, 10.0, 30.0]) / 10.0)
+
+
+def workload_batch(shape, seed):
+    """Two trials of a workload shape, drawn by ``draw_paths``."""
+    n_cl, n_ray, condition = shape
+    scenario = Scenario(ArrayGeometry(n_t=32, n_r=8), n_cl=n_cl, n_ray=n_ray,
+                        condition=condition, trials=2, master_seed=seed)
+    return scenario.geometry, draw_paths(scenario, 0, 2)
+
+
+def evaluate(geometry, paths):
+    """Physical and designed capacities on ``SYMMETRY_SNR``, and the SOF state."""
+    with one_blas_thread():
+        pattern, state = design_pattern(geometry, paths)
+        physical = capacity(assemble_physical(geometry, paths), SYMMETRY_SNR)
+        designed = capacity(assemble_pattern_channel(geometry, paths, pattern), SYMMETRY_SNR)
+    return physical, designed, state
+
+
+def assert_close(got, want, rtol=1e-12):
+    assert np.all(np.abs(got - want) <= rtol * np.abs(want))
+
+
+def separated(indicator):
+    # Rows whose indicator entries lie more than 1e-12 (relative) apart.
+    values = np.sort(indicator, axis=-1)
+    return np.all(np.diff(values, axis=-1) > 1e-12 * values[..., 1:], axis=-1)
+
+
+@WORKLOAD_SHAPES
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_relabeling_the_paths_permutes_the_design(shape, seed):
+    # Path labels carry no meaning: a permutation of each trial's paths
+    # keeps its capacities and permutes its visiting order and columns,
+    # unless an indicator tie lets round-off pick another path.
+    geometry, paths = workload_batch(shape, seed)
+    rows = np.arange(len(paths.gains))[:, None]
+    perm = np.argsort(np.random.default_rng(seed).random(paths.gains.shape), axis=-1)
+    relabeled = PathSet(*(getattr(paths, f)[rows, perm] for f in ("gains", "aod", "aoa")))
+    physical, designed, state = evaluate(geometry, paths)
+    physical_r, designed_r, state_r = evaluate(geometry, relabeled)
+    assert_close(physical_r, physical)
+    assert_close(designed_r, designed)
+
+    initial = correlation_indicator(subchannel_gram(geometry, paths, np.ones(state.m_hat.shape)).g)
+    untied = separated(initial) & separated(state.gram.indicator)
+    assert np.any(untied)
+    for t in np.flatnonzero(untied):
+        assert np.array_equal(perm[t][state_r.order[t]], state.order[t])
+        assert np.all(np.abs(state_r.m_hat[t] - state.m_hat[t][:, perm[t]]) <= 1e-12)
+
+
+@WORKLOAD_SHAPES
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), phase=st.floats(-np.pi, np.pi))
+def test_scaling_every_gain_keeps_the_design(shape, seed, phase):
+    # The design reads no gain, and the power allocation scales the
+    # pattern channel to the budget: one complex factor on every gain
+    # moves no bit of the order or the columns, and no designed capacity,
+    # however small or large the factor.
+    geometry, paths = workload_batch(shape, seed)
+    _, designed, state = evaluate(geometry, paths)
+    for magnitude in (1e-9, 1e6):
+        gains = magnitude * np.exp(1j * phase) * paths.gains
+        _, designed_s, state_s = evaluate(geometry, PathSet(gains, paths.aod, paths.aoa))
+        assert state_s.order.tobytes() == state.order.tobytes()
+        assert state_s.m_hat.tobytes() == state.m_hat.tobytes()
+        assert_close(designed_s, designed)

@@ -1,24 +1,18 @@
 """Every input rule, through every entry point that accepts it.
 
 Each rule is stated once, by the module that owns it: the cluster rules
-in ``channel._check_clusters`` and the request rules in
-``montecarlo._check_request``. Whichever door a bad value comes in by,
-the same check raises it with the same message; the CLI adds only its
-usage-error prefix and, for a config-file value, the file line. It exits
-1 before any output directory exists.
+in ``channel._check_clusters``, and the request rules and the grid's
+finiteness in ``montecarlo`` (``_check_request``, ``_check_finite_grid``).
+Whichever door a bad value comes in by, the same check raises it with
+the same message; the CLI adds only its usage-error prefix and, for a
+config-file value, the file line. It exits 1 before any output directory
+exists.
 """
 
 import numpy as np
 import pytest
 
-from prmimo import (
-    ArrayGeometry,
-    ClusterProfile,
-    InvalidInputError,
-    Scenario,
-    condition_profile,
-    run_campaign,
-)
+from prmimo import ArrayGeometry, InvalidInputError, Scenario, run_campaign
 from prmimo.channel import ILL_MIN_CLUSTERS
 from prmimo.cli import UsageError, main, parse_config
 from prmimo.montecarlo import SCHEMES
@@ -31,6 +25,7 @@ SETTINGS = {
     "n_ray": 8,
     "angle_spread": np.deg2rad(3.0),
     "condition": "ill",
+    "snr_db": np.array([0.0, 10.0]),
     "schemes": SCHEMES,
     "workers": 1,
 }
@@ -43,21 +38,16 @@ LIBRARY = {
         n_ray=s["n_ray"],
         condition=s["condition"],
         angle_spread=s["angle_spread"],
-    ),
-    "ClusterProfile": lambda s: ClusterProfile(
-        s["n_cl"], s["n_ray"], np.ones(s["n_cl"]), s["angle_spread"]
-    ),
-    "condition_profile": lambda s: condition_profile(
-        s["condition"], GEOMETRY, s["n_cl"], s["n_ray"], s["angle_spread"],
-        np.random.default_rng(0),
+        snr_db=s["snr_db"],
     ),
     "run_campaign": lambda s: run_campaign(
         Scenario(GEOMETRY, trials=2), schemes=s["schemes"], workers=s["workers"]
     ),
 }
 
-CLUSTER_DOORS = ("Scenario", "ClusterProfile", "condition_profile")
-REGIME_DOORS = ("Scenario", "condition_profile")  # a ClusterProfile has no regime
+# The keys whose text the CLI checks as it reads it: a config-file line
+# that fails names its line before the message, not after it.
+READ_KEYS = ("snr_db",)
 
 # One row per broken rule: its message, its owning check, the CLI key and
 # text that break it, the same value as the library takes it, and the
@@ -65,19 +55,23 @@ REGIME_DOORS = ("Scenario", "condition_profile")  # a ClusterProfile has no regi
 # line) accept every rule.
 RULES = [
     ("cluster and ray counts must be >= 1", "_check_clusters",
-     "ncl", "0", {"n_cl": 0}, CLUSTER_DOORS),
+     "ncl", "0", {"n_cl": 0}, ("Scenario",)),
     ("cluster and ray counts must be >= 1", "_check_clusters",
-     "nray", "0", {"n_ray": 0}, CLUSTER_DOORS),
+     "nray", "0", {"n_ray": 0}, ("Scenario",)),
     ("angle spread must be finite", "_check_clusters",
-     "xi_deg", "nan", {"angle_spread": np.nan}, CLUSTER_DOORS),
+     "xi_deg", "nan", {"angle_spread": np.nan}, ("Scenario",)),
     ("angle spread must be finite", "_check_clusters",
-     "xi_deg", "inf", {"angle_spread": np.inf}, CLUSTER_DOORS),
+     "xi_deg", "inf", {"angle_spread": np.inf}, ("Scenario",)),
     ("angle spread must be nonnegative", "_check_clusters",
-     "xi_deg", "-1", {"angle_spread": np.deg2rad(-1.0)}, CLUSTER_DOORS),
+     "xi_deg", "-1", {"angle_spread": np.deg2rad(-1.0)}, ("Scenario",)),
     ("unknown condition 'bad'", "_check_clusters",
-     "condition", "bad", {"condition": "bad"}, REGIME_DOORS),
+     "condition", "bad", {"condition": "bad"}, ("Scenario",)),
     (f"ill-conditioned profile needs n_cl >= {ILL_MIN_CLUSTERS}", "_check_clusters",
-     "ncl", str(ILL_MIN_CLUSTERS - 1), {"n_cl": ILL_MIN_CLUSTERS - 1}, REGIME_DOORS),
+     "ncl", str(ILL_MIN_CLUSTERS - 1), {"n_cl": ILL_MIN_CLUSTERS - 1}, ("Scenario",)),
+    ("snr grid values must be finite", "_check_finite_grid",
+     "snr_db", "nan:1:5", {"snr_db": np.array([np.nan])}, ("Scenario",)),
+    ("snr grid values must be finite", "_check_finite_grid",
+     "snr_db", "0:1:inf", {"snr_db": np.array([0.0, np.inf])}, ("Scenario",)),
     ("at least one scheme is required", "_check_request",
      "schemes", " , ", {"schemes": ()}, ("run_campaign",)),
     ("unknown schemes: ['psychic']", "_check_request",
@@ -94,7 +88,9 @@ CASES = [
 
 
 def raised_in(exc):
-    # The function whose frame raised ``exc``.
+    # The function whose frame raised the first error of ``exc``'s chain.
+    while exc.__cause__ is not None:
+        exc = exc.__cause__
     tb = exc.__traceback__
     while tb.tb_next is not None:
         tb = tb.tb_next
@@ -118,12 +114,15 @@ def test_a_rule_has_one_check_and_one_message_at_every_door(
         path = tmp_path / "run.cfg"
         path.write_text(f"{key}={text}\n")
         argv, line = ["--config", str(path)], f" (from {path}:1 {key})"
+    expected = f"{message}{line}"
+    if door == "config" and key in READ_KEYS:
+        expected = f"{path}:1: bad value for {key!r}: {message}"
     argv += ["--trials", "2"]
     with pytest.raises(UsageError) as raised:
         parse_config(argv)
-    assert raised_in(raised.value.__cause__) == owner
+    assert raised_in(raised.value) == owner
 
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"prmimo: usage error: {message}{line}\n"
+    assert capsys.readouterr().err == f"prmimo: usage error: {expected}\n"
     assert not out.exists()
