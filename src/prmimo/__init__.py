@@ -34,7 +34,7 @@ from .montecarlo import (
     run_trials,
     trial_rng,
 )
-from .numerics import eig_sym, logdet_capacity_kernel
+from .numerics import eig_sym
 from .pattern import PatternMatrix, assemble_pattern_channel, capacity
 from .sof import (
     SofState,
@@ -70,7 +70,6 @@ __all__ = [
     "draw_paths",
     "eig_sym",
     "ideal_capacity",
-    "logdet_capacity_kernel",
     "run_campaign",
     "run_sof",
     "run_trials",

@@ -241,9 +241,10 @@ def run_trials(scenario, start, stop, safeguard=False):
     those of ``draw_paths``, and ``run_trials(scenario, i, i + 1)`` is
     trial ``i`` alone. Each trial draws its paths from its own stream
     (``draw_paths``, one path set for the batch); the rest runs on the
-    stacked batch: one steering ``exp`` per array side for both
-    channel assemblies, the lockstep design (``design_pattern``) and one
-    eigendecomposition per sweep. Each row is bit-identical to the call
+    stacked batch: the lockstep design (``design_pattern``), one steering
+    ``exp`` per array side for both channel assemblies, and one
+    ``capacity`` sweep over the physical and designed channels stacked
+    together. Each row is bit-identical to the call
     on its trial alone and to the campaign's row of that trial, under any
     BLAS thread count of the caller: the batch runs on one BLAS thread
     (the caller's count is restored). The batch's memory grows with its
@@ -257,11 +258,15 @@ def run_trials(scenario, start, stop, safeguard=False):
     snr = _linear(scenario.snr_db)
     with one_blas_thread():
         paths = draw_paths(scenario, start, stop)
-        factors = channel_factors(geometry, paths)
-        physical = capacity(assemble_physical(geometry, paths, factors), snr)
-
         pattern = design_pattern(geometry, paths)[0]
-        designed = capacity(assemble_pattern_channel(geometry, paths, pattern, factors), snr)
+        factors = channel_factors(geometry, paths)
+        channels = np.concatenate(
+            [
+                assemble_physical(geometry, paths, factors),
+                assemble_pattern_channel(geometry, paths, pattern, factors),
+            ]
+        )
+        physical, designed = np.split(capacity(channels, snr), 2)
 
     if safeguard:
         reference = int(np.argmax(snr))
@@ -310,26 +315,29 @@ def _usable_cores():
         return os.cpu_count() or 1
 
 
-# A pool worker's copy of its pool's abort event (see ``_start_worker``).
-_worker_abort = None
+# A pool worker's copy of its pool's first failed batch start (see
+# ``_start_worker``).
+_worker_failed = None
 
 
-def _start_worker(abort):
+def _start_worker(failed):
     # Pool initializer, so that it holds under any start method.
-    global _worker_abort
-    _worker_abort = abort
+    global _worker_failed
+    _worker_failed = failed
     set_blas_threads(1)
 
 
 def _pool_batch(run, start, stop):
-    # The batch's outcomes, or none once a batch has failed: a failure
-    # sets the abort event, so that the batches not yet started are skipped.
-    if _worker_abort.is_set():
+    # The batch's outcomes, or none after an earlier batch failed: each
+    # batch before the first failure runs, so the campaign raises the
+    # first failure in trial order, whatever the schedule.
+    if start > _worker_failed.value:
         return []
     try:
         return run(start, stop)
     except BaseException:
-        _worker_abort.set()
+        with _worker_failed.get_lock():
+            _worker_failed.value = min(_worker_failed.value, start)
         raise
 
 
@@ -339,7 +347,7 @@ def _trial_outcomes(scenario, workers, safeguard):
     # ``workers == 1``. One worker is this process; more make a pool that
     # takes the batches in chunks, about eight per worker: few enough
     # tasks that dispatch stays cheap, enough to balance uneven trials.
-    # A failed batch stops the workers before their next batch.
+    # A failed batch stops the workers before their next later batch.
     trials = scenario.trials
     size = batch_size(scenario.n_cl * scenario.n_ray, scenario.geometry.n_t)
     starts = range(0, trials, size)
@@ -353,11 +361,13 @@ def _trial_outcomes(scenario, workers, safeguard):
         # Imported here, so that a run in this process loads no process
         # machinery.
         from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import Event
+        from multiprocessing import Value
 
         # The pool's own map already cancels the chunks it has not handed
-        # to a worker; the event skips the ones handed over.
-        with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(Event(),)) as pool:
+        # to a worker; the first failed start skips the ones handed over
+        # that come after it. No batch starts at ``trials``.
+        failed = Value("q", trials)
+        with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(failed,)) as pool:
             chunk = -(-len(starts) // (8 * workers))
             batches = list(pool.map(partial(_pool_batch, run), starts, stops, chunksize=chunk))
     return [outcome for outcomes in batches for outcome in outcomes]

@@ -1,8 +1,8 @@
 """Dense linear-algebra kernels used by every other module.
 
 Thin, contract-checked wrappers around ``numpy.linalg`` so the rest of
-the package can rely on a fixed eigenvalue ordering, explicit handling
-of nearly-PSD Gram matrices, and uniform error reporting.
+the package can rely on a fixed eigenvalue ordering and uniform error
+reporting, plus the input rules and BLAS thread control they share.
 """
 
 from contextlib import contextmanager
@@ -12,11 +12,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
-
-# Relative level (against the Frobenius norm) below which a negative Gram
-# eigenvalue is treated as round-off and clamped to zero; anything more
-# negative is rejected as a genuinely non-PSD input.
-PSD_CLAMP_REL = 1e-8
 
 # Relative tolerance on the unit-power invariant of modification columns:
 # a column's squared norm must lie within COLUMN_NORM_RTOL * n_t of n_t
@@ -181,51 +176,3 @@ def eig_sym(b):
             f"symmetric eigendecomposition did not converge (norm {norm:.6g})",
             matrix_norm=norm,
         ) from exc
-
-
-def logdet_capacity_kernel(g, gamma):
-    """``log2 det(I + gamma * G)`` for a Hermitian PSD Gram matrix ``G``.
-
-    Evaluated through the eigenvalues of ``G`` rather than a determinant,
-    so the result stays finite and nonnegative for rank-deficient inputs.
-    Eigenvalues in ``[-PSD_CLAMP_REL * ||G||_F, 0)`` are treated as
-    round-off on a PSD matrix and clamped to zero; anything more negative
-    raises ``InvalidInputError``.
-
-    ``g`` is one (n, n) matrix or a (..., n, n) stack, and ``gamma`` a
-    scalar or an array of positive finite values; the result has shape
-    ``g.shape[:-2] + gamma.shape``, and a single matrix with a scalar
-    ``gamma`` gives a ``float``. The eigenvalues do not depend on
-    ``gamma``, so there is one stacked ``eigvalsh`` for the whole call,
-    and every entry equals the call on its own matrix and ``gamma``
-    entry bit for bit.
-    """
-    g = np.asarray(g, dtype=complex)
-    _require_square(g, "gram matrix")
-    _require_finite(g, "gram matrix")
-    gamma = np.asarray(gamma, dtype=float)
-    if not np.all(np.isfinite(gamma) & (gamma > 0)):
-        raise InvalidInputError(f"gamma must be positive and finite, got {gamma}")
-    try:
-        lam = np.linalg.eigvalsh(g)
-    except np.linalg.LinAlgError as exc:
-        norm = float(np.linalg.norm(g))
-        raise NumericalFailureError(
-            f"Hermitian eigenvalue iteration did not converge (norm {norm:.6g})",
-            matrix_norm=norm,
-        ) from exc
-    n = lam.shape[-1]
-    if n:
-        # Only a negative eigenvalue can fall below a matrix's floor, and
-        # each floor is that matrix's own Frobenius norm.
-        lowest = lam.reshape(-1, n)[:, 0]
-        for index in np.flatnonzero(lowest < 0.0):
-            floor = -PSD_CLAMP_REL * float(np.linalg.norm(g.reshape(-1, n, n)[index]))
-            if lowest[index] < floor:
-                raise InvalidInputError(
-                    f"gram matrix has eigenvalue {lowest[index]:.6g}, "
-                    f"below the PSD tolerance {floor:.6g}"
-                )
-    lam = np.maximum(lam, 0.0).reshape(lam.shape[:-1] + (1,) * gamma.ndim + (n,))
-    capacities = np.log2(1.0 + gamma[..., None] * lam).sum(axis=-1)
-    return float(capacities) if capacities.ndim == 0 else capacities

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import channel_factors
-from .errors import InvalidInputError
-from .numerics import logdet_capacity_kernel, require_unit_power_columns
+from .errors import InvalidInputError, NumericalFailureError
+from .numerics import require_unit_power_columns
 
 
 @dataclass
@@ -53,20 +53,35 @@ def capacity(h, snr):
 
     ``snr`` is the transmit signal-to-noise ratio in linear units,
     positive and finite; equal power is radiated from every transmit
-    antenna (no precoder). A scalar ``snr`` gives a ``float``; an array
-    gives one capacity per entry from a single eigendecomposition,
-    bit-identical to the scalar calls. ``h`` may also be a
-    (..., n_r, n_t) stack of channels, which adds its leading axes to the
-    result, each entry bit-identical to its own call.
+    antenna (no precoder). The determinant is taken over the eigenvalues
+    of ``H H^H``, round-off negatives clamped to zero. A scalar ``snr``
+    gives a ``float``; an array gives one capacity per entry from a
+    single eigendecomposition, bit-identical to the scalar calls. ``h``
+    may also be a (..., n_r, n_t) stack of channels, which adds its
+    leading axes to the result, each entry bit-identical to its own call.
+    A non-finite channel, or one whose ``H H^H`` overflows, is rejected.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim < 2:
+    if h.ndim < 2 or h.shape[-2] == 0:
         raise InvalidInputError(f"expected a channel matrix, got shape {h.shape}")
     snr = np.asarray(snr, dtype=float)
     if not np.all(np.isfinite(snr) & (snr > 0)):
         raise InvalidInputError(f"snr must be positive and finite, got {snr}")
-    n_r = h.shape[-2]
-    return logdet_capacity_kernel(h @ h.conj().swapaxes(-1, -2), snr / n_r)
+    gram = h @ h.conj().swapaxes(-1, -2)
+    if not np.isfinite(gram).all():
+        raise InvalidInputError("gram matrix contains non-finite entries")
+    try:
+        lam = np.linalg.eigvalsh(gram)
+    except np.linalg.LinAlgError as exc:
+        norm = float(np.linalg.norm(gram))
+        raise NumericalFailureError(
+            f"Hermitian eigenvalue iteration did not converge (norm {norm:.6g})",
+            matrix_norm=norm,
+        ) from exc
+    gamma = snr / h.shape[-2]
+    lam = np.maximum(lam, 0.0).reshape(lam.shape[:-1] + (1,) * gamma.ndim + lam.shape[-1:])
+    capacities = np.log2(1.0 + gamma[..., None] * lam).sum(axis=-1)
+    return float(capacities) if capacities.ndim == 0 else capacities
 
 
 def assemble_pattern_channel(geometry, paths, pattern, factors=None):

@@ -20,7 +20,10 @@ from prmimo import (
     PathSet,
     PatternMatrix,
     Scenario,
+    assemble_pattern_channel,
+    assemble_physical,
     capacity,
+    design_pattern,
     ideal_capacity,
     run_campaign,
     run_trials,
@@ -179,8 +182,6 @@ class TestOneTrial:
         geom = scenario.geometry
         # One path: the designed channel is the physical one rescaled to
         # the full power budget.
-        from prmimo import assemble_physical
-
         h = assemble_physical(geom, paths)
         scale = np.sqrt(geom.n_t * geom.n_r) / abs(paths.gains[0])
         expected = [capacity(h * scale, s) for s in 10.0 ** (scenario.snr_db / 10.0)]
@@ -297,6 +298,48 @@ class TestRunTrials:
         run_trials(scenario, 1, 6)
         assert draws == [(1, 6)]
         assert checks == [(5, 8)]
+
+    def test_one_capacity_sweep_per_batch(self, monkeypatch):
+        # The batch's physical and designed channels go to one capacity
+        # call as one (2T, n_r, n_t) stack.
+        scenario = small_scenario(trials=6)
+        real_capacity = montecarlo.capacity
+        shapes = []
+
+        def recording(h, snr):
+            shapes.append(np.shape(h))
+            return real_capacity(h, snr)
+
+        monkeypatch.setattr(montecarlo, "capacity", recording)
+        run_trials(scenario, 1, 6)
+        assert shapes == [(10, 4, 16)]
+
+    @pytest.mark.parametrize(
+        "n_cl, n_ray, condition, trials", [(4, 2, "good", 12), (10, 8, "ill", 6), (20, 8, "ill", 3)]
+    )
+    def test_one_sweep_gives_the_bits_of_one_sweep_per_channel(
+        self, n_cl, n_ray, condition, trials
+    ):
+        # The benchmark shapes at their batch sizes: the stacked sweep's
+        # rows against a capacity call on each channel stack alone.
+        scenario = Scenario(
+            ArrayGeometry(n_t=32, n_r=8),
+            n_cl=n_cl,
+            n_ray=n_ray,
+            condition=condition,
+            snr_db=np.arange(-10.0, 31.0),
+            trials=trials,
+            master_seed=7,
+        )
+        physical, designed = run_trials(scenario, 0, trials)
+        with numerics.one_blas_thread():
+            paths = montecarlo.draw_paths(scenario, 0, trials)
+            pattern = design_pattern(scenario.geometry, paths)[0]
+            snr = montecarlo._linear(scenario.snr_db)
+            alone = capacity(assemble_physical(scenario.geometry, paths), snr)
+            assert np.array_equal(physical, alone)
+            channel = assemble_pattern_channel(scenario.geometry, paths, pattern)
+            assert np.array_equal(designed, capacity(channel, snr))
 
     def test_safeguard_acts_per_row(self, monkeypatch):
         scenario = small_scenario(trials=6)
@@ -596,6 +639,17 @@ class TestRunCampaign:
         object.__setattr__(scenario, "n_ray", 2.5)
         with pytest.raises(CampaignError, match=r"trial 0 \(master_seed 99\) raised TypeError"):
             run_campaign(scenario, workers=2)
+
+    def test_pool_names_the_first_failing_trial_whatever_the_schedule(self, monkeypatch):
+        # Every batch fails, as above. Whichever worker fails first, each
+        # batch before its own still runs, so the campaign always names
+        # trial 0, as a run in this process does.
+        scenario = small_scenario(trials=6)
+        force_batch_size(monkeypatch, scenario, 2)
+        object.__setattr__(scenario, "n_ray", 2.5)
+        for _ in range(20):
+            with pytest.raises(CampaignError, match=r"trial 0 \(master_seed 99\) raised TypeError"):
+                run_campaign(scenario, workers=2)
 
 
 def assert_rows_match(outcomes, expected):

@@ -127,18 +127,65 @@ class TestCapacity:
             with pytest.raises(InvalidInputError, match="finite"):
                 capacity(np.ones((2, 2)), snr)
 
-    def test_channel_stack_matches_single_calls(self):
+    @pytest.mark.parametrize(
+        "snr", [10.0 ** (np.arange(-10.0, 31.0, 5.0) / 10.0), 3.0], ids=["grid", "scalar"]
+    )
+    def test_channel_stack_matches_single_calls(self, snr):
         rng = np.random.default_rng(55)
         h = rng.standard_normal((6, 8, 32)) + 1j * rng.standard_normal((6, 8, 32))
-        snr = 10.0 ** (np.arange(-10.0, 31.0, 5.0) / 10.0)
         stacked = capacity(h, snr)
-        assert stacked.shape == (6, snr.size)
+        assert stacked.shape == (6,) + np.shape(snr)
         for i in range(6):
             assert np.array_equal(stacked[i], capacity(h[i], snr))
 
     def test_rejects_vector_channel(self):
         with pytest.raises(InvalidInputError):
             capacity(np.ones(4), 1.0)
+
+    def test_diagonal_arithmetic(self):
+        # Gram diag(4, 1) at snr/n_r = 1: log2(5 * 2).
+        h = np.diag(np.sqrt([4.0, 1.0]))
+        assert_allclose(capacity(h, 2.0), np.log2(10.0), rtol=1e-12)
+
+    def test_matches_eigenvalue_sum(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            h = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+            rho = rng.uniform(0.2, 20.0)
+            lam = np.clip(np.linalg.eigvalsh(h @ h.conj().T), 0.0, None)
+            expected = np.sum(np.log2(1.0 + (rho / 4) * lam))
+            assert abs(capacity(h, rho) - expected) <= 1e-9 * max(1.0, expected)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_rank_deficient_channel_gives_its_rank_closed_form(self, rank):
+        # r orthogonal rows of squared norm n_t, each repeated n_r/r times:
+        # the Gram has r eigenvalues n_t * n_r / r, and its n_r - r zero
+        # ones come out of the eigensolver as round-off negatives here,
+        # which the clamp takes to zero.
+        n_r, n_t = 8, 24
+        rows = np.kron(np.eye(rank), np.full(n_t // rank, np.sqrt(rank)))
+        h = np.repeat(rows, n_r // rank, axis=0) * np.exp(0.3j)
+        lam = np.linalg.eigvalsh(h @ h.conj().T)
+        assert lam[0] < 0.0
+        for snr in (1e-3, 10.0, 1e4):
+            value = capacity(h, snr)
+            assert value >= 0.0
+            assert_allclose(value, rank * np.log2(1.0 + snr * n_t / rank), rtol=1e-10)
+            assert value == np.sum(np.log2(1.0 + (snr / n_r) * np.maximum(lam, 0.0)))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e160])
+    def test_rejects_non_finite_gram(self, bad):
+        # A finite channel near 1e160 overflows H H^H.
+        h = np.ones((2, 3), dtype=complex)
+        h[1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(InvalidInputError, match="gram matrix contains non-finite entries"):
+                capacity(h, 1.0)
+
+    def test_rejects_channel_without_receive_antennas(self):
+        with pytest.raises(InvalidInputError, match="channel matrix"):
+            capacity(np.ones((0, 4)), 1.0)
 
 
 class TestAssemblePatternChannel:
