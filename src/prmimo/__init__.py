@@ -7,17 +7,8 @@ physical-channel and ideal-channel baselines via seeded Monte Carlo
 campaigns.
 """
 
-from .cfpa import (
-    allocate_power,
-    cfpa_weights,
-    design_pattern,
-)
-from .channel import (
-    ArrayGeometry,
-    PathSet,
-    assemble_physical,
-    steering_matrix,
-)
+from .cfpa import allocate_power, cfpa_weights, design_pattern
+from .channel import ArrayGeometry, PathSet, steering_matrix
 from .errors import (
     CampaignError,
     DegenerateChannelError,
@@ -29,13 +20,18 @@ from .montecarlo import (
     CapacityCurve,
     Scenario,
     draw_paths,
-    ideal_capacity,
     run_campaign,
     run_trials,
     trial_rng,
 )
 from .numerics import eig_sym
-from .pattern import PatternMatrix, assemble_pattern_channel, capacity
+from .pattern import (
+    PatternMatrix,
+    assemble_pattern_channel,
+    assemble_physical,
+    capacity,
+    ideal_capacity,
+)
 from .sof import (
     SofState,
     SubchannelGram,

@@ -1,9 +1,8 @@
-"""Geometric multi-path channels for uniform linear arrays.
+"""Uniform linear arrays, multi-path path sets and their steering.
 
-Steering vectors, path sets and deterministic channel assembly from
-them, with the rules of the cluster model whose random path sets
-``montecarlo.draw_paths`` draws. All angles are azimuths in radians;
-spacings are normalized to the carrier wavelength.
+The channel formula that combines them is ``pattern``'s, and the random
+path sets are drawn by ``montecarlo.draw_paths``. All angles are
+azimuths in radians; spacings are normalized to the carrier wavelength.
 """
 
 from dataclasses import dataclass
@@ -14,11 +13,6 @@ from .errors import InvalidInputError
 from .numerics import require_integer
 
 HALF_PI = np.pi / 2.0
-
-# The cluster power regimes of ``montecarlo.draw_paths``, and the fewest
-# clusters the ill-conditioned one is defined for.
-CONDITIONS = ("good", "ill")
-ILL_MIN_CLUSTERS = 4
 
 
 @dataclass(frozen=True)
@@ -93,20 +87,6 @@ def stack_paths(path_sets):
     return PathSet(*(np.stack([getattr(p, f) for p in path_sets]) for f in ("gains", "aod", "aoa")))
 
 
-def _check_clusters(n_cl, n_ray, angle_spread, condition):
-    # The cluster rules, which ``montecarlo.Scenario`` checks here.
-    if n_cl < 1 or n_ray < 1:
-        raise InvalidInputError("cluster and ray counts must be >= 1")
-    if not np.isfinite(angle_spread):
-        raise InvalidInputError("angle spread must be finite")
-    if angle_spread < 0:
-        raise InvalidInputError("angle spread must be nonnegative")
-    if condition not in CONDITIONS:
-        raise InvalidInputError(f"unknown condition {condition!r}")
-    if condition == "ill" and n_cl < ILL_MIN_CLUSTERS:
-        raise InvalidInputError(f"ill-conditioned profile needs n_cl >= {ILL_MIN_CLUSTERS}")
-
-
 def steering_phases(n, spacing, angles):
     """Entry (k, l) is ``exp(-j*2*pi*spacing*k*sin(angles[l]))``.
 
@@ -131,25 +111,3 @@ def steering_matrix(n, spacing, angles):
     _check_spacing(n, spacing, "spacing")
     return steering_phases(n, spacing, angles) / np.sqrt(n)
 
-
-def channel_factors(geometry, paths):
-    """``(A_R diag(gains), A_T)``, shared by every channel of ``paths``.
-
-    ``A_R`` (n_r, L) and ``A_T`` (n_t, L) are the steering matrices of the
-    arrivals and departures (stacked for a stacked path set).
-    """
-    a_r = steering_matrix(geometry.n_r, geometry.spacing_r, paths.aoa)
-    a_t = steering_matrix(geometry.n_t, geometry.spacing_t, paths.aod)
-    return a_r * paths.gains[..., None, :], a_t
-
-
-def assemble_physical(geometry, paths, factors=None):
-    """Channel matrix of the bare scattering geometry, shape (n_r, n_t).
-
-    Computed in factored form ``A_R diag(gains) A_T^H``; identical up to
-    round-off to summing the rank-one per-path contributions, which the
-    tests verify element-wise. Stacked paths give stacked channels;
-    ``factors`` (``channel_factors``) are built here when not given.
-    """
-    gained_r, a_t = factors or channel_factors(geometry, paths)
-    return gained_r @ a_t.conj().swapaxes(-1, -2)

@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import CONDITIONS, ArrayGeometry
+from .channel import ArrayGeometry
 from .errors import InvalidInputError, PrMimoError
-from .montecarlo import Scenario, _check_finite_grid, _check_request, run_campaign
+from .montecarlo import CONDITIONS, Scenario, _check_finite_grid, _check_request, run_campaign
 
 CSV_HEADER = "scheme,snr_db,mean_capacity_bps_hz,std_capacity_bps_hz,trials"
 

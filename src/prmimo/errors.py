@@ -12,13 +12,9 @@ class InvalidInputError(PrMimoError, ValueError):
 class NumericalFailureError(PrMimoError, RuntimeError):
     """A dense linear-algebra routine failed to converge or collapsed.
 
-    Carries the Frobenius norm of the offending matrix when available,
-    so failures on badly scaled inputs can be diagnosed from logs.
+    The message states the Frobenius norm of the offending matrix, so
+    failures on badly scaled inputs can be diagnosed from logs.
     """
-
-    def __init__(self, message, matrix_norm=None):
-        super().__init__(message)
-        self.matrix_norm = matrix_norm
 
 
 class DegenerateChannelError(PrMimoError):

@@ -1,12 +1,12 @@
-"""Seeded Monte Carlo campaigns over randomized cluster channels.
+"""Cluster scenarios, their random path sets, and seeded Monte Carlo campaigns.
 
-Each trial draws an independent channel realization from a per-trial
-random stream derived from the campaign master seed, evaluates the bare
-physical channel and the designed pattern channel on a common SNR grid,
-and aggregates per-scheme capacity statistics together with the analytic
-ideal upper bound. Trials that share a path count run in lockstep
-batches. Results are a pure function of the scenario; worker count,
-batch size and scheduling never change them.
+Each trial draws an independent cluster channel realization from a
+per-trial random stream derived from the campaign master seed, evaluates
+the bare physical channel and the designed pattern channel on a common
+SNR grid, and aggregates per-scheme capacity statistics together with
+the analytic ideal upper bound. Trials that share a path count run in
+lockstep batches. Results are a pure function of the scenario; worker
+count, batch size and scheduling never change them.
 """
 
 import os
@@ -17,19 +17,17 @@ from functools import partial
 import numpy as np
 
 from .cfpa import design_pattern
-from .channel import (
-    HALF_PI,
-    ArrayGeometry,
-    PathSet,
-    _check_clusters,
-    assemble_physical,
-    channel_factors,
-)
+from .channel import HALF_PI, ArrayGeometry, PathSet
 from .errors import CampaignError, InvalidInputError, PrMimoError
 from .numerics import one_blas_thread, require_integer, set_blas_threads
-from .pattern import assemble_pattern_channel, capacity
+from .pattern import PatternMatrix, assemble_pattern_channel, capacity, ideal_capacity
 
 SCHEMES = ("physical", "pattern", "ideal")
+
+# The cluster power regimes of ``draw_paths``, and the fewest clusters the
+# ill-conditioned one is defined for.
+CONDITIONS = ("good", "ill")
+ILL_MIN_CLUSTERS = 4
 
 # Campaigns abort when more than this fraction of trials fails; silently
 # averaging over survivors would bias the statistics.
@@ -59,6 +57,30 @@ def _check_finite_grid(values):
         raise InvalidInputError("snr grid values must be finite")
 
 
+def _check_clusters(n_cl, n_ray, angle_spread, condition):
+    # The cluster rules, which ``Scenario`` checks here, so that
+    # ``draw_paths`` draws only from checked settings.
+    if n_cl < 1 or n_ray < 1:
+        raise InvalidInputError("cluster and ray counts must be >= 1")
+    if not np.isfinite(angle_spread):
+        raise InvalidInputError("angle spread must be finite")
+    if angle_spread < 0:
+        raise InvalidInputError("angle spread must be nonnegative")
+    if condition not in CONDITIONS:
+        raise InvalidInputError(f"unknown condition {condition!r}")
+    if condition == "ill" and n_cl < ILL_MIN_CLUSTERS:
+        raise InvalidInputError(f"ill-conditioned profile needs n_cl >= {ILL_MIN_CLUSTERS}")
+
+
+def _check_nonnegative(value, name):
+    # The rule of ``trial_rng``'s arguments, an integer >= 0: the master
+    # seed's rule, which ``Scenario`` checks here too.
+    value = require_integer(value, name)
+    if value < 0:
+        raise InvalidInputError(f"{name.replace('_', ' ')} must be >= 0, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One reproducible experiment configuration.
@@ -80,8 +102,9 @@ class Scenario:
 
     def __post_init__(self):
         # Through object, as the dataclass is frozen.
-        for name in ("n_cl", "n_ray", "trials", "master_seed"):
+        for name in ("n_cl", "n_ray", "trials"):
             object.__setattr__(self, name, require_integer(getattr(self, name), name))
+        object.__setattr__(self, "master_seed", _check_nonnegative(self.master_seed, "master_seed"))
         snr_db = np.array(self.snr_db, dtype=float, ndmin=1)
         snr_db.flags.writeable = False
         object.__setattr__(self, "snr_db", snr_db)
@@ -96,8 +119,6 @@ class Scenario:
             raise InvalidInputError("snr grid overflows or underflows in linear units")
         if self.trials < 1:
             raise InvalidInputError("trials must be >= 1")
-        if self.master_seed < 0:
-            raise InvalidInputError(f"master seed must be >= 0, got {self.master_seed}")
         _check_clusters(self.n_cl, self.n_ray, self.angle_spread, self.condition)
 
     def __setstate__(self, state):
@@ -136,9 +157,12 @@ def trial_rng(master_seed, trial_index):
 
     The stream is derived by hashing the master seed with the trial index
     as a spawn key, so trials can run in any order on any worker and
-    still reproduce bit-identically.
+    still reproduce bit-identically. Both are integers >= 0.
     """
-    seq = np.random.SeedSequence(master_seed, spawn_key=(int(trial_index),))
+    seq = np.random.SeedSequence(
+        _check_nonnegative(master_seed, "master_seed"),
+        spawn_key=(_check_nonnegative(trial_index, "trial_index"),),
+    )
     return np.random.default_rng(seq)
 
 
@@ -195,25 +219,14 @@ def draw_paths(scenario, start, stop):
     )
 
 
-def ideal_capacity(geometry, snr):
-    """Capacity of the maximum-capacity reference channel (analytic).
-
-    The reference spreads the full power budget evenly over n_r equal
-    singular values, giving ``n_r * log2(1 + snr*n_t/n_r)``. Accepts a
-    scalar or an array of linear SNR values.
-    """
-    snr = np.asarray(snr, dtype=float)
-    return geometry.n_r * np.log2(1.0 + snr * geometry.n_t / geometry.n_r)
-
-
 def trial_bytes(n_paths, n_t):
     """Per-trial bytes of a lockstep batch: ``(peak, step)``.
 
     ``peak`` bounds what a batch holds at once, per trial, for n_r <= n_t:
     40 L^2 of L x L state (the Gram and receive factor matrices, complex,
     and the squared Gram magnitudes, real), 88 n_t L of n_t x L arrays
-    (channel factors, transmit basis, designed columns and the last step's
-    coupling columns), 256 L of vectors and 40 n_t^2 for a step's
+    (steering matrices, transmit basis, designed columns and the last
+    step's coupling columns), 256 L of vectors and 40 n_t^2 for a step's
     eigenproblem. ``step`` is what a step works through on average: the
     eigenproblem and half the last step's coupling columns.
     """
@@ -241,32 +254,30 @@ def run_trials(scenario, start, stop, safeguard=False):
     those of ``draw_paths``, and ``run_trials(scenario, i, i + 1)`` is
     trial ``i`` alone. Each trial draws its paths from its own stream
     (``draw_paths``, one path set for the batch); the rest runs on the
-    stacked batch: the lockstep design (``design_pattern``), one steering
-    ``exp`` per array side for both channel assemblies, and one
-    ``capacity`` sweep over the physical and designed channels stacked
-    together. Each row is bit-identical to the call
-    on its trial alone and to the campaign's row of that trial, under any
-    BLAS thread count of the caller: the batch runs on one BLAS thread
-    (the caller's count is restored). The batch's memory grows with its
-    size (see ``batch_size``). With ``safeguard=True`` a trial's designed
-    pattern falls back to the neutral all-ones pattern (the physical
-    channel) whenever the design loses to the physical channel at the
-    highest grid SNR; the default leaves the heuristic unguarded so
-    improvements are measured, not enforced.
+    stacked batch: the lockstep design (``design_pattern``), one
+    ``assemble_pattern_channel`` call on the neutral all-ones and the
+    designed pattern stacked together (one steering ``exp`` per array
+    side), and one ``capacity`` sweep over both channels. Each row is
+    bit-identical to the call on its trial alone and to the campaign's
+    row of that trial, under any BLAS thread count of the caller: the
+    batch runs on one BLAS thread (the caller's count is restored). The
+    batch's memory grows with its size (see ``batch_size``). With
+    ``safeguard=True`` a trial's designed pattern falls back to the
+    neutral all-ones pattern (the physical channel) whenever the design
+    loses to the physical channel at the highest grid SNR; the default
+    leaves the heuristic unguarded so improvements are measured, not
+    enforced.
     """
     geometry = scenario.geometry
     snr = _linear(scenario.snr_db)
     with one_blas_thread():
         paths = draw_paths(scenario, start, stop)
         pattern = design_pattern(geometry, paths)[0]
-        factors = channel_factors(geometry, paths)
-        channels = np.concatenate(
-            [
-                assemble_physical(geometry, paths, factors),
-                assemble_pattern_channel(geometry, paths, pattern, factors),
-            ]
+        both = PatternMatrix(
+            m_hat=np.stack([np.ones_like(pattern.m_hat), pattern.m_hat]),
+            p=np.stack([np.ones_like(pattern.p), pattern.p]),
         )
-        physical, designed = np.split(capacity(channels, snr), 2)
+        physical, designed = capacity(assemble_pattern_channel(geometry, paths, both), snr)
 
     if safeguard:
         reference = int(np.argmax(snr))
@@ -374,11 +385,13 @@ def _trial_outcomes(scenario, workers, safeguard):
 
 
 def _check_request(schemes, workers):
-    # The request rules, which ``run_campaign`` and the CLI check here:
-    # one or more of ``SCHEMES``, on an integer count of workers >= 1.
+    # The request rules, which ``run_campaign`` and the CLI check here: a
+    # collection (not a string) of ``SCHEMES``, on an integer count >= 1.
     workers = require_integer(workers, "workers")
     if workers < 1:
         raise InvalidInputError(f"workers must be >= 1, got {workers}")
+    if isinstance(schemes, str):
+        raise InvalidInputError(f"schemes must be a collection of names, not a string: {schemes!r}")
     schemes = tuple(schemes)
     if not schemes:
         raise InvalidInputError("at least one scheme is required")

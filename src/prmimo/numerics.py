@@ -162,7 +162,8 @@ def eig_sym(b):
     InvalidInputError
         If the input is not square or contains non-finite entries.
     NumericalFailureError
-        If the iteration fails to converge; carries the matrix norm.
+        If the iteration fails to converge; the message states the
+        matrix norm.
     """
     b = np.asarray(b, dtype=float)
     _require_square(b, "matrix")
@@ -173,6 +174,5 @@ def eig_sym(b):
     except np.linalg.LinAlgError as exc:
         norm = float(np.linalg.norm(sym))
         raise NumericalFailureError(
-            f"symmetric eigendecomposition did not converge (norm {norm:.6g})",
-            matrix_norm=norm,
+            f"symmetric eigendecomposition did not converge (norm {norm:.6g})"
         ) from exc

@@ -1,17 +1,17 @@
-"""Pattern-modified channels and their capacity.
+"""Transmit patterns, the channels they give, and capacity.
 
 The transmit pattern enters the channel as a nonnegative per-antenna,
-per-path gain matrix. This module assembles the modified channel and
-evaluates its capacity; the Gram matrix of the normalized modified
-subchannels, through which the design sees the channel, is in
-``prmimo.sof``.
+per-path gain matrix. This module holds the package's one channel
+formula (the physical channel is the all-ones pattern's) and its one
+capacity routine; the design sees the channel only through the Gram
+matrix of the normalized modified subchannels, in ``prmimo.sof``.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import channel_factors
+from .channel import steering_matrix
 from .errors import InvalidInputError, NumericalFailureError
 from .numerics import require_unit_power_columns
 
@@ -24,8 +24,8 @@ class PatternMatrix:
     norm equal to the transmit antenna count), ``p`` the per-path power
     factors, and ``m = m_hat * diag(p)`` the combined pattern whose
     (k, l) entry is the sampled gain of antenna k toward path l. Entries
-    are power gains only; the pattern carries no phase. Stacked (T, n_t, L)
-    columns with (T, L) factors hold T patterns.
+    are power gains only; the pattern carries no phase. Stacked
+    (..., n_t, L) columns with (..., L) factors hold a stack of patterns.
     """
 
     m_hat: np.ndarray
@@ -35,7 +35,7 @@ class PatternMatrix:
     def __post_init__(self):
         self.m_hat = np.asarray(self.m_hat, dtype=float)
         self.p = np.atleast_1d(np.asarray(self.p, dtype=float))
-        if self.m_hat.ndim not in (2, 3):
+        if self.m_hat.ndim < 2:
             raise InvalidInputError("m_hat must be a matrix or a stack of them")
         columns = self.m_hat.shape[:-2] + self.m_hat.shape[-1:]
         if self.p.shape != columns:
@@ -64,9 +64,7 @@ def capacity(h, snr):
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-2] == 0:
         raise InvalidInputError(f"expected a channel matrix, got shape {h.shape}")
-    snr = np.asarray(snr, dtype=float)
-    if not np.all(np.isfinite(snr) & (snr > 0)):
-        raise InvalidInputError(f"snr must be positive and finite, got {snr}")
+    snr = _check_snr(snr)
     gram = h @ h.conj().swapaxes(-1, -2)
     if not np.isfinite(gram).all():
         raise InvalidInputError("gram matrix contains non-finite entries")
@@ -75,8 +73,7 @@ def capacity(h, snr):
     except np.linalg.LinAlgError as exc:
         norm = float(np.linalg.norm(gram))
         raise NumericalFailureError(
-            f"Hermitian eigenvalue iteration did not converge (norm {norm:.6g})",
-            matrix_norm=norm,
+            f"Hermitian eigenvalue iteration did not converge (norm {norm:.6g})"
         ) from exc
     gamma = snr / h.shape[-2]
     lam = np.maximum(lam, 0.0).reshape(lam.shape[:-1] + (1,) * gamma.ndim + lam.shape[-1:])
@@ -84,18 +81,59 @@ def capacity(h, snr):
     return float(capacities) if capacities.ndim == 0 else capacities
 
 
-def assemble_pattern_channel(geometry, paths, pattern, factors=None):
+def _check_snr(snr):
+    # The SNR rule of ``capacity`` and ``ideal_capacity``, in linear units.
+    snr = np.asarray(snr, dtype=float)
+    if not np.all(np.isfinite(snr) & (snr > 0)):
+        raise InvalidInputError(f"snr must be positive and finite, got {snr}")
+    return snr
+
+
+def ideal_capacity(geometry, snr):
+    """Capacity of the maximum-capacity reference channel (analytic).
+
+    The reference spreads the full power budget evenly over n_r equal
+    singular values, giving ``n_r * log2(1 + snr*n_t/n_r)``. Accepts a
+    scalar or an array of linear SNR values, positive and finite as
+    ``capacity`` takes them.
+    """
+    snr = _check_snr(snr)
+    return geometry.n_r * np.log2(1.0 + snr * geometry.n_t / geometry.n_r)
+
+
+def assemble_pattern_channel(geometry, paths, pattern):
     """Channel matrix seen through the transmit pattern, shape (n_r, n_t).
 
-    Computed as ``A_R diag(gains) (A_T o M)^H`` with ``o`` the
-    element-wise product; equal (to round-off) to summing the per-path
-    subchannels weighted by ``gains * p``, which the tests verify. Stacks
-    and ``factors`` work as in ``assemble_physical``.
+    The package's one channel formula, ``A_R diag(gains) (A_T o M)^H``,
+    with ``A_R`` (n_r, L) and ``A_T`` (n_t, L) the steering matrices of
+    the arrivals and departures and ``o`` the element-wise product; equal
+    (to round-off) to summing the per-path subchannels weighted by
+    ``gains * p``, which the tests verify. The leading axes of a stacked
+    pattern and of a stacked path set broadcast against each other, and
+    the steering matrices are built once for all of them: a (2, T)
+    pattern stack over T path sets gives (2, T, n_r, n_t) channels.
     """
     if not isinstance(pattern, PatternMatrix):
         raise InvalidInputError("pattern must be a PatternMatrix")
-    expected = paths.gains.shape[:-1] + (geometry.n_t, len(paths))
-    if pattern.m.shape != expected:
-        raise InvalidInputError(f"pattern shape {pattern.m.shape} does not match {expected}")
-    gained_r, a_t = factors or channel_factors(geometry, paths)
-    return gained_r @ (a_t * pattern.m).conj().swapaxes(-1, -2)
+    stack, path_stack = pattern.m.shape[:-2], paths.gains.shape[:-1]
+    broadcasts = all(1 in (a, b) or a == b for a, b in zip(stack[::-1], path_stack[::-1]))
+    if pattern.m.shape[-2:] != (geometry.n_t, len(paths)) or not broadcasts:
+        raise InvalidInputError(
+            f"pattern shape {pattern.m.shape} does not fit n_t={geometry.n_t} "
+            f"and paths of shape {paths.gains.shape}"
+        )
+    a_r = steering_matrix(geometry.n_r, geometry.spacing_r, paths.aoa)
+    a_t = steering_matrix(geometry.n_t, geometry.spacing_t, paths.aod)
+    return (a_r * paths.gains[..., None, :]) @ (a_t * pattern.m).conj().swapaxes(-1, -2)
+
+
+def assemble_physical(geometry, paths):
+    """Channel matrix of the bare scattering geometry, shape (n_r, n_t).
+
+    ``assemble_pattern_channel`` at the all-ones pattern, ``A_R
+    diag(gains) A_T^H``: the legacy MIMO channel. Its one (n_t, L)
+    pattern broadcasts against a stacked path set, which gives stacked
+    channels.
+    """
+    ones = np.ones((geometry.n_t, len(paths)))
+    return assemble_pattern_channel(geometry, paths, PatternMatrix(m_hat=ones, p=ones[0]))

@@ -188,10 +188,8 @@ def solve_modification_vector(b_sum, n_t):
     # ``candidate @ candidate`` is for one vector.
     norm_sq = (candidate[..., None, :] @ candidate[..., :, None])[..., 0, 0]
     if np.count_nonzero(norm_sq) < norm_sq.size:
-        raise NumericalFailureError(
-            "clipped eigenvector collapsed to zero",
-            matrix_norm=float(np.linalg.norm(b_sum[norm_sq == 0.0][0])),
-        )
+        norm = float(np.linalg.norm(b_sum[norm_sq == 0.0][0]))
+        raise NumericalFailureError(f"clipped eigenvector collapsed to zero (norm {norm:.6g})")
     candidate *= np.sqrt(n_t / norm_sq)[..., None]
     return candidate
 

@@ -3,6 +3,7 @@ import dataclasses
 import pickle
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from prmimo import (
     ideal_capacity,
     run_campaign,
     run_trials,
+    steering_matrix,
     trial_rng,
 )
 
@@ -148,6 +150,26 @@ class TestTrialRng:
         b = trial_rng(123, 1).standard_normal(5)
         assert not np.allclose(a, b)
 
+    @pytest.mark.parametrize("index", [1.5, True, "1"])
+    def test_rejects_a_trial_index_that_is_not_an_integer(self, index):
+        with pytest.raises(InvalidInputError, match="trial_index must be an integer"):
+            trial_rng(123, index)
+
+    @pytest.mark.parametrize("seed", [1.5, False])
+    def test_rejects_a_seed_that_is_not_an_integer(self, seed):
+        with pytest.raises(InvalidInputError, match="master_seed must be an integer"):
+            trial_rng(seed, 0)
+
+    def test_rejects_negative_arguments(self):
+        with pytest.raises(InvalidInputError, match="trial index must be >= 0, got -1"):
+            trial_rng(123, -1)
+        with pytest.raises(InvalidInputError, match="master seed must be >= 0, got -2"):
+            trial_rng(-2, 0)
+
+    def test_numpy_integers_give_the_int_stream(self):
+        a = trial_rng(np.int64(123), np.uint8(7)).standard_normal(5)
+        assert np.array_equal(a, trial_rng(123, 7).standard_normal(5))
+
 
 class TestIdealCapacity:
     def test_closed_form_value(self):
@@ -165,6 +187,16 @@ class TestIdealCapacity:
             direct = capacity(h, rho)
             closed = ideal_capacity(geom, rho)
             assert abs(direct - closed) <= 1e-9 * max(1.0, closed)
+
+    @pytest.mark.parametrize("snr", [-1.0, 0.0, np.nan, np.inf, [1.0, -1.0]])
+    def test_rejects_snr_that_capacity_rejects(self, snr):
+        geom = ArrayGeometry(n_t=32, n_r=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="snr must be positive and finite"):
+                ideal_capacity(geom, snr)
+        with pytest.raises(InvalidInputError, match="snr must be positive and finite"):
+            capacity(np.eye(geom.n_r, geom.n_t), snr)
 
 
 class TestOneTrial:
@@ -301,7 +333,7 @@ class TestRunTrials:
 
     def test_one_capacity_sweep_per_batch(self, monkeypatch):
         # The batch's physical and designed channels go to one capacity
-        # call as one (2T, n_r, n_t) stack.
+        # call as one (2, T, n_r, n_t) stack.
         scenario = small_scenario(trials=6)
         real_capacity = montecarlo.capacity
         shapes = []
@@ -312,7 +344,56 @@ class TestRunTrials:
 
         monkeypatch.setattr(montecarlo, "capacity", recording)
         run_trials(scenario, 1, 6)
-        assert shapes == [(10, 4, 16)]
+        assert shapes == [(2, 5, 4, 16)]
+
+    def test_one_assembly_per_batch(self, monkeypatch):
+        # The neutral and the designed pattern go to one assembly call as
+        # one (2, T, n_t, L) pattern stack over the batch's (T, L) paths.
+        scenario = small_scenario(trials=6)
+        real_assemble = montecarlo.assemble_pattern_channel
+        shapes = []
+
+        def recording(geometry, paths, pattern):
+            shapes.append((pattern.m.shape, paths.gains.shape))
+            return real_assemble(geometry, paths, pattern)
+
+        monkeypatch.setattr(montecarlo, "assemble_pattern_channel", recording)
+        run_trials(scenario, 1, 6)
+        assert shapes == [((2, 5, 16, 8), (5, 8))]
+
+    @pytest.mark.parametrize(
+        "n_cl, n_ray, condition, trials", [(4, 2, "good", 12), (10, 8, "ill", 6), (20, 8, "ill", 3)]
+    )
+    def test_one_assembly_gives_the_bits_of_one_assembly_per_channel(
+        self, n_cl, n_ray, condition, trials
+    ):
+        # The benchmark shapes at their batch sizes: the stacked assembly's
+        # channels against the physical and the designed assembly alone,
+        # and the physical one against the product A_R diag(g) A_T^H.
+        scenario = Scenario(
+            ArrayGeometry(n_t=32, n_r=8),
+            n_cl=n_cl,
+            n_ray=n_ray,
+            condition=condition,
+            trials=trials,
+            master_seed=7,
+        )
+        geometry = scenario.geometry
+        with numerics.one_blas_thread():
+            paths = montecarlo.draw_paths(scenario, 0, trials)
+            pattern = design_pattern(geometry, paths)[0]
+            both = PatternMatrix(
+                m_hat=np.stack([np.ones_like(pattern.m_hat), pattern.m_hat]),
+                p=np.stack([np.ones_like(pattern.p), pattern.p]),
+            )
+            physical, designed = assemble_pattern_channel(geometry, paths, both)
+            assert physical.tobytes() == assemble_physical(geometry, paths).tobytes()
+            a_r = steering_matrix(geometry.n_r, geometry.spacing_r, paths.aoa)
+            a_t = steering_matrix(geometry.n_t, geometry.spacing_t, paths.aod)
+            product = (a_r * paths.gains[..., None, :]) @ a_t.conj().swapaxes(-1, -2)
+            assert physical.tobytes() == product.tobytes()
+            alone = assemble_pattern_channel(geometry, paths, pattern)
+            assert designed.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize(
         "n_cl, n_ray, condition, trials", [(4, 2, "good", 12), (10, 8, "ill", 6), (20, 8, "ill", 3)]
@@ -586,6 +667,14 @@ class TestRunCampaign:
     def test_rejects_empty_schemes(self):
         with pytest.raises(InvalidInputError):
             run_campaign(small_scenario(), schemes=())
+
+    def test_rejects_a_bare_string_of_schemes(self):
+        # Not taken letter by letter as unknown schemes 'a', 'c', 'h', ...
+        with pytest.raises(InvalidInputError) as raised:
+            run_campaign(small_scenario(), schemes="physical")
+        assert str(raised.value) == (
+            "schemes must be a collection of names, not a string: 'physical'"
+        )
 
     def test_rare_failure_excluded_with_warning(self, monkeypatch):
         scenario = small_scenario(trials=200, snr_db=np.array([10.0]))

@@ -50,6 +50,18 @@ class TestPatternMatrix:
         with pytest.raises(InvalidInputError):
             PatternMatrix(m_hat=m_hat, p=np.ones(2))
 
+    def test_accepts_a_stack_over_two_leading_axes(self):
+        rng = np.random.default_rng(57)
+        m_hat = np.stack([[feasible_m_hat(rng, 4, 3) for _ in range(5)] for _ in range(2)])
+        p = rng.uniform(0.2, 2.0, (2, 5, 3))
+        pattern = PatternMatrix(m_hat=m_hat, p=p)
+        assert pattern.m.shape == (2, 5, 4, 3)
+        assert np.array_equal(pattern.m[1, 3], PatternMatrix(m_hat=m_hat[1, 3], p=p[1, 3]).m)
+
+    def test_rejects_a_vector(self):
+        with pytest.raises(InvalidInputError, match="matrix or a stack"):
+            PatternMatrix(m_hat=np.ones(4), p=np.ones(1))
+
     def test_unit_factors(self):
         m_hat = np.ones((4, 2))
         pattern = PatternMatrix(m_hat=m_hat, p=np.ones(2))
@@ -233,6 +245,31 @@ class TestAssemblePatternChannel:
         paths = random_paths(rng, 7)
         with pytest.raises(InvalidInputError):
             assemble_pattern_channel(geom, paths, neutral_pattern(6, 4))
+
+    def test_pattern_stack_broadcasts_against_path_stack(self):
+        # A (2, 1) pattern stack over 3 path sets: 2 x 3 channels, each the
+        # bytes of its own assembly.
+        rng = np.random.default_rng(58)
+        geom = ArrayGeometry(n_t=6, n_r=3)
+        sets = [random_paths(rng, 5) for _ in range(3)]
+        m_hat = np.stack([feasible_m_hat(rng, 6, 5) for _ in range(2)])[:, None]
+        p = rng.uniform(0.2, 2.0, (2, 1, 5))
+        h = assemble_pattern_channel(geom, stack_paths(sets), PatternMatrix(m_hat=m_hat, p=p))
+        assert h.shape == (2, 3, 3, 6)
+        for i in range(2):
+            pattern = PatternMatrix(m_hat=m_hat[i, 0], p=p[i, 0])
+            for t, paths in enumerate(sets):
+                assert np.array_equal(h[i, t], assemble_pattern_channel(geom, paths, pattern))
+
+    @pytest.mark.parametrize("pattern_stack, path_stack", [((2,), 3), ((4, 2), 3), ((2, 3), 2)])
+    def test_rejects_stacks_that_do_not_broadcast(self, pattern_stack, path_stack):
+        rng = np.random.default_rng(59)
+        geom = ArrayGeometry(n_t=6, n_r=3)
+        paths = stack_paths([random_paths(rng, 5) for _ in range(path_stack)])
+        ones = np.ones(pattern_stack + (6, 5))
+        pattern = PatternMatrix(m_hat=ones, p=ones[..., 0, :])
+        with pytest.raises(InvalidInputError, match="does not fit"):
+            assemble_pattern_channel(geom, paths, pattern)
 
 
 class TestSubchannelGram:

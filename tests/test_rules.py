@@ -1,8 +1,9 @@
 """Every input rule, through every entry point that accepts it.
 
-Each rule is stated once, by the module that owns it: the cluster rules
-in ``channel._check_clusters``, and the request rules and the grid's
-finiteness in ``montecarlo`` (``_check_request``, ``_check_finite_grid``).
+Each rule is stated once, by the module that owns it: the cluster rules,
+the seed rule, the request rules and the grid's finiteness all in
+``montecarlo`` (``_check_clusters``, ``_check_nonnegative``,
+``_check_request``, ``_check_finite_grid``).
 Whichever door a bad value comes in by, the same check raises it with
 the same message; the CLI adds only its usage-error prefix and, for a
 config-file value, the file line. It exits 1 before any output directory
@@ -12,10 +13,9 @@ exists.
 import numpy as np
 import pytest
 
-from prmimo import ArrayGeometry, InvalidInputError, Scenario, run_campaign
-from prmimo.channel import ILL_MIN_CLUSTERS
+from prmimo import ArrayGeometry, InvalidInputError, Scenario, run_campaign, trial_rng
 from prmimo.cli import UsageError, main, parse_config
-from prmimo.montecarlo import SCHEMES
+from prmimo.montecarlo import ILL_MIN_CLUSTERS, SCHEMES
 
 GEOMETRY = ArrayGeometry(n_t=8, n_r=2)
 
@@ -26,6 +26,7 @@ SETTINGS = {
     "angle_spread": np.deg2rad(3.0),
     "condition": "ill",
     "snr_db": np.array([0.0, 10.0]),
+    "master_seed": 12345,
     "schemes": SCHEMES,
     "workers": 1,
 }
@@ -39,7 +40,9 @@ LIBRARY = {
         condition=s["condition"],
         angle_spread=s["angle_spread"],
         snr_db=s["snr_db"],
+        master_seed=s["master_seed"],
     ),
+    "trial_rng": lambda s: trial_rng(s["master_seed"], 0),
     "run_campaign": lambda s: run_campaign(
         Scenario(GEOMETRY, trials=2), schemes=s["schemes"], workers=s["workers"]
     ),
@@ -68,6 +71,8 @@ RULES = [
      "condition", "bad", {"condition": "bad"}, ("Scenario",)),
     (f"ill-conditioned profile needs n_cl >= {ILL_MIN_CLUSTERS}", "_check_clusters",
      "ncl", str(ILL_MIN_CLUSTERS - 1), {"n_cl": ILL_MIN_CLUSTERS - 1}, ("Scenario",)),
+    ("master seed must be >= 0, got -1", "_check_nonnegative",
+     "seed", "-1", {"master_seed": -1}, ("Scenario", "trial_rng")),
     ("snr grid values must be finite", "_check_finite_grid",
      "snr_db", "nan:1:5", {"snr_db": np.array([np.nan])}, ("Scenario",)),
     ("snr grid values must be finite", "_check_finite_grid",

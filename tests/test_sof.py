@@ -7,6 +7,7 @@ from oracles import b_vector, quadratic_matrix, receiver_correlation
 from prmimo import (
     ArrayGeometry,
     InvalidInputError,
+    NumericalFailureError,
     PathSet,
     correlation_indicator,
     run_sof,
@@ -14,6 +15,7 @@ from prmimo import (
     subchannel_gram,
 )
 import prmimo.montecarlo as montecarlo
+import prmimo.sof as sof
 from prmimo.channel import stack_paths
 
 
@@ -141,6 +143,14 @@ class TestSolveModificationVector:
     def test_stack_rejects_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
             solve_modification_vector(np.zeros((2, 3, 3)), 4)
+
+    def test_collapse_message_states_the_norm(self, monkeypatch):
+        # A zero eigenvector clips to zero; the message, which is all a
+        # campaign's failure record keeps, names the matrix's norm.
+        monkeypatch.setattr(sof, "eig_sym", lambda b: (np.zeros(4), np.zeros((4, 4))))
+        with pytest.raises(NumericalFailureError) as raised:
+            solve_modification_vector(np.diag([3.0, 0.0, 0.0, 4.0]), 4)
+        assert str(raised.value) == "clipped eigenvector collapsed to zero (norm 5)"
 
     def test_near_grid_optimum_small_instance(self):
         # 2-degree sweep of the nonnegative octant of the radius-sqrt(3)
