@@ -24,7 +24,6 @@ from .montecarlo import (
     run_trials,
     trial_rng,
 )
-from .numerics import eig_sym
 from .pattern import (
     PatternMatrix,
     assemble_pattern_channel,
@@ -35,7 +34,6 @@ from .pattern import (
 from .sof import (
     SofState,
     SubchannelGram,
-    correlation_indicator,
     run_sof,
     solve_modification_vector,
     subchannel_gram,
@@ -61,10 +59,8 @@ __all__ = [
     "assemble_physical",
     "capacity",
     "cfpa_weights",
-    "correlation_indicator",
     "design_pattern",
     "draw_paths",
-    "eig_sym",
     "ideal_capacity",
     "run_campaign",
     "run_sof",

@@ -74,7 +74,7 @@ def allocate_power(geometry, paths, m_hat, gram):
     """
     gains = paths.gains
     if np.shape(m_hat) != gains.shape[:-1] + (geometry.n_t, len(paths)) or (
-        gram.indicator.shape != gains.shape
+        gram.g.shape != gains.shape + (len(paths),)
     ):
         raise InvalidInputError("m_hat and gram must match the geometry and path count")
     keep = np.abs(gains) > 0.0

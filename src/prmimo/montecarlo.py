@@ -108,6 +108,8 @@ class Scenario:
         snr_db = np.array(self.snr_db, dtype=float, ndmin=1)
         snr_db.flags.writeable = False
         object.__setattr__(self, "snr_db", snr_db)
+        if self.snr_db.ndim != 1:
+            raise InvalidInputError("snr grid must be one-dimensional")
         if self.snr_db.size < 1:
             raise InvalidInputError("snr grid must be nonempty")
         _check_finite_grid(self.snr_db)
@@ -386,7 +388,7 @@ def _trial_outcomes(scenario, workers, safeguard):
 
 def _check_request(schemes, workers):
     # The request rules, which ``run_campaign`` and the CLI check here: a
-    # collection (not a string) of ``SCHEMES``, on an integer count >= 1.
+    # collection (not a string) of distinct ``SCHEMES``, on an integer count >= 1.
     workers = require_integer(workers, "workers")
     if workers < 1:
         raise InvalidInputError(f"workers must be >= 1, got {workers}")
@@ -398,6 +400,9 @@ def _check_request(schemes, workers):
     unknown = set(schemes) - set(SCHEMES)
     if unknown:
         raise InvalidInputError(f"unknown schemes: {sorted(unknown)}")
+    repeated = {scheme for scheme in schemes if schemes.count(scheme) > 1}
+    if repeated:
+        raise InvalidInputError(f"repeated schemes: {sorted(repeated)}")
     return schemes, workers
 
 

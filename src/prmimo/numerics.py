@@ -1,9 +1,4 @@
-"""Dense linear-algebra kernels used by every other module.
-
-Thin, contract-checked wrappers around ``numpy.linalg`` so the rest of
-the package can rely on a fixed eigenvalue ordering and uniform error
-reporting, plus the input rules and BLAS thread control they share.
-"""
+"""Tolerances, input rules and BLAS thread control shared by the package."""
 
 from contextlib import contextmanager
 from functools import cache
@@ -11,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError
 
 # Relative tolerance on the unit-power invariant of modification columns:
 # a column's squared norm must lie within COLUMN_NORM_RTOL * n_t of n_t
@@ -21,28 +16,6 @@ COLUMN_NORM_RTOL = 1e-13
 
 # Absolute tolerance on the Hermitian symmetry of a Gram matrix.
 HERMITIAN_TOL = 1e-12
-
-
-def symmetrize(b):
-    """Return ``(B + B^T) / 2`` for each matrix of a (..., n, n) stack.
-
-    A no-op (bitwise) for symmetric input.
-    """
-    b = np.asarray(b, dtype=float)
-    sym = b + b.swapaxes(-1, -2)
-    sym *= 0.5
-    return sym
-
-
-def _require_square(a, name):
-    # A single matrix or a stack of them over leading axes.
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise InvalidInputError(f"{name} must be square, got shape {a.shape}")
-
-
-def _require_finite(a, name):
-    if not np.isfinite(a).all():
-        raise InvalidInputError(f"{name} contains non-finite entries")
 
 
 def require_integer(value, name):
@@ -137,42 +110,3 @@ def one_blas_thread():
     finally:
         set_blas_threads(previous)
 
-
-def eig_sym(b):
-    """Eigendecomposition of a real symmetric matrix.
-
-    Parameters
-    ----------
-    b : (..., n, n) array_like
-        Real symmetric matrix, or a stack of them. The input is
-        symmetrized by averaging first, so accumulation round-off from
-        the caller is tolerated.
-
-    Returns
-    -------
-    (eigenvalues, eigenvectors)
-        numpy's ``eigh`` result: ascending eigenvalues and the matching
-        orthonormal eigenvectors as columns. Within a degenerate
-        eigenvalue the basis is whatever LAPACK produced. A stacked call
-        runs LAPACK once per matrix, so each result is bit-identical to
-        the call on that matrix alone.
-
-    Raises
-    ------
-    InvalidInputError
-        If the input is not square or contains non-finite entries.
-    NumericalFailureError
-        If the iteration fails to converge; the message states the
-        matrix norm.
-    """
-    b = np.asarray(b, dtype=float)
-    _require_square(b, "matrix")
-    _require_finite(b, "matrix")
-    sym = symmetrize(b)
-    try:
-        return np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        norm = float(np.linalg.norm(sym))
-        raise NumericalFailureError(
-            f"symmetric eigendecomposition did not converge (norm {norm:.6g})"
-        ) from exc

@@ -20,39 +20,43 @@ import numpy as np
 
 from .channel import stack_paths, steering_phases
 from .errors import InvalidInputError, NumericalFailureError
-from .numerics import COLUMN_NORM_RTOL, HERMITIAN_TOL, eig_sym, require_unit_power_columns
+from .numerics import COLUMN_NORM_RTOL, HERMITIAN_TOL, require_unit_power_columns
 
 
 @dataclass
 class SubchannelGram:
-    """Gram matrix of normalized modified subchannels plus its indicator.
+    """Gram matrix of normalized modified subchannels, or T stacked (T, L, L).
 
-    ``indicator[l]`` sums the squared magnitudes of row l off the
-    diagonal: the total correlation between subchannel l and all others.
-    Stacked (T, L, L) matrices with (T, L) indicators hold T Grams.
+    It holds the matrix alone, finite, Hermitian within ``HERMITIAN_TOL``
+    and with a unit diagonal; its ``indicator`` is derived from it.
     """
 
     g: np.ndarray
-    indicator: np.ndarray
 
     def __post_init__(self):
         self.g = np.asarray(self.g, dtype=complex)
-        self.indicator = np.atleast_1d(np.asarray(self.indicator, dtype=float))
         if self.g.ndim not in (2, 3) or self.g.shape[-1] != self.g.shape[-2]:
             raise InvalidInputError("gram matrix must be square")
-        if self.indicator.shape != self.g.shape[:-1]:
-            raise InvalidInputError("indicator length must match the gram dimension")
-        # One matrix at a time, so the check holds two L x L temporaries
+        # One matrix at a time, so the checks hold two L x L temporaries
         # (g^H - g, then its magnitudes) whatever the batch.
         for g in self.g.reshape((-1,) + self.g.shape[-2:]):
+            if not np.isfinite(g).all():
+                raise InvalidInputError("gram matrix contains non-finite entries")
             asymmetry = _conj_transpose(g)
             asymmetry -= g
             if np.max(np.abs(asymmetry)) > HERMITIAN_TOL:
                 raise InvalidInputError("gram matrix is not Hermitian within tolerance")
         if not np.all(np.abs(np.diagonal(self.g, axis1=-2, axis2=-1) - 1.0) <= COLUMN_NORM_RTOL):
             raise InvalidInputError("gram diagonal must be 1 for normalized subchannels")
-        if np.any(self.indicator < 0):
-            raise InvalidInputError("indicator entries must be nonnegative")
+
+    @property
+    def indicator(self):
+        """Per-row sums of squared off-diagonal magnitudes, (L,) or (T, L).
+
+        Entry l is the total correlation of subchannel l with all others.
+        """
+        diagonal = np.arange(self.g.shape[-1])
+        return _squared_off_diagonal(self.g, (..., diagonal, diagonal)).sum(axis=-1)
 
 
 def receiver_factor_matrix(geometry, aoa):
@@ -66,19 +70,17 @@ def receiver_factor_matrix(geometry, aoa):
     return basis.conj().swapaxes(-1, -2) @ basis
 
 
-def _transmit_basis(geometry, aod, m_hat):
-    # Columns m_hat_i weighted by the conjugate transmit phases; the Gram
-    # of this basis is the transmit factor of the subchannel Gram matrix.
-    phases = steering_phases(geometry.n_t, geometry.spacing_t, aod)
-    return m_hat * np.conjugate(phases, out=phases)
-
-
-def _factored_gram(geometry, recv, basis):
-    # The receive factor times the transmit factor (the Gram of the basis)
+def _initial_state(geometry, paths, m_hat):
+    # The receive factor, the transmit basis (the columns ``m_hat``
+    # weighted by the conjugate transmit phases) and the Gram matrix: the
+    # receive factor times the transmit factor (the Gram of the basis)
     # over n_r * n_t, made exactly Hermitian: ``0.5 * (g + g^H)`` with
     # ``g = recv * (B^H B) / (n_r n_t)`` (the sum commutes bit for bit).
     # In place and one matrix at a time, so that a batch's set-up holds no
     # L x L temporary per trial.
+    recv = receiver_factor_matrix(geometry, paths.aoa)
+    basis = steering_phases(geometry.n_t, geometry.spacing_t, paths.aod)
+    basis = m_hat * np.conjugate(basis, out=basis)
     g = basis.conj().swapaxes(-1, -2) @ basis
     np.multiply(recv, g, out=g)
     g /= geometry.n_r * geometry.n_t
@@ -86,7 +88,7 @@ def _factored_gram(geometry, recv, basis):
         sym = _conj_transpose(matrix)
         sym += matrix
         np.multiply(0.5, sym, out=matrix)
-    return g
+    return recv, basis, g
 
 
 def subchannel_gram(geometry, paths, m_hat):
@@ -108,15 +110,7 @@ def subchannel_gram(geometry, paths, m_hat):
             f"m_hat shape {m_hat.shape} does not match {len(paths)} paths at n_t={geometry.n_t}"
         )
     require_unit_power_columns(m_hat)
-    _, _, g, _, indicator = _initial_state(geometry, paths, m_hat)
-    return SubchannelGram(g=g, indicator=indicator)
-
-
-def correlation_indicator(g):
-    """Per-row sum of squared off-diagonal Gram magnitudes (of each matrix of a stack)."""
-    g = np.asarray(g, dtype=complex)
-    diagonal = np.arange(g.shape[-1])
-    return _squared_off_diagonal(g, (..., diagonal, diagonal)).sum(axis=-1)
+    return SubchannelGram(g=_initial_state(geometry, paths, m_hat)[2])
 
 
 def _conj_transpose(matrix):
@@ -156,20 +150,36 @@ class SofState:
 def solve_modification_vector(b_sum, n_t):
     """Feasible minimizer of ``m^T B m`` over nonnegative m, ``|m|^2 = n_t``.
 
-    Takes a unit eigenvector of the smallest eigenvalue, picks the sign
-    with the larger positive mass (both signs are eigenvectors, and the
-    wrong one can be annihilated by the clip), clips negatives to zero,
-    and rescales to the required norm.
+    Takes a unit eigenvector of the smallest eigenvalue of ``(B + B^T) / 2``
+    (numpy's ``eigh``, whose basis within a degenerate eigenvalue is
+    LAPACK's), picks the sign with the larger positive mass (both signs
+    are eigenvectors, and the wrong one can be annihilated by the clip),
+    clips negatives to zero, and rescales to the required norm.
 
     ``b_sum`` may be a stack of shape (..., n_t, n_t); the result then
-    has shape (..., n_t), each row bit-identical to its own call.
+    has shape (..., n_t), each row bit-identical to its own call. A
+    non-finite ``b_sum`` raises ``InvalidInputError``; an eigensolve that
+    does not converge, or a clipped vector that collapses to zero, raises
+    ``NumericalFailureError`` stating the matrix norm.
     """
     b_sum = np.asarray(b_sum, dtype=float)
     if b_sum.shape[-2:] != (n_t, n_t):
         raise InvalidInputError(
             f"coefficient matrix shape {b_sum.shape} does not match n_t={n_t}"
         )
-    _, vectors = eig_sym(b_sum)
+    if not np.isfinite(b_sum).all():
+        raise InvalidInputError("coefficient matrix contains non-finite entries")
+    # Symmetrized first, so accumulation round-off in ``b_sum`` is
+    # tolerated (a no-op, bit for bit, on symmetric input).
+    sym = b_sum + b_sum.swapaxes(-1, -2)
+    sym *= 0.5
+    try:
+        vectors = np.linalg.eigh(sym)[1]
+    except np.linalg.LinAlgError as exc:
+        norm = float(np.linalg.norm(sym))
+        raise NumericalFailureError(
+            f"symmetric eigendecomposition did not converge (norm {norm:.6g})"
+        ) from exc
     u = vectors[..., 0]
     pos = np.maximum(u, 0.0)
     neg = np.maximum(-u, 0.0)
@@ -192,19 +202,6 @@ def solve_modification_vector(b_sum, n_t):
         raise NumericalFailureError(f"clipped eigenvector collapsed to zero (norm {norm:.6g})")
     candidate *= np.sqrt(n_t / norm_sq)[..., None]
     return candidate
-
-
-def _initial_state(geometry, paths, m_hat):
-    # The receive factor, transmit basis, Gram matrix, its squared
-    # off-diagonal magnitudes and their row sums (the indicator) of the
-    # columns ``m_hat``; the L x L ones are the 40 L^2 bytes per trial of
-    # ``montecarlo.trial_bytes``.
-    recv = receiver_factor_matrix(geometry, paths.aoa)
-    basis = _transmit_basis(geometry, paths.aod, m_hat)
-    g = _factored_gram(geometry, recv, basis)
-    diagonal = np.arange(g.shape[-1])
-    sq = _squared_off_diagonal(g, (..., diagonal, diagonal))
-    return recv, basis, g, sq, sq.sum(axis=-1)
 
 
 def _next_target(indicator, visited):
@@ -287,12 +284,17 @@ def run_sof(geometry, paths):
     """
     if paths.gains.ndim == 1:
         state = run_sof(geometry, stack_paths([paths]))
-        gram = SubchannelGram(g=state.gram.g[0], indicator=state.gram.indicator[0])
+        gram = SubchannelGram(state.gram.g[0])
         return SofState(order=state.order[0], m_hat=state.m_hat[0], gram=gram)
     n_trials, n_paths = paths.gains.shape
     trials = np.arange(n_trials)
-    ones = np.ones((geometry.n_t, n_paths))
-    recv, basis, g, sq, indicator = _initial_state(geometry, paths, ones)
+    recv, basis, g = _initial_state(geometry, paths, np.ones((geometry.n_t, n_paths)))
+    # The squared off-diagonal Gram magnitudes and their row sums (the
+    # indicator), refreshed in each target's row and column; with ``recv``
+    # and ``g``, the 40 L^2 bytes per trial of ``montecarlo.trial_bytes``.
+    diagonal = np.arange(n_paths)
+    sq = _squared_off_diagonal(g, (..., diagonal, diagonal))
+    indicator = sq.sum(axis=2)
     sin_aod = np.sin(paths.aod)
     order = np.empty((n_trials, n_paths), dtype=int)
     visited = np.zeros((n_trials, n_paths))
@@ -314,4 +316,4 @@ def run_sof(geometry, paths):
     del recv, sq, basis
     m_hat = np.empty_like(m_prior)
     np.put_along_axis(m_hat, order[:, None, :], m_prior, axis=2)
-    return SofState(order=order, m_hat=m_hat, gram=SubchannelGram(g=g, indicator=indicator))
+    return SofState(order=order, m_hat=m_hat, gram=SubchannelGram(g=g))

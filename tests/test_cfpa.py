@@ -10,6 +10,7 @@ from prmimo import (
     InvalidInputError,
     PathSet,
     PatternMatrix,
+    SubchannelGram,
     allocate_power,
     assemble_pattern_channel,
     cfpa_weights,
@@ -73,13 +74,15 @@ class TestCfpaWeights:
             cfpa_weights([bad, 1.0])
 
     def test_allocation_rejects_a_non_finite_indicator(self):
-        # SubchannelGram checks the indicator's sign, not its finiteness.
+        # SubchannelGram checks that the Gram matrix is finite; the squares
+        # of its off-diagonal entries can still overflow to inf.
         geom = ArrayGeometry(n_t=4, n_r=2)
         paths = PathSet(gains=[1.0, 0.5], aod=[0.1, -0.4], aoa=[0.2, 0.0])
-        gram = subchannel_gram(geom, paths, np.ones((4, 2)))
-        gram.indicator[0] = np.nan
-        with pytest.raises(InvalidInputError, match="indicator entries must be finite"):
-            allocate_power(geom, paths, np.ones((4, 2)), gram)
+        gram = SubchannelGram(np.array([[1.0, 1e200], [1e200, 1.0]]))
+        with np.errstate(over="ignore"):
+            assert np.isinf(gram.indicator).all()
+            with pytest.raises(InvalidInputError, match="indicator entries must be finite"):
+                allocate_power(geom, paths, np.ones((4, 2)), gram)
 
 
 class TestPaperClosedForm:

@@ -7,78 +7,8 @@ from numpy.testing import assert_allclose
 
 import prmimo.numerics as numerics
 from oracles import singular_values
-from prmimo import InvalidInputError, eig_sym
-from prmimo.numerics import one_blas_thread, set_blas_threads, symmetrize
-
-
-class TestEigSym:
-    def test_diagonal_case(self):
-        values, vectors = eig_sym(np.diag([3.0, 1.0, 2.0]))
-        assert_allclose(values, [1.0, 2.0, 3.0])
-        # Columns are signed unit vectors of the standard basis.
-        assert_allclose(np.abs(vectors), np.eye(3)[:, [1, 2, 0]], atol=1e-14)
-
-    def test_zero_matrix(self):
-        values, vectors = eig_sym(np.zeros((4, 4)))
-        assert_allclose(values, np.zeros(4))
-        assert_allclose(vectors.T @ vectors, np.eye(4), atol=1e-10)
-
-    def test_reconstruction_residual(self):
-        rng = np.random.default_rng(11)
-        raw = rng.standard_normal((8, 8))
-        b = symmetrize(raw + raw.T)
-        values, vectors = eig_sym(b)
-        rebuilt = vectors @ np.diag(values) @ vectors.T
-        scale = max(1.0, np.linalg.norm(b))
-        assert np.linalg.norm(rebuilt - b) <= 1e-10 * scale
-
-    def test_eigenvector_residuals(self):
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            raw = rng.standard_normal((6, 6))
-            b = 0.5 * (raw + raw.T)
-            values, vectors = eig_sym(b)
-            scale = max(1.0, np.linalg.norm(b))
-            for k in range(6):
-                residual = np.linalg.norm(b @ vectors[:, k] - values[k] * vectors[:, k])
-                assert residual <= 1e-9 * scale
-
-    def test_values_ascending(self):
-        rng = np.random.default_rng(13)
-        raw = rng.standard_normal((10, 10))
-        values, _ = eig_sym(raw + raw.T)
-        assert np.all(np.diff(values) >= 0)
-
-    def test_symmetrization_invariance(self):
-        rng = np.random.default_rng(14)
-        raw = rng.standard_normal((5, 5))
-        assert np.array_equal(eig_sym(raw)[0], eig_sym(symmetrize(raw))[0])
-
-    def test_rejects_non_finite(self):
-        bad = np.eye(3)
-        bad[0, 0] = np.nan
-        with pytest.raises(InvalidInputError):
-            eig_sym(bad)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(InvalidInputError):
-            eig_sym(np.ones((2, 3)))
-        with pytest.raises(InvalidInputError):
-            eig_sym(np.ones((4, 2, 3)))
-
-    def test_stack_matches_single_calls_bit_for_bit(self):
-        rng = np.random.default_rng(37)
-        raw = rng.standard_normal((5, 16, 16))
-        values, vectors = eig_sym(raw)
-        assert values.shape == (5, 16) and vectors.shape == (5, 16, 16)
-        for i in range(5):
-            single_values, single_vectors = eig_sym(raw[i])
-            assert np.array_equal(values[i], single_values)
-            assert np.array_equal(vectors[i], single_vectors)
-
-    def test_symmetrize_stack(self):
-        raw = np.random.default_rng(38).standard_normal((3, 4, 4))
-        assert np.array_equal(symmetrize(raw), [symmetrize(b) for b in raw])
+from prmimo import InvalidInputError
+from prmimo.numerics import one_blas_thread, set_blas_threads
 
 
 class TestSingularValues:

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -14,7 +15,6 @@ from prmimo import (
     assemble_pattern_channel,
     assemble_physical,
     capacity,
-    correlation_indicator,
     steering_matrix,
     subchannel_gram,
 )
@@ -326,12 +326,10 @@ class TestSubchannelGram:
         m_hat = np.stack([feasible_m_hat(rng, 8, 6) for _ in sets])
         stacked = subchannel_gram(geom, stack_paths(sets), m_hat)
         assert stacked.g.shape == (3, 6, 6) and stacked.indicator.shape == (3, 6)
-        indicator = correlation_indicator(stacked.g)
         for row, paths in enumerate(sets):
             single = subchannel_gram(geom, paths, m_hat[row])
             assert np.array_equal(stacked.g[row], single.g)
             assert np.array_equal(stacked.indicator[row], single.indicator)
-            assert np.array_equal(indicator[row], correlation_indicator(single.g))
 
     def test_rejects_unstacked_columns_for_a_stack(self):
         rng = np.random.default_rng(66)
@@ -352,7 +350,7 @@ def hermitian_stack(rng, count, n):
 class TestStackedGramCheck:
     def test_hermitian_stack_passes(self):
         g = hermitian_stack(np.random.default_rng(62), 4, 5)
-        gram = SubchannelGram(g=g, indicator=np.zeros((4, 5)))
+        gram = SubchannelGram(g)
         assert np.array_equal(gram.g, g)
 
     @pytest.mark.parametrize("bad", [0, 2, 3])
@@ -360,28 +358,47 @@ class TestStackedGramCheck:
         g = hermitian_stack(np.random.default_rng(63), 4, 5)
         g[bad, 1, 3] += 2 * HERMITIAN_TOL
         with pytest.raises(InvalidInputError, match="not Hermitian within tolerance"):
-            SubchannelGram(g=g, indicator=np.zeros((4, 5)))
+            SubchannelGram(g)
 
     def test_asymmetry_within_tolerance_passes(self):
         g = hermitian_stack(np.random.default_rng(64), 4, 5)
         g[2, 1, 3] += 0.5 * HERMITIAN_TOL
-        SubchannelGram(g=g, indicator=np.zeros((4, 5)))
+        SubchannelGram(g)
+
+    # An off-diagonal NaN compares False with the tolerance, and an inf
+    # pair makes inf - inf = NaN in the Hermitian check.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)],
+                             ids=["nan", "inf", "imag-inf"])
+    def test_non_finite_entry_is_rejected(self, bad):
+        g = hermitian_stack(np.random.default_rng(67), 4, 5)
+        g[2, 1, 3] = bad
+        g[2, 3, 1] = np.conj(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="gram matrix contains non-finite entries"):
+                SubchannelGram(g)
+
+    def test_gram_is_its_only_field(self):
+        g = hermitian_stack(np.random.default_rng(68), 2, 3)
+        assert [f.name for f in dataclasses.fields(SubchannelGram)] == ["g"]
+        with pytest.raises(AttributeError):
+            SubchannelGram(g).indicator = np.zeros((2, 3))
 
 
 class TestCorrelationIndicator:
     def test_identity_gram(self):
-        assert_allclose(correlation_indicator(np.eye(4)), np.zeros(4))
+        assert_allclose(SubchannelGram(np.eye(4)).indicator, np.zeros(4))
 
     def test_two_by_two(self):
         c = 0.3
         g = np.array([[1.0, c], [c, 1.0]], dtype=complex)
-        assert_allclose(correlation_indicator(g), [c**2, c**2])
+        assert_allclose(SubchannelGram(g).indicator, [c**2, c**2])
 
     def test_matches_brute_force(self):
-        rng = np.random.default_rng(61)
-        raw = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        g = 0.5 * (raw + raw.conj().T)
-        indicator = correlation_indicator(g)
-        for l in range(6):
-            expected = sum(abs(g[l, j]) ** 2 for j in range(6) if j != l)
-            assert_allclose(indicator[l], expected, rtol=1e-12)
+        g = hermitian_stack(np.random.default_rng(61), 2, 6)
+        indicator = SubchannelGram(g).indicator
+        assert indicator.shape == (2, 6)
+        for t in range(2):
+            for l in range(6):
+                expected = sum(abs(g[t, l, j]) ** 2 for j in range(6) if j != l)
+                assert_allclose(indicator[t, l], expected, rtol=1e-12)

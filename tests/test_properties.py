@@ -38,7 +38,6 @@ from prmimo import (
     assemble_physical,
     capacity,
     cfpa_weights,
-    correlation_indicator,
     design_pattern,
     draw_paths,
     ideal_capacity,
@@ -365,7 +364,7 @@ def test_relabeling_the_paths_permutes_the_design(shape, seed):
     assert_close(physical_r, physical)
     assert_close(designed_r, designed)
 
-    initial = correlation_indicator(subchannel_gram(geometry, paths, np.ones(state.m_hat.shape)).g)
+    initial = subchannel_gram(geometry, paths, np.ones(state.m_hat.shape)).indicator
     untied = separated(initial) & separated(state.gram.indicator)
     assert np.any(untied)
     for t in np.flatnonzero(untied):

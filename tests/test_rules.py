@@ -1,9 +1,10 @@
 """Every input rule, through every entry point that accepts it.
 
 Each rule is stated once, by the module that owns it: the cluster rules,
-the seed rule, the request rules and the grid's finiteness all in
+the seed rule, the request rules and the grid's rules all in
 ``montecarlo`` (``_check_clusters``, ``_check_nonnegative``,
-``_check_request``, ``_check_finite_grid``).
+``_check_request``, ``_check_finite_grid``, and ``Scenario`` itself for
+the grid's shape).
 Whichever door a bad value comes in by, the same check raises it with
 the same message; the CLI adds only its usage-error prefix and, for a
 config-file value, the file line. It exits 1 before any output directory
@@ -55,7 +56,8 @@ READ_KEYS = ("snr_db",)
 # One row per broken rule: its message, its owning check, the CLI key and
 # text that break it, the same value as the library takes it, and the
 # library doors that accept it. Both CLI doors (a flag and a config-file
-# line) accept every rule.
+# line) accept every rule with a CLI text; one without (text None) can
+# only come in by a library door.
 RULES = [
     ("cluster and ray counts must be >= 1", "_check_clusters",
      "ncl", "0", {"n_cl": 0}, ("Scenario",)),
@@ -77,18 +79,28 @@ RULES = [
      "snr_db", "nan:1:5", {"snr_db": np.array([np.nan])}, ("Scenario",)),
     ("snr grid values must be finite", "_check_finite_grid",
      "snr_db", "0:1:inf", {"snr_db": np.array([0.0, np.inf])}, ("Scenario",)),
+    ("snr grid must be one-dimensional", "__post_init__",
+     "snr_db", None, {"snr_db": [[0.0, 10.0], [5.0, 20.0]]}, ("Scenario",)),
     ("at least one scheme is required", "_check_request",
      "schemes", " , ", {"schemes": ()}, ("run_campaign",)),
     ("unknown schemes: ['psychic']", "_check_request",
      "schemes", "physical,psychic", {"schemes": ("physical", "psychic")}, ("run_campaign",)),
+    ("repeated schemes: ['physical']", "_check_request",
+     "schemes", "physical,physical", {"schemes": ("physical", "physical")}, ("run_campaign",)),
+    ("repeated schemes: ['ideal', 'pattern']", "_check_request",
+     "schemes", "pattern,ideal,physical,ideal,pattern",
+     {"schemes": ("pattern", "ideal", "physical", "ideal", "pattern")}, ("run_campaign",)),
     ("workers must be >= 1, got 0", "_check_request",
      "workers", "0", {"workers": 0}, ("run_campaign",)),
 ]
 
 CASES = [
-    pytest.param(door, message, owner, key, text, value, id=f"{key}={text.strip()}-{door}")
+    pytest.param(
+        door, message, owner, key, text, value,
+        id=f"{key}={np.shape(value[key]) if text is None else text.strip()}-{door}",
+    )
     for message, owner, key, text, value, doors in RULES
-    for door in ("flag", "config", *doors)
+    for door in (("flag", "config") if text is not None else ()) + doors
 ]
 
 

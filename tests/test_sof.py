@@ -9,7 +9,7 @@ from prmimo import (
     InvalidInputError,
     NumericalFailureError,
     PathSet,
-    correlation_indicator,
+    SubchannelGram,
     run_sof,
     solve_modification_vector,
     subchannel_gram,
@@ -131,23 +131,73 @@ class TestSolveModificationVector:
             assert np.all(solution >= 0)
             assert abs(solution @ solution - 6.0) <= 1e-10
 
-    def test_stack_matches_single_calls_bit_for_bit(self):
+    def test_nonnegative_smallest_eigenvector_is_returned(self):
+        # B = Q diag(values) Q^T with a positive unit eigenvector v of the
+        # smallest of its ascending values: nothing is clipped, so the
+        # solution is sqrt(n) v, an eigenvector of that value.
+        rng = np.random.default_rng(88)
+        for n in (3, 8, 32):
+            v = rng.uniform(0.1, 1.0, n)
+            v /= np.linalg.norm(v)
+            q = np.linalg.qr(np.column_stack([v, rng.standard_normal((n, n - 1))]))[0]
+            values = np.cumsum(rng.uniform(0.5, 1.5, n))
+            b = (q * values) @ q.T
+            solution = solve_modification_vector(b, n)
+            assert_allclose(solution, np.sqrt(n) * v, atol=1e-10)
+            assert_allclose(b @ solution, values[0] * solution, atol=1e-9 * values[-1])
+
+    @pytest.mark.parametrize("n, symmetric", [(8, True), (16, False)])
+    def test_stack_matches_single_calls_bit_for_bit(self, n, symmetric):
+        # A non-symmetric stack is symmetrized matrix by matrix too.
         rng = np.random.default_rng(82)
-        raw = rng.standard_normal((6, 8, 8))
-        stack = raw @ raw.swapaxes(1, 2)
-        solutions = solve_modification_vector(stack, 8)
-        assert solutions.shape == (6, 8)
+        stack = rng.standard_normal((6, n, n))
+        if symmetric:
+            stack = stack @ stack.swapaxes(1, 2)
+        solutions = solve_modification_vector(stack, n)
+        assert solutions.shape == (6, n)
         for i in range(6):
-            assert np.array_equal(solutions[i], solve_modification_vector(stack[i], 8))
+            assert np.array_equal(solutions[i], solve_modification_vector(stack[i], n))
+
+    def test_transpose_gives_the_same_bits(self):
+        # Only the symmetric part (B + B^T) / 2 is solved.
+        rng = np.random.default_rng(89)
+        for n in (5, 16):
+            b = rng.standard_normal((n, n))
+            assert np.array_equal(
+                solve_modification_vector(b, n), solve_modification_vector(b.T, n)
+            )
 
     def test_stack_rejects_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
             solve_modification_vector(np.zeros((2, 3, 3)), 4)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 2, 3), (3,)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(InvalidInputError, match="coefficient matrix shape"):
+            solve_modification_vector(np.ones(shape), 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite(self, bad):
+        b = np.stack([np.eye(3), np.eye(3)])
+        b[1, 0, 2] = bad
+        with pytest.raises(InvalidInputError, match="coefficient matrix contains non-finite"):
+            solve_modification_vector(b, 3)
+
+    def test_non_convergence_message_states_the_norm(self, monkeypatch):
+        def fails(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fails)
+        with pytest.raises(NumericalFailureError) as raised:
+            solve_modification_vector(np.array([[3.0, 8.0], [0.0, 0.0]]), 2)
+        # The norm of the symmetrized matrix [[3, 4], [4, 0]].
+        assert str(raised.value) == "symmetric eigendecomposition did not converge (norm 6.40312)"
+        assert isinstance(raised.value.__cause__, np.linalg.LinAlgError)
+
     def test_collapse_message_states_the_norm(self, monkeypatch):
         # A zero eigenvector clips to zero; the message, which is all a
         # campaign's failure record keeps, names the matrix's norm.
-        monkeypatch.setattr(sof, "eig_sym", lambda b: (np.zeros(4), np.zeros((4, 4))))
+        monkeypatch.setattr(np.linalg, "eigh", lambda b: (np.zeros(4), np.zeros((4, 4))))
         with pytest.raises(NumericalFailureError) as raised:
             solve_modification_vector(np.diag([3.0, 0.0, 0.0, 4.0]), 4)
         assert str(raised.value) == "clipped eigenvector collapsed to zero (norm 5)"
@@ -219,19 +269,30 @@ class TestRunSof:
         assert np.max(np.abs(state.gram.g - fresh.g)) <= 1e-10
         assert np.max(np.abs(state.gram.indicator - fresh.indicator)) <= 1e-10
 
-    def test_final_indicator_equals_full_recompute(self):
+    def test_each_step_indicator_equals_full_recompute(self, monkeypatch):
         # The loop refreshes only the changed row and column of the squared
-        # magnitudes; the row sums must equal a full recompute bit for bit,
-        # for one path set and for a stack.
+        # magnitudes, and its indicator picks every later target; at each
+        # step it must equal the full recompute of the refreshed Gram
+        # matrix bit for bit, for one path set and for a stack.
+        refresh, steps = sof._refresh, []
+
+        def checked(geometry, recv, basis, g, sq, *args):
+            indicator = refresh(geometry, recv, basis, g, sq, *args)
+            assert np.array_equal(indicator, SubchannelGram(g).indicator)
+            steps.append(indicator.shape)
+            return indicator
+
+        monkeypatch.setattr(sof, "_refresh", checked)
         rng = np.random.default_rng(81)
         geom = ArrayGeometry(n_t=32, n_r=8)
-        for paths in (
-            random_paths(rng, 80),
-            stack_paths([random_paths(rng, 160) for _ in range(3)]),
+        for paths, shape in (
+            (random_paths(rng, 80), (1, 80)),
+            (stack_paths([random_paths(rng, 160) for _ in range(3)]), (3, 160)),
         ):
+            steps.clear()
             state = run_sof(geom, paths)
             assert state.gram.indicator.shape == paths.gains.shape
-            assert np.array_equal(state.gram.indicator, correlation_indicator(state.gram.g))
+            assert steps == [shape] * (shape[1] - 1)
 
     def test_objective_matches_gram_definition(self):
         # Columns are designed once and never revisited, so the penalty
@@ -299,7 +360,6 @@ class TestRunSofOnStacks:
             g = batch.gram.g[row]
             fresh = subchannel_gram(geom, paths, batch.m_hat[row])
             assert np.max(np.abs(g - fresh.g)) <= 1e-10
-            assert np.array_equal(batch.gram.indicator[row], correlation_indicator(g))
 
     def test_rejects_mixed_lengths(self):
         rng = np.random.default_rng(86)
