@@ -176,7 +176,7 @@ def parse_config(argv=None):
     try:
         keys = ("schemes", "workers")
         schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-        schemes, workers = _check_request(schemes, args.workers)
+        schemes, workers = _check_request(schemes, args.workers, args.safeguard)
         keys = ("nt", "nr", "spacing")
         geometry = ArrayGeometry(args.nt, args.nr, spacing_t=args.spacing, spacing_r=args.spacing)
         keys = ("ncl", "nray", "condition", "xi_deg", "snr_db", "trials", "seed")

@@ -248,7 +248,7 @@ def batch_size(n_paths, n_t):
     return max(1, int(min(BATCH_STATE_BYTES // peak, BATCH_STEP_BYTES // step)))
 
 
-def run_trials(scenario, start, stop, safeguard=False):
+def run_trials(scenario, start, stop):
     """Evaluate trials ``start .. stop-1`` in lockstep on the SNR grid.
 
     Returns ``(physical, pattern)`` capacity arrays of shape
@@ -263,12 +263,7 @@ def run_trials(scenario, start, stop, safeguard=False):
     bit-identical to the call on its trial alone and to the campaign's
     row of that trial, under any BLAS thread count of the caller: the
     batch runs on one BLAS thread (the caller's count is restored). The
-    batch's memory grows with its size (see ``batch_size``). With
-    ``safeguard=True`` a trial's designed pattern falls back to the
-    neutral all-ones pattern (the physical channel) whenever the design
-    loses to the physical channel at the highest grid SNR; the default
-    leaves the heuristic unguarded so improvements are measured, not
-    enforced.
+    batch's memory grows with its size (see ``batch_size``).
     """
     geometry = scenario.geometry
     snr = _linear(scenario.snr_db)
@@ -279,16 +274,10 @@ def run_trials(scenario, start, stop, safeguard=False):
             m_hat=np.stack([np.ones_like(pattern.m_hat), pattern.m_hat]),
             p=np.stack([np.ones_like(pattern.p), pattern.p]),
         )
-        physical, designed = capacity(assemble_pattern_channel(geometry, paths, both), snr)
-
-    if safeguard:
-        reference = int(np.argmax(snr))
-        lost = designed[:, reference] < physical[:, reference]
-        designed = np.where(lost[:, None], physical, designed)
-    return physical, designed
+        return capacity(assemble_pattern_channel(geometry, paths, both), snr)
 
 
-def _run_batch(scenario, start, stop, safeguard):
+def _run_batch(scenario, start, stop):
     """Outcome records ``(index, physical, pattern, error)`` of one batch.
 
     A failing batch is rerun one trial at a time: a ``PrMimoError`` then
@@ -296,13 +285,13 @@ def _run_batch(scenario, start, stop, safeguard):
     aborts with the trial index.
     """
     try:
-        physical, designed = run_trials(scenario, start, stop, safeguard)
+        physical, designed = run_trials(scenario, start, stop)
     except Exception as exc:
         seed = scenario.master_seed
         if stop - start > 1:
             outcomes = []
             for index in range(start, stop):
-                outcomes += _run_batch(scenario, index, index + 1, safeguard)
+                outcomes += _run_batch(scenario, index, index + 1)
             if isinstance(exc, PrMimoError):
                 return outcomes
             where = f"trials {start}..{stop - 1} as one batch"
@@ -354,7 +343,7 @@ def _pool_batch(run, start, stop):
         raise
 
 
-def _trial_outcomes(scenario, workers, safeguard):
+def _trial_outcomes(scenario, workers):
     # Consecutive lockstep batches, so only the campaign's last one is
     # short, on no more workers than batches: one per usable core for
     # ``workers == 1``. One worker is this process; more make a pool that
@@ -365,7 +354,7 @@ def _trial_outcomes(scenario, workers, safeguard):
     size = batch_size(scenario.n_cl * scenario.n_ray, scenario.geometry.n_t)
     starts = range(0, trials, size)
     stops = [min(start + size, trials) for start in starts]
-    run = partial(_run_batch, scenario, safeguard=safeguard)
+    run = partial(_run_batch, scenario)
     workers = min(_usable_cores() if workers == 1 else workers, len(starts))
     if workers == 1:
         with one_blas_thread():
@@ -386,9 +375,12 @@ def _trial_outcomes(scenario, workers, safeguard):
     return [outcome for outcomes in batches for outcome in outcomes]
 
 
-def _check_request(schemes, workers):
-    # The request rules, which ``run_campaign`` and the CLI check here: a
-    # collection (not a string) of distinct ``SCHEMES``, on an integer count >= 1.
+def _check_request(schemes, workers, safeguard):
+    # The request rules, which ``run_campaign`` and the CLI check here: a bool
+    # safeguard, and a collection (not a string) of distinct ``SCHEMES`` on
+    # an integer count >= 1.
+    if not isinstance(safeguard, (bool, np.bool_)):
+        raise InvalidInputError(f"safeguard must be True or False, got {safeguard!r}")
     workers = require_integer(workers, "workers")
     if workers < 1:
         raise InvalidInputError(f"workers must be >= 1, got {workers}")
@@ -424,20 +416,19 @@ def run_campaign(scenario, schemes=SCHEMES, workers=1, safeguard=False):
     than 1% of failures aborts with ``CampaignError``, and so does any
     other exception at once, naming the master seed and the trial index;
     the workers then start no further batch.
+
+    With ``safeguard=True`` (a Python or numpy bool) each trial's pattern
+    row is floored at its physical row (the all-ones pattern) where the
+    design loses at the highest grid SNR, once, on the trials that ran.
     """
-    schemes, workers = _check_request(schemes, workers)
+    schemes, workers = _check_request(schemes, workers, safeguard)
     curves = []
     if "physical" in schemes or "pattern" in schemes:
-        outcomes = _trial_outcomes(scenario, workers, safeguard)
+        outcomes = _trial_outcomes(scenario, workers)
 
-        physical_rows, pattern_rows, failures = [], [], []
-        for index, physical, designed, error in outcomes:
-            if error is not None:
-                failures.append((index, error))
-                continue
-            physical_rows.append(physical)
-            pattern_rows.append(designed)
-        if len(failures) > FAILURE_THRESHOLD * scenario.trials or not physical_rows:
+        failures = [(index, error) for index, _, _, error in outcomes if error is not None]
+        ran = [(physical, designed) for _, physical, designed, error in outcomes if error is None]
+        if len(failures) > FAILURE_THRESHOLD * scenario.trials or not ran:
             raise CampaignError(
                 f"{len(failures)} of {scenario.trials} trials failed; "
                 f"first failure: trial {failures[0][0]}: {failures[0][1]}"
@@ -448,17 +439,20 @@ def run_campaign(scenario, schemes=SCHEMES, workers=1, safeguard=False):
                 RuntimeWarning,
                 stacklevel=2,
             )
-        included = len(physical_rows)
-        for scheme, rows in (("physical", physical_rows), ("pattern", pattern_rows)):
+        physical, designed = (np.array(rows) for rows in zip(*ran))
+        if safeguard:
+            reference = np.argmax(scenario.snr_db)
+            lost = designed[:, reference] < physical[:, reference]
+            designed = np.where(lost[:, None], physical, designed)
+        for scheme, samples in (("physical", physical), ("pattern", designed)):
             if scheme in schemes:
-                samples = np.asarray(rows)
                 curves.append(
                     CapacityCurve(
                         scheme=scheme,
                         snr_db=scenario.snr_db.copy(),
                         mean=samples.mean(axis=0),
                         std=samples.std(axis=0),
-                        trials=included,
+                        trials=len(samples),
                     )
                 )
 

@@ -59,17 +59,6 @@ class SubchannelGram:
         return _squared_off_diagonal(self.g, (..., diagonal, diagonal)).sum(axis=-1)
 
 
-def receiver_factor_matrix(geometry, aoa):
-    """Pairwise receive-side phase sums.
-
-    Entry (i, j) is ``sum_n exp(+j*2*pi*d_r*n*(sin aoa_i - sin aoa_j))``
-    over the n_r elements; its magnitude divided by n_r is the receive
-    correlation between arrivals i and j. Stacked arrivals stack it.
-    """
-    basis = steering_phases(geometry.n_r, geometry.spacing_r, aoa)
-    return basis.conj().swapaxes(-1, -2) @ basis
-
-
 def _initial_state(geometry, paths, m_hat):
     # The receive factor, the transmit basis (the columns ``m_hat``
     # weighted by the conjugate transmit phases) and the Gram matrix: the
@@ -78,7 +67,10 @@ def _initial_state(geometry, paths, m_hat):
     # ``g = recv * (B^H B) / (n_r n_t)`` (the sum commutes bit for bit).
     # In place and one matrix at a time, so that a batch's set-up holds no
     # L x L temporary per trial.
-    recv = receiver_factor_matrix(geometry, paths.aoa)
+    # Receive factor entry (i, j) is sum_n exp(+j 2 pi d_r n (sin aoa_i -
+    # sin aoa_j)); over n_r, its magnitude is the receive correlation.
+    recv = steering_phases(geometry.n_r, geometry.spacing_r, paths.aoa)
+    recv = recv.conj().swapaxes(-1, -2) @ recv
     basis = steering_phases(geometry.n_t, geometry.spacing_t, paths.aod)
     basis = m_hat * np.conjugate(basis, out=basis)
     g = basis.conj().swapaxes(-1, -2) @ basis

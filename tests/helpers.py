@@ -33,9 +33,9 @@ def neutral_pattern(n_t, n_paths):
     return PatternMatrix(m_hat=np.ones((n_t, n_paths)), p=np.ones(n_paths))
 
 
-def one_trial(scenario, index, safeguard=False):
+def one_trial(scenario, index):
     """``(physical, pattern)`` capacities of trial ``index`` run alone."""
-    physical, designed = run_trials(scenario, index, index + 1, safeguard)
+    physical, designed = run_trials(scenario, index, index + 1)
     return physical[0], designed[0]
 
 

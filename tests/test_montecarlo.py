@@ -224,23 +224,6 @@ class TestOneTrial:
         with pytest.raises(InvalidInputError):
             one_trial(small_scenario(), 4)
 
-    def test_safeguard_floors_at_physical(self, monkeypatch):
-        scenario = small_scenario()
-
-        def sabotaged_design(geometry, paths):
-            # Put all power on one path: a rank-one channel that loses to
-            # the physical baseline at high SNR.
-            p = np.zeros(paths.gains.shape)
-            p[:, 0] = 1.0
-            m_hat = np.ones((len(p), geometry.n_t, len(paths)))
-            return PatternMatrix(m_hat=m_hat, p=p), None
-
-        monkeypatch.setattr(montecarlo, "design_pattern", sabotaged_design)
-        physical, unguarded = one_trial(scenario, 0, safeguard=False)
-        assert unguarded[-1] < physical[-1]
-        physical2, guarded = one_trial(scenario, 0, safeguard=True)
-        assert np.array_equal(guarded, physical2)
-
 
 def force_batch_size(monkeypatch, scenario, size):
     """Set the batch byte budgets so batches hold ``size`` trials."""
@@ -422,26 +405,6 @@ class TestRunTrials:
             channel = assemble_pattern_channel(scenario.geometry, paths, pattern)
             assert np.array_equal(designed, capacity(channel, snr))
 
-    def test_safeguard_acts_per_row(self, monkeypatch):
-        scenario = small_scenario(trials=6)
-        real_design = montecarlo.design_pattern
-
-        def sabotage_odd(geometry, paths):
-            # Odd rows get a rank-one pattern that loses at high SNR.
-            pattern, state = real_design(geometry, paths)
-            p = pattern.p.copy()
-            p[1::2] = 0.0
-            p[1::2, 0] = 1.0
-            return PatternMatrix(m_hat=pattern.m_hat, p=p), state
-
-        monkeypatch.setattr(montecarlo, "design_pattern", sabotage_odd)
-        physical, unguarded = run_trials(scenario, 0, 6)
-        _, guarded = run_trials(scenario, 0, 6, safeguard=True)
-        lost = unguarded[:, -1] < physical[:, -1]
-        assert lost[1::2].all()
-        assert np.array_equal(guarded[lost], physical[lost])
-        assert np.array_equal(guarded[~lost], unguarded[~lost])
-
     @pytest.mark.parametrize("start,stop", [(0, 0), (3, 2), (-1, 2), (0, 5)])
     def test_rejects_bad_ranges(self, start, stop):
         with pytest.raises(InvalidInputError):
@@ -553,7 +516,7 @@ class TestRunCampaign:
         scenario = small_scenario(trials=trials, condition="good", snr_db=np.array([0.0, 20.0]))
         expected = single_trial_rows(scenario)
         force_batch_size(monkeypatch, scenario, size)
-        outcomes = montecarlo._trial_outcomes(scenario, workers, False)
+        outcomes = montecarlo._trial_outcomes(scenario, workers)
         assert [outcome[0] for outcome in outcomes] == list(range(trials))
         for (_, physical, designed, error), (want_physical, want_designed) in zip(
             outcomes, expected
@@ -607,7 +570,7 @@ class TestRunCampaign:
             return real_draw_paths(sc, start, stop)
 
         monkeypatch.setattr(montecarlo, "draw_paths", flaky)
-        outcomes = montecarlo._trial_outcomes(scenario, 1, False)
+        outcomes = montecarlo._trial_outcomes(scenario, 1)
         assert [outcome[0] for outcome in outcomes] == list(range(12))
         assert outcomes[4][1:] == (None, None, "NumericalFailureError: synthetic failure")
         for index, physical, designed, error in outcomes:
@@ -623,9 +586,9 @@ class TestRunCampaign:
         real_run_trials = montecarlo.run_trials
         calls = []
 
-        def recording(sc, start, stop, safeguard=False):
+        def recording(sc, start, stop):
             calls.append((start, stop))
-            return real_run_trials(sc, start, stop, safeguard)
+            return real_run_trials(sc, start, stop)
 
         monkeypatch.setattr(montecarlo, "run_trials", recording)
         run_campaign(scenario)
@@ -649,6 +612,77 @@ class TestRunCampaign:
             CampaignError, match=r"trials 0\.\.3 as one batch \(master_seed 99\) raised TypeError"
         ):
             run_campaign(scenario)
+
+    def test_safeguard_floors_at_physical(self, monkeypatch):
+        scenario = small_scenario(trials=1)
+        pin_cores(monkeypatch, 1)
+
+        def sabotaged_design(geometry, paths):
+            # Put all power on one path: a rank-one channel that loses to
+            # the physical baseline at high SNR.
+            p = np.zeros(paths.gains.shape)
+            p[:, 0] = 1.0
+            m_hat = np.ones((len(p), geometry.n_t, len(paths)))
+            return PatternMatrix(m_hat=m_hat, p=p), None
+
+        monkeypatch.setattr(montecarlo, "design_pattern", sabotaged_design)
+        physical, unguarded = run_campaign(scenario, ("physical", "pattern"), safeguard=False)
+        assert unguarded.mean[-1] < physical.mean[-1]
+        physical2, guarded = run_campaign(scenario, ("physical", "pattern"), safeguard=True)
+        assert np.array_equal(guarded.mean, physical2.mean)
+        assert np.array_equal(guarded.std, physical2.std)
+
+    def test_safeguard_acts_per_row(self, monkeypatch):
+        scenario = small_scenario(trials=6)
+        pin_cores(monkeypatch, 1)
+        real_design = montecarlo.design_pattern
+
+        def sabotage_odd(geometry, paths):
+            # Odd rows get a rank-one pattern that loses at high SNR.
+            pattern, state = real_design(geometry, paths)
+            p = pattern.p.copy()
+            p[1::2] = 0.0
+            p[1::2, 0] = 1.0
+            return PatternMatrix(m_hat=pattern.m_hat, p=p), state
+
+        monkeypatch.setattr(montecarlo, "design_pattern", sabotage_odd)
+        physical, unguarded = run_trials(scenario, 0, 6)
+        lost = unguarded[:, -1] < physical[:, -1]
+        assert lost[1::2].all()
+        # The rows the guarded campaign reduces: the physical row where the
+        # design lost, its own row elsewhere.
+        guarded = unguarded.copy()
+        guarded[lost] = physical[lost]
+        pattern = run_campaign(scenario, ("pattern",), safeguard=True)[0]
+        assert np.array_equal(pattern.mean, guarded.mean(axis=0))
+        assert np.array_equal(pattern.std, guarded.std(axis=0))
+
+    @pytest.mark.parametrize("workers, cores", [(1, 1), (2, 2)], ids=["in-process", "pooled"])
+    def test_safeguard_floors_the_run_trials_rows(self, monkeypatch, workers, cores):
+        # Four clusters of one ray spread 15 degrees: the design loses at
+        # 20 dB in some trials but not all. Batches of four trials make
+        # three, so two workers build a pool.
+        scenario = small_scenario(
+            condition="good", n_ray=1, angle_spread=np.deg2rad(15.0),
+            snr_db=np.array([0.0, 20.0, 10.0]), trials=12,
+        )
+        force_batch_size(monkeypatch, scenario, 4)
+        pin_cores(monkeypatch, cores)
+        physical, designed = run_trials(scenario, 0, 12)
+        lost = designed[:, 1] < physical[:, 1]
+        assert lost.any() and not lost.all()
+        floored = np.where(lost[:, None], physical, designed)
+        pattern = run_campaign(scenario, ("pattern",), workers=workers, safeguard=True)[0]
+        assert np.array_equal(pattern.mean, floored.mean(axis=0))
+        assert np.array_equal(pattern.std, floored.std(axis=0))
+
+    def test_safeguard_takes_numpy_bools(self, monkeypatch):
+        scenario = small_scenario(trials=2)
+        pin_cores(monkeypatch, 1)
+        for flag in (False, True):
+            want = run_campaign(scenario, safeguard=flag)
+            for got, expected in zip(run_campaign(scenario, safeguard=np.bool_(flag)), want):
+                assert np.array_equal(got.mean, expected.mean)
 
     def test_scheme_subset(self):
         scenario = small_scenario(trials=2)
@@ -761,7 +795,7 @@ class TestDefaultPool:
         force_batch_size(monkeypatch, scenario, 6)
         pin_cores(monkeypatch, cores)
         sizes = record_pools(monkeypatch)
-        assert_rows_match(montecarlo._trial_outcomes(scenario, 1, False), expected)
+        assert_rows_match(montecarlo._trial_outcomes(scenario, 1), expected)
         assert sizes == ([] if cores == 1 else [cores])
 
     # One batch builds no pool, however many cores.
@@ -773,7 +807,7 @@ class TestDefaultPool:
         force_batch_size(monkeypatch, scenario, size)
         pin_cores(monkeypatch, 3)
         sizes = record_pools(monkeypatch)
-        montecarlo._trial_outcomes(scenario, 1, False)
+        montecarlo._trial_outcomes(scenario, 1)
         assert sizes == pools
 
     @pytest.mark.parametrize("cores", [2, 3])
@@ -796,7 +830,7 @@ class TestDefaultPool:
         expected = single_trial_rows(scenario)
         pin_cores(monkeypatch, cores)
         sizes = record_pools(monkeypatch)
-        assert_rows_match(montecarlo._trial_outcomes(scenario, 1, False), expected)
+        assert_rows_match(montecarlo._trial_outcomes(scenario, 1), expected)
         assert sizes == [cores]
 
     @pytest.mark.parametrize(
@@ -819,7 +853,7 @@ class TestDefaultPool:
         real_run_trials = montecarlo.run_trials
         log = tmp_path / "batches.txt"
 
-        def failing_first(sc, start, stop, safeguard=False):
+        def failing_first(sc, start, stop):
             # Appends from the workers too: they inherit this patch by fork.
             with open(log, "a", encoding="utf-8") as handle:
                 handle.write(f"start {start}\n")
@@ -828,7 +862,7 @@ class TestDefaultPool:
                     handle.write("fail\n")
                 raise TypeError("synthetic bug")
             time.sleep(0.005)
-            return real_run_trials(sc, start, stop, safeguard)
+            return real_run_trials(sc, start, stop)
 
         monkeypatch.setattr(montecarlo, "run_trials", failing_first)
         with pytest.raises(CampaignError, match=r"trial 0 \(master_seed 99\) raised TypeError"):
@@ -870,7 +904,7 @@ from prmimo.montecarlo import _trial_outcomes
 scenario = Scenario(ArrayGeometry(n_t=32, n_r=8), n_cl=20, trials=3, master_seed=777)
 single = [np.concatenate(run_trials(scenario, i, i + 1), axis=1)[0] for i in range(3)]
 batch = np.concatenate(run_trials(scenario, 0, 3), axis=1)
-campaign = [np.concatenate(outcome[1:3]) for outcome in _trial_outcomes(scenario, 1, False)]
+campaign = [np.concatenate(outcome[1:3]) for outcome in _trial_outcomes(scenario, 1)]
 for rows in (single, batch, campaign):
     print(hashlib.sha256(np.asarray(rows).tobytes()).hexdigest())
 """
@@ -891,11 +925,11 @@ class TestBlasThreads:
         real_run_trials = montecarlo.run_trials
         log = tmp_path / "threads.txt"
 
-        def recording(sc, start, stop, safeguard=False):
+        def recording(sc, start, stop):
             # Appends from the workers too: they inherit this patch by fork.
             with open(log, "a", encoding="utf-8") as handle:
                 handle.write(f"{lib.scipy_openblas_get_num_threads64_()}\n")
-            return real_run_trials(sc, start, stop, safeguard)
+            return real_run_trials(sc, start, stop)
 
         monkeypatch.setattr(montecarlo, "run_trials", recording)
         pin_cores(monkeypatch, cores)

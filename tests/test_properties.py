@@ -246,31 +246,29 @@ def scenarios(draw):
     scenario=scenarios(),
     start=st.integers(0, 3),
     size=st.integers(1, 5),
-    safeguard=st.booleans(),
 )
-def test_lockstep_trials_match_single_trials(scenario, start, size, safeguard):
+def test_lockstep_trials_match_single_trials(scenario, start, size):
     stop = start + size
     try:
-        physical, designed = run_trials(scenario, start, stop, safeguard)
+        physical, designed = run_trials(scenario, start, stop)
     except PrMimoError:
         # A batch fails only if one of its trials fails on its own.
         failures = 0
         for index in range(start, stop):
             try:
-                one_trial(scenario, index, safeguard)
+                one_trial(scenario, index)
             except PrMimoError:
                 failures += 1
         assert failures
         return
     for row, index in enumerate(range(start, stop)):
-        single_physical, single_designed = one_trial(scenario, index, safeguard)
+        single_physical, single_designed = one_trial(scenario, index)
         assert np.array_equal(physical[row], single_physical)
         assert np.array_equal(designed[row], single_designed)
-    if not safeguard:
-        # The designed channel meets the power budget, so it cannot beat
-        # the equal-eigenvalue ideal channel.
-        ideal = ideal_capacity(scenario.geometry, 10.0 ** (scenario.snr_db / 10.0))
-        assert np.all(designed <= ideal * (1.0 + 1e-9))
+    # The designed channel meets the power budget, so it cannot beat the
+    # equal-eigenvalue ideal channel.
+    ideal = ideal_capacity(scenario.geometry, 10.0 ** (scenario.snr_db / 10.0))
+    assert np.all(designed <= ideal * (1.0 + 1e-9))
 
 
 @st.composite

@@ -30,6 +30,7 @@ SETTINGS = {
     "master_seed": 12345,
     "schemes": SCHEMES,
     "workers": 1,
+    "safeguard": False,
 }
 
 # The library doors, each called with the settings.
@@ -45,7 +46,10 @@ LIBRARY = {
     ),
     "trial_rng": lambda s: trial_rng(s["master_seed"], 0),
     "run_campaign": lambda s: run_campaign(
-        Scenario(GEOMETRY, trials=2), schemes=s["schemes"], workers=s["workers"]
+        Scenario(GEOMETRY, trials=2),
+        schemes=s["schemes"],
+        workers=s["workers"],
+        safeguard=s["safeguard"],
     ),
 }
 
@@ -92,6 +96,10 @@ RULES = [
      {"schemes": ("pattern", "ideal", "physical", "ideal", "pattern")}, ("run_campaign",)),
     ("workers must be >= 1, got 0", "_check_request",
      "workers", "0", {"workers": 0}, ("run_campaign",)),
+    ("safeguard must be True or False, got 'false'", "_check_request",
+     "safeguard", None, {"safeguard": "false"}, ("run_campaign",)),
+    ("safeguard must be True or False, got array([ True, False])", "_check_request",
+     "safeguard", None, {"safeguard": np.array([True, False])}, ("run_campaign",)),
 ]
 
 CASES = [
