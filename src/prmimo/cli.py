@@ -109,6 +109,8 @@ def _read_config_file(parser, path):
         action = actions.get(key)
         if action is None:
             raise UsageError(f"{path}:{line_no}: unknown key {key!r}")
+        if key in lines:
+            raise UsageError(f"{path}:{line_no}: key {key!r} is already set on line {lines[key]}")
         convert = _parse_bool if action.nargs == 0 else action.type or str
         try:
             values[key] = convert(value)
@@ -210,6 +212,11 @@ def _fmt(value):
     return format(float(value), ".9g")
 
 
+def _write_text(path, text):
+    # The one output-file policy: UTF-8, with "\n" line ends on any platform.
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
 def write_capacity_csv(path, curves):
     """Write the per-scheme curves as deterministic, diff-friendly CSV."""
     rows = [
@@ -218,10 +225,9 @@ def write_capacity_csv(path, curves):
         for snr, mean, std in zip(curve.snr_db, curve.mean, curve.std)
     ]
     rows.sort(key=lambda row: (row[0], row[1]))
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(CSV_HEADER + "\n")
-        for scheme, snr, mean, std, trials in rows:
-            handle.write(f"{scheme},{_fmt(snr)},{_fmt(mean)},{_fmt(std)},{trials}\n")
+    lines = [f"{scheme},{_fmt(snr)},{_fmt(mean)},{_fmt(std)},{trials}\n"
+             for scheme, snr, mean, std, trials in rows]
+    _write_text(path, CSV_HEADER + "\n" + "".join(lines))
 
 
 def write_run_meta(path, config):
@@ -246,9 +252,7 @@ def write_run_meta(path, config):
         ("safeguard", str(config.safeguard).lower()),
         ("workers", config.workers),
     ]
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for key, value in entries:
-            handle.write(f"{key}={value}\n")
+    _write_text(path, "".join(f"{key}={value}\n" for key, value in entries))
 
 
 PLOT_SCRIPT = """\
@@ -296,11 +300,6 @@ print(f"wrote {out}")
 """
 
 
-def write_plot_script(path):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(PLOT_SCRIPT)
-
-
 def run(config):
     """Execute the campaign and write all requested artifacts."""
     out = config.out
@@ -323,7 +322,7 @@ def run(config):
         write_capacity_csv(out / "capacity.csv", curves)
         write_run_meta(out / "run.meta", config)
         if config.emit_plot:
-            write_plot_script(out / "plot.script")
+            _write_text(out / "plot.script", PLOT_SCRIPT)
     except OSError as exc:
         print(f"error: cannot write results to {out}: {exc}", file=sys.stderr)
         return 2

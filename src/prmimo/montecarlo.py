@@ -66,6 +66,12 @@ def _check_clusters(n_cl, n_ray, angle_spread, condition):
         raise InvalidInputError("angle spread must be finite")
     if angle_spread < 0:
         raise InvalidInputError("angle spread must be nonnegative")
+    with np.errstate(over="ignore"):
+        ray_range = 2.0 * np.sqrt(3.0) * angle_spread  # what ``draw_paths`` draws a ray over
+    if not np.isfinite(ray_range):
+        raise InvalidInputError(
+            "angle spread is too large: its ray range 2*sqrt(3)*spread overflows"
+        )
     if condition not in CONDITIONS:
         raise InvalidInputError(f"unknown condition {condition!r}")
     if condition == "ill" and n_cl < ILL_MIN_CLUSTERS:
@@ -101,10 +107,14 @@ class Scenario:
     master_seed: int = 12345
 
     def __post_init__(self):
+        if not isinstance(self.geometry, ArrayGeometry):
+            raise InvalidInputError(f"geometry must be an ArrayGeometry, got {self.geometry!r}")
         # Through object, as the dataclass is frozen.
         for name in ("n_cl", "n_ray", "trials"):
             object.__setattr__(self, name, require_integer(getattr(self, name), name))
         object.__setattr__(self, "master_seed", _check_nonnegative(self.master_seed, "master_seed"))
+        if np.iscomplexobj(self.snr_db):
+            raise InvalidInputError("snr grid must be real")
         snr_db = np.array(self.snr_db, dtype=float, ndmin=1)
         snr_db.flags.writeable = False
         object.__setattr__(self, "snr_db", snr_db)
@@ -399,7 +409,7 @@ def _check_request(schemes, workers, safeguard):
 
 
 def run_campaign(scenario, schemes=SCHEMES, workers=1, safeguard=False):
-    """Run all trials and aggregate one capacity curve per scheme.
+    """Run all trials and aggregate one capacity curve per scheme, in ``SCHEMES`` order.
 
     Trials run in consecutive lockstep batches of ``batch_size`` trials
     on ``min(workers, batches)`` processes, where ``workers`` is an
@@ -422,7 +432,8 @@ def run_campaign(scenario, schemes=SCHEMES, workers=1, safeguard=False):
     design loses at the highest grid SNR, once, on the trials that ran.
     """
     schemes, workers = _check_request(schemes, workers, safeguard)
-    curves = []
+    ideal = ideal_capacity(scenario.geometry, _linear(scenario.snr_db))
+    stats = {"ideal": (ideal, np.zeros_like(ideal), 0)}  # each scheme's (mean, std, trials)
     if "physical" in schemes or "pattern" in schemes:
         outcomes = _trial_outcomes(scenario, workers)
 
@@ -445,25 +456,8 @@ def run_campaign(scenario, schemes=SCHEMES, workers=1, safeguard=False):
             lost = designed[:, reference] < physical[:, reference]
             designed = np.where(lost[:, None], physical, designed)
         for scheme, samples in (("physical", physical), ("pattern", designed)):
-            if scheme in schemes:
-                curves.append(
-                    CapacityCurve(
-                        scheme=scheme,
-                        snr_db=scenario.snr_db.copy(),
-                        mean=samples.mean(axis=0),
-                        std=samples.std(axis=0),
-                        trials=len(samples),
-                    )
-                )
-
-    if "ideal" in schemes:
-        curves.append(
-            CapacityCurve(
-                scheme="ideal",
-                snr_db=scenario.snr_db.copy(),
-                mean=ideal_capacity(scenario.geometry, _linear(scenario.snr_db)),
-                std=np.zeros_like(scenario.snr_db),
-                trials=0,
-            )
-        )
-    return curves
+            stats[scheme] = (samples.mean(axis=0), samples.std(axis=0), len(samples))
+    return [
+        CapacityCurve(scheme, scenario.snr_db.copy(), *stats[scheme])
+        for scheme in SCHEMES if scheme in schemes
+    ]

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from helpers import fresh_interpreter
 from prmimo.cli import (
     CSV_HEADER,
+    PLOT_SCRIPT,
     UsageError,
     _build_parser,
     main,
@@ -210,6 +211,26 @@ class TestParseConfig:
             parse_config(["--config", path, "--ncl", "2"])
         assert str(over_file.value) == str(from_flag.value)
 
+    @pytest.mark.parametrize(
+        "text, flags, line, first",
+        [
+            ("trials=3\ntrials=5\n", [], 2, 1),
+            ("trials=3\n# campaign\n\ntrials=5\n", [], 4, 1),
+            ("ncl=12\ntrials=3\ntrials=5\n", ["--trials", "4"], 3, 2),
+        ],
+    )
+    def test_a_key_set_twice_is_usage_error(self, text, flags, line, first, tmp_path, capsys):
+        # Neither a comment between the lines nor a flag for the key excuses it.
+        path = config_file(tmp_path, text)
+        message = f"{path}:{line}: key 'trials' is already set on line {first}"
+        with pytest.raises(UsageError) as raised:
+            parse_config(["--config", path, *flags])
+        assert str(raised.value) == message
+        out = tmp_path / "out"
+        assert main(["--config", path, *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"prmimo: usage error: {message}\n"
+        assert not out.exists()
+
     def test_unreadable_config_file(self, tmp_path):
         with pytest.raises(UsageError):
             parse_config(["--config", str(tmp_path / "missing.cfg")])
@@ -286,9 +307,10 @@ class TestMain:
     def test_emit_plot_script(self, tmp_path):
         out = tmp_path / "plot"
         assert main(run_args(out, "--emit-plot")) == 0
-        script = (out / "plot.script").read_text(encoding="utf-8")
-        assert script.startswith("#!/usr/bin/env python3")
-        assert "capacity.csv" in script
+        assert "\r" not in PLOT_SCRIPT
+        assert (out / "plot.script").read_bytes() == PLOT_SCRIPT.encode("utf-8")
+        assert PLOT_SCRIPT.startswith("#!/usr/bin/env python3")
+        assert "capacity.csv" in PLOT_SCRIPT
 
     def test_config_file_run_writes_the_flag_run_bytes(self, tmp_path):
         flags, out = tmp_path / "flags", tmp_path / "file"

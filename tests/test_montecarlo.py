@@ -684,10 +684,30 @@ class TestRunCampaign:
             for got, expected in zip(run_campaign(scenario, safeguard=np.bool_(flag)), want):
                 assert np.array_equal(got.mean, expected.mean)
 
-    def test_scheme_subset(self):
+    def test_scheme_subset(self, monkeypatch):
+        # The analytic ideal curve needs no trial, so an ideal-only campaign runs none.
+        def no_trials(scenario, workers):
+            raise AssertionError("an ideal-only campaign ran trials")
+
+        monkeypatch.setattr(montecarlo, "_trial_outcomes", no_trials)
         scenario = small_scenario(trials=2)
-        curves = run_campaign(scenario, schemes=("ideal",))
-        assert [c.scheme for c in curves] == ["ideal"]
+        (curve,) = run_campaign(scenario, schemes=("ideal",))
+        assert curve.scheme == "ideal" and curve.trials == 0
+        want = ideal_capacity(scenario.geometry, 10.0 ** (scenario.snr_db / 10.0))
+        assert np.array_equal(curve.mean, want)
+        assert np.array_equal(curve.std, [0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "schemes, order",
+        [
+            (("ideal", "pattern", "physical"), ["physical", "pattern", "ideal"]),
+            (("ideal", "pattern"), ["pattern", "ideal"]),
+            (("pattern", "physical"), ["physical", "pattern"]),
+        ],
+    )
+    def test_curves_come_in_schemes_order(self, schemes, order):
+        curves = run_campaign(small_scenario(trials=2), schemes=schemes)
+        assert [curve.scheme for curve in curves] == order
 
     def test_curves_nondecreasing_in_snr(self):
         scenario = small_scenario(trials=3, snr_db=np.array([-10.0, 0.0, 10.0, 20.0]))

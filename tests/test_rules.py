@@ -4,12 +4,14 @@ Each rule is stated once, by the module that owns it: the cluster rules,
 the seed rule, the request rules and the grid's rules all in
 ``montecarlo`` (``_check_clusters``, ``_check_nonnegative``,
 ``_check_request``, ``_check_finite_grid``, and ``Scenario`` itself for
-the grid's shape).
+the grid's shape and type and the geometry's type).
 Whichever door a bad value comes in by, the same check raises it with
 the same message; the CLI adds only its usage-error prefix and, for a
 config-file value, the file line. It exits 1 before any output directory
 exists.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ GEOMETRY = ArrayGeometry(n_t=8, n_r=2)
 
 # Valid settings, which each rule's case breaks in one value.
 SETTINGS = {
+    "geometry": GEOMETRY,
     "n_cl": 10,
     "n_ray": 8,
     "angle_spread": np.deg2rad(3.0),
@@ -36,7 +39,7 @@ SETTINGS = {
 # The library doors, each called with the settings.
 LIBRARY = {
     "Scenario": lambda s: Scenario(
-        GEOMETRY,
+        s["geometry"],
         n_cl=s["n_cl"],
         n_ray=s["n_ray"],
         condition=s["condition"],
@@ -73,6 +76,9 @@ RULES = [
      "xi_deg", "inf", {"angle_spread": np.inf}, ("Scenario",)),
     ("angle spread must be nonnegative", "_check_clusters",
      "xi_deg", "-1", {"angle_spread": np.deg2rad(-1.0)}, ("Scenario",)),
+    # The largest finite --xi-deg is about 3.1e306 rad, too small to break it.
+    ("angle spread is too large: its ray range 2*sqrt(3)*spread overflows", "_check_clusters",
+     "angle_spread", None, {"angle_spread": 1e308}, ("Scenario",)),
     ("unknown condition 'bad'", "_check_clusters",
      "condition", "bad", {"condition": "bad"}, ("Scenario",)),
     (f"ill-conditioned profile needs n_cl >= {ILL_MIN_CLUSTERS}", "_check_clusters",
@@ -85,6 +91,10 @@ RULES = [
      "snr_db", "0:1:inf", {"snr_db": np.array([0.0, np.inf])}, ("Scenario",)),
     ("snr grid must be one-dimensional", "__post_init__",
      "snr_db", None, {"snr_db": [[0.0, 10.0], [5.0, 20.0]]}, ("Scenario",)),
+    ("snr grid must be real", "__post_init__",
+     "snr_db", None, {"snr_db": [10 + 5j]}, ("Scenario",)),
+    ("geometry must be an ArrayGeometry, got (32, 8)", "__post_init__",
+     "geometry", None, {"geometry": (32, 8)}, ("Scenario",)),
     ("at least one scheme is required", "_check_request",
      "schemes", " , ", {"schemes": ()}, ("run_campaign",)),
     ("unknown schemes: ['psychic']", "_check_request",
@@ -122,6 +132,8 @@ def raised_in(exc):
     return tb.tb_frame.f_code.co_name
 
 
+# Under warnings as errors: a rule raises its own error, never a numpy warning first.
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("door, message, owner, key, text, value", CASES)
 def test_a_rule_has_one_check_and_one_message_at_every_door(
     door, message, owner, key, text, value, tmp_path, capsys
@@ -151,3 +163,12 @@ def test_a_rule_has_one_check_and_one_message_at_every_door(
     assert main([*argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"prmimo: usage error: {expected}\n"
     assert not out.exists()
+
+
+def test_the_largest_spread_whose_ray_range_is_finite_runs():
+    # 2*sqrt(3)*5e307 is about 1.7e308, just below the largest float.
+    scenario = Scenario(GEOMETRY, n_cl=4, n_ray=1, trials=2, angle_spread=5e307)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curves = run_campaign(scenario, workers=1)
+    assert [curve.scheme for curve in curves] == list(SCHEMES)
