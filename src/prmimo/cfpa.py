@@ -66,9 +66,9 @@ def allocate_power(geometry, paths, m_hat, gram):
     normalization of the proportions are constant factors of ``p``: this
     one scale absorbs them.
 
-    ``paths`` is one path set or a stacked one (``stack_paths``), with
-    ``m_hat`` and ``gram`` stacked alike; each row is bit-identical to
-    the call on its path set.
+    ``paths`` is one path set or a ``PathSet`` of (T, L) arrays, as
+    ``draw_paths`` returns, with ``m_hat`` and ``gram`` stacked alike;
+    each row is bit-identical to the call on its path set.
 
     Returns the ``PatternMatrix``.
     """

@@ -79,14 +79,6 @@ class PathSet:
         return self.gains.shape[-1]
 
 
-def stack_paths(path_sets):
-    """One ``PathSet`` of (T, L) arrays from T path sets of one length L."""
-    path_sets = list(path_sets)
-    if len({len(paths) for paths in path_sets}) != 1:
-        raise InvalidInputError("need one or more path sets of one length")
-    return PathSet(*(np.stack([getattr(p, f) for p in path_sets]) for f in ("gains", "aod", "aoa")))
-
-
 def steering_phases(n, spacing, angles):
     """Entry (k, l) is ``exp(-j*2*pi*spacing*k*sin(angles[l]))``.
 

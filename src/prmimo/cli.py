@@ -18,7 +18,8 @@ import numpy as np
 from . import __version__
 from .channel import ArrayGeometry
 from .errors import InvalidInputError, PrMimoError
-from .montecarlo import CONDITIONS, Scenario, _check_finite_grid, _check_request, run_campaign
+from .montecarlo import CONDITIONS, SCHEMES, Scenario, run_campaign
+from .montecarlo import _check_finite_grid, _check_request
 
 CSV_HEADER = "scheme,snr_db,mean_capacity_bps_hz,std_capacity_bps_hz,trials"
 
@@ -66,8 +67,8 @@ def _build_parser():
     # The library checks the value, so the choices are only shown.
     parser.add_argument("--condition", metavar="{%s}" % ",".join(CONDITIONS), default="ill",
                         help="cluster power conditioning regime")
-    parser.add_argument("--schemes", default="physical,pattern,ideal",
-                        help="comma list from: physical, pattern, ideal")
+    parser.add_argument("--schemes", default=",".join(SCHEMES),
+                        help="comma list from: " + ", ".join(SCHEMES))
     parser.add_argument("--safeguard", action="store_true",
                         help="floor the designed pattern at the physical channel")
     parser.add_argument("--workers", type=int, default=1,
@@ -93,8 +94,8 @@ def _read_config_file(parser, path):
     # the line that set each.
     actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     values, lines = {}, {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -103,9 +104,7 @@ def _read_config_file(parser, path):
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{line_no}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, _, value = map(str.strip, line.partition("="))
         action = actions.get(key)
         if action is None:
             raise UsageError(f"{path}:{line_no}: unknown key {key!r}")
@@ -126,7 +125,7 @@ def parse_snr_grid(text):
     if len(parts) != 3:
         raise UsageError(f"snr grid must be start:step:stop, got {text!r}")
     try:
-        start, step, stop = (float(p) for p in parts)
+        start, step, stop = map(float, parts)
     except ValueError as exc:
         raise UsageError(f"bad snr grid {text!r}: {exc}") from exc
     try:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import stack_paths, steering_phases
+from .channel import PathSet, steering_phases
 from .errors import InvalidInputError, NumericalFailureError
 from .numerics import COLUMN_NORM_RTOL, HERMITIAN_TOL, require_unit_power_columns
 
@@ -42,7 +42,7 @@ class SubchannelGram:
         for g in self.g.reshape((-1,) + self.g.shape[-2:]):
             if not np.isfinite(g).all():
                 raise InvalidInputError("gram matrix contains non-finite entries")
-            asymmetry = _conj_transpose(g)
+            asymmetry = np.conjugate(g.T, order="C")  # numpy buffers a transposed operand
             asymmetry -= g
             if np.max(np.abs(asymmetry)) > HERMITIAN_TOL:
                 raise InvalidInputError("gram matrix is not Hermitian within tolerance")
@@ -77,7 +77,7 @@ def _initial_state(geometry, paths, m_hat):
     np.multiply(recv, g, out=g)
     g /= geometry.n_r * geometry.n_t
     for matrix in g.reshape((-1,) + g.shape[-2:]):
-        sym = _conj_transpose(matrix)
+        sym = np.conjugate(matrix.T, order="C")  # numpy buffers a transposed operand
         sym += matrix
         np.multiply(0.5, sym, out=matrix)
     return recv, basis, g
@@ -92,9 +92,9 @@ def subchannel_gram(geometry, paths, m_hat):
     check it against the direct trace over explicitly assembled
     subchannels; this factored form is O(L^2 * n_t) instead.
 
-    ``paths`` is one path set or a stacked one (``stack_paths``), with
-    ``m_hat`` stacked alike; each row is bit-identical to the call on
-    its path set.
+    ``paths`` is one path set or a ``PathSet`` of (T, L) arrays, as
+    ``draw_paths`` returns, with ``m_hat`` stacked alike; each row is
+    bit-identical to the call on its path set.
     """
     m_hat = np.asarray(m_hat, dtype=float)
     if m_hat.shape != paths.gains.shape[:-1] + (geometry.n_t, len(paths)):
@@ -103,14 +103,6 @@ def subchannel_gram(geometry, paths, m_hat):
         )
     require_unit_power_columns(m_hat)
     return SubchannelGram(g=_initial_state(geometry, paths, m_hat)[2])
-
-
-def _conj_transpose(matrix):
-    # g^H of one matrix, built C-ordered: adding a transposed operand
-    # makes numpy buffer it.
-    result = matrix.T.copy()
-    np.conjugate(result, out=result)
-    return result
 
 
 def _squared_off_diagonal(values, diagonal):
@@ -264,20 +256,19 @@ def run_sof(geometry, paths):
     columns already designed, and the Gram matrix and indicator are then
     refreshed in the target's row and column only.
 
-    ``paths`` is one path set or a stacked one (``stack_paths``); one set
-    runs as a batch of one and its state comes back unstacked. The trials
-    of a batch run in lockstep, so each row of the result is bit-identical
-    to the call on its path set; ``montecarlo.trial_bytes`` counts a
-    batch's memory. The returned state is checked once per batch.
+    ``paths`` is one path set, run as a batch of one and returned
+    unstacked, or a ``PathSet`` of (T, L) arrays, as ``draw_paths``
+    returns. A batch's trials run in lockstep, so each row of the result
+    is bit-identical to the call on its path set; ``montecarlo.trial_bytes``
+    counts a batch's memory. The returned state is checked once per batch.
 
     Degenerate early steps make the design reproducible bit for bit only
     on the same LAPACK build and, at L = 160, BLAS thread count; campaigns
     and ``montecarlo.run_trials`` run on one (``numerics.one_blas_thread``).
     """
     if paths.gains.ndim == 1:
-        state = run_sof(geometry, stack_paths([paths]))
-        gram = SubchannelGram(state.gram.g[0])
-        return SofState(order=state.order[0], m_hat=state.m_hat[0], gram=gram)
+        state = run_sof(geometry, PathSet(paths.gains[None], paths.aod[None], paths.aoa[None]))
+        return SofState(state.order[0], state.m_hat[0], SubchannelGram(state.gram.g[0]))
     n_trials, n_paths = paths.gains.shape
     trials = np.arange(n_trials)
     recv, basis, g = _initial_state(geometry, paths, np.ones((geometry.n_t, n_paths)))

@@ -22,6 +22,12 @@ def random_paths(rng, n_paths, max_angle=np.pi / 2):
     return PathSet(gains=gains, aod=aod, aoa=aoa)
 
 
+def stack_paths(path_sets):
+    """One ``PathSet`` of (T, L) arrays from T path sets of one length L."""
+    fields = ("gains", "aod", "aoa")
+    return PathSet(*(np.stack([getattr(paths, f) for paths in path_sets]) for f in fields))
+
+
 def trial_paths(scenario, index):
     """Trial ``index``'s path set: the one row of its ``draw_paths`` batch."""
     batch = draw_paths(scenario, index, index + 1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import feasible_m_hat, random_paths, rescaled_to_budget
+from helpers import feasible_m_hat, random_paths, rescaled_to_budget, stack_paths
 from oracles import kept_allocation_factors, modified_subchannels, tensor_power_scaling
 from prmimo import (
     ArrayGeometry,
@@ -67,6 +67,11 @@ class TestCfpaWeights:
     def test_rejects_negative_entries(self):
         with pytest.raises(InvalidInputError):
             cfpa_weights([1.0, -0.1])
+
+    @pytest.mark.parametrize("bad", [[], np.ones((2, 2, 2))], ids=["empty", "three-axes"])
+    def test_rejects_what_is_not_a_nonempty_vector_or_stack(self, bad):
+        with pytest.raises(InvalidInputError, match="indicator must be a nonempty vector"):
+            cfpa_weights(bad)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_rejects_non_finite_entries(self, bad):
@@ -220,8 +225,6 @@ class TestDesignPattern:
         assert np.array_equal(pattern.p, allocated.p)
 
     def test_batch_matches_single_designs(self):
-        from prmimo.channel import stack_paths
-
         rng = np.random.default_rng(88)
         geom = ArrayGeometry(n_t=16, n_r=4)
         path_sets = [random_paths(rng, 10) for _ in range(4)]

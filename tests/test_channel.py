@@ -143,8 +143,16 @@ class TestSteeringMatrix:
             (2, np.inf, "spacing must be finite"),
             (2, np.nan, "spacing must be finite"),
             (2, 1e308, "spacing is too large"),
+            (0, 0.5, "antenna count must be >= 1"),
         ],
-        ids=["fractional-count", "bool-count", "inf-spacing", "nan-spacing", "overflowing-spacing"],
+        ids=[
+            "fractional-count",
+            "bool-count",
+            "inf-spacing",
+            "nan-spacing",
+            "overflowing-spacing",
+            "zero-count",
+        ],
     )
     def test_rejects_counts_and_spacings_that_give_wrong_columns(self, n, spacing, message):
         with pytest.raises(InvalidInputError, match=message):

@@ -3,6 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import fresh_interpreter
+import prmimo.cli as cli
+from prmimo import CampaignError
 from prmimo.cli import (
     CSV_HEADER,
     PLOT_SCRIPT,
@@ -235,6 +237,23 @@ class TestParseConfig:
         with pytest.raises(UsageError):
             parse_config(["--config", str(tmp_path / "missing.cfg")])
 
+    def test_config_file_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"trials=3\n\xff\xfe\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"prmimo: usage error: cannot read config file {path}: ")
+        assert "can't decode byte 0xff" in err
+        assert not out.exists()
+
+    def test_config_file_with_a_byte_order_mark_reads_as_without_one(self, tmp_path):
+        marked = tmp_path / "marked.cfg"
+        marked.write_bytes(b"\xef\xbb\xbftrials=12\nseed=7\n")
+        plain = config_file(tmp_path, "trials=12\nseed=7\n")
+        expected = resolved(parse_config(["--config", plain]))
+        assert resolved(parse_config(["--config", str(marked)])) == expected
+
     def test_malformed_config_line(self, tmp_path):
         config_file = tmp_path / "run.cfg"
         config_file.write_text("trials\n")
@@ -407,6 +426,22 @@ class TestMain:
         assert main(run_args(blocker)) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_results_that_cannot_be_written_are_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "capacity.csv").mkdir(parents=True)
+        assert main(run_args(out)) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write results to {out}: ")
+
+    def test_failed_campaign_is_runtime_error(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise CampaignError("trial 0 failed")
+
+        monkeypatch.setattr(cli, "run_campaign", failing)
+        out = tmp_path / "out"
+        assert main(run_args(out)) == 2
+        assert capsys.readouterr().err == "error: trial 0 failed\n"
+        assert not (out / "capacity.csv").exists()
+
 
 # Runs main(argv), which resolves its config through parse_config, in a
 # new interpreter and prints the pool modules it loaded along the way.
@@ -430,6 +465,16 @@ os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 """ + RUN_MAIN
 
 
+# RUN_MAIN with its pool's workers started by the method that argv names
+# first.
+RUN_MAIN_STARTED_BY = """
+import multiprocessing
+import sys
+
+multiprocessing.set_start_method(sys.argv.pop(1))
+""" + RUN_MAIN
+
+
 class TestPoolImport:
     def test_serial_run_loads_no_pool_machinery(self, tmp_path):
         assert fresh_interpreter(RUN_MAIN, *run_args(tmp_path / "serial")).split() == []
@@ -442,3 +487,16 @@ class TestPoolImport:
         loaded = fresh_interpreter(RUN_MAIN, *flags, "--workers", "2", "--out", str(parallel))
         assert "concurrent.futures.process" in loaded.split()
         assert (parallel / "capacity.csv").read_bytes() == (serial / "capacity.csv").read_bytes()
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pool_started_by_any_method_writes_the_serial_bytes(self, method, tmp_path):
+        # Twenty-four trials at L = 80 are four batches for two workers,
+        # whose initializer sets what a forked worker would inherit.
+        flags = ["--trials", "24", "--snr-db", "0:10:10", "--seed", "7"]
+        serial, pooled = tmp_path / "serial", tmp_path / method
+        fresh_interpreter(RUN_MAIN_ONE_CORE, *flags, "--out", str(serial))
+        loaded = fresh_interpreter(
+            RUN_MAIN_STARTED_BY, method, *flags, "--workers", "2", "--out", str(pooled)
+        )
+        assert "concurrent.futures.process" in loaded.split()
+        assert (pooled / "capacity.csv").read_bytes() == (serial / "capacity.csv").read_bytes()

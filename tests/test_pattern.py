@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import feasible_m_hat, neutral_pattern, random_paths
+from helpers import feasible_m_hat, neutral_pattern, random_paths, stack_paths
 from oracles import modified_subchannels, singular_values
 from prmimo import (
     ArrayGeometry,
@@ -18,7 +18,6 @@ from prmimo import (
     steering_matrix,
     subchannel_gram,
 )
-from prmimo.channel import stack_paths
 from prmimo.numerics import COLUMN_NORM_RTOL, HERMITIAN_TOL
 from prmimo.sof import SubchannelGram
 
@@ -86,6 +85,11 @@ class TestPatternMatrix:
     def test_rejects_negative_power_factor(self):
         with pytest.raises(InvalidInputError):
             PatternMatrix(m_hat=np.ones((4, 1)), p=np.array([-1.0]))
+
+    def test_rejects_factors_that_do_not_match_the_columns(self):
+        message = r"p must have one entry per column, got \(3,\) for \(2,\) columns"
+        with pytest.raises(InvalidInputError, match=message):
+            PatternMatrix(m_hat=np.ones((4, 2)), p=[1, 1, 1])
 
 
 class TestCapacity:
@@ -246,6 +250,11 @@ class TestAssemblePatternChannel:
         with pytest.raises(InvalidInputError):
             assemble_pattern_channel(geom, paths, neutral_pattern(6, 4))
 
+    def test_rejects_a_pattern_that_is_not_a_pattern_matrix(self):
+        paths = random_paths(np.random.default_rng(55), 3)
+        with pytest.raises(InvalidInputError, match="pattern must be a PatternMatrix"):
+            assemble_pattern_channel(ArrayGeometry(n_t=4, n_r=2), paths, "x")
+
     def test_pattern_stack_broadcasts_against_path_stack(self):
         # A (2, 1) pattern stack over 3 path sets: 2 x 3 channels, each the
         # bytes of its own assembly.
@@ -318,6 +327,19 @@ class TestSubchannelGram:
         paths = random_paths(rng, 3)
         with pytest.raises(InvalidInputError):
             subchannel_gram(geom, paths, np.full((8, 3), 0.5))
+
+    @pytest.mark.parametrize(
+        "g, message",
+        [
+            (np.ones((2, 3)), "gram matrix must be square"),
+            (np.ones(3), "gram matrix must be square"),
+            (2.0 * np.eye(2), "gram diagonal must be 1 for normalized subchannels"),
+        ],
+        ids=["two-by-three", "vector", "diagonal-two"],
+    )
+    def test_rejects_a_matrix_that_is_no_gram_of_unit_subchannels(self, g, message):
+        with pytest.raises(InvalidInputError, match=message):
+            SubchannelGram(g)
 
     def test_stack_matches_one_set_calls_bit_for_bit(self):
         rng = np.random.default_rng(65)

@@ -18,7 +18,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_sof_bits_match_full_phase_penalty, one_trial, rescaled_to_budget
+from helpers import (
+    assert_sof_bits_match_full_phase_penalty,
+    one_trial,
+    rescaled_to_budget,
+    stack_paths,
+)
 from oracles import (
     direct_trace_gram,
     kept_allocation_factors,
@@ -46,7 +51,6 @@ from prmimo import (
     subchannel_gram,
 )
 from prmimo.cfpa import _gram_power
-from prmimo.channel import stack_paths
 from prmimo.numerics import COLUMN_NORM_RTOL, one_blas_thread
 
 HALF_PI = np.pi / 2.0

@@ -4,7 +4,8 @@ Each rule is stated once, by the module that owns it: the cluster rules,
 the seed rule, the request rules and the grid's rules all in
 ``montecarlo`` (``_check_clusters``, ``_check_nonnegative``,
 ``_check_request``, ``_check_finite_grid``, and ``Scenario`` itself for
-the grid's shape and type and the geometry's type).
+the grid's shape and type and the geometry's type), and the grid text's
+form in ``cli.parse_snr_grid``.
 Whichever door a bad value comes in by, the same check raises it with
 the same message; the CLI adds only its usage-error prefix and, for a
 config-file value, the file line. It exits 1 before any output directory
@@ -85,6 +86,8 @@ RULES = [
      "ncl", str(ILL_MIN_CLUSTERS - 1), {"n_cl": ILL_MIN_CLUSTERS - 1}, ("Scenario",)),
     ("master seed must be >= 0, got -1", "_check_nonnegative",
      "seed", "-1", {"master_seed": -1}, ("Scenario", "trial_rng")),
+    ("bad snr grid 'a:1:2': could not convert string to float: 'a'", "parse_snr_grid",
+     "snr_db", "a:1:2", {}, ()),
     ("snr grid values must be finite", "_check_finite_grid",
      "snr_db", "nan:1:5", {"snr_db": np.array([np.nan])}, ("Scenario",)),
     ("snr grid values must be finite", "_check_finite_grid",

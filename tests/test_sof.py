@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import assert_sof_bits_match_full_phase_penalty, feasible_m_hat, random_paths
+from helpers import (
+    assert_sof_bits_match_full_phase_penalty,
+    feasible_m_hat,
+    random_paths,
+    stack_paths,
+)
 from oracles import b_vector, quadratic_matrix, receiver_correlation
 from prmimo import (
     ArrayGeometry,
     InvalidInputError,
     NumericalFailureError,
     PathSet,
+    SofState,
     SubchannelGram,
     run_sof,
     solve_modification_vector,
@@ -16,7 +22,6 @@ from prmimo import (
 )
 import prmimo.montecarlo as montecarlo
 import prmimo.sof as sof
-from prmimo.channel import stack_paths
 
 
 class TestReceiverCorrelation:
@@ -361,16 +366,6 @@ class TestRunSofOnStacks:
             fresh = subchannel_gram(geom, paths, batch.m_hat[row])
             assert np.max(np.abs(g - fresh.g)) <= 1e-10
 
-    def test_rejects_mixed_lengths(self):
-        rng = np.random.default_rng(86)
-        mixed = [random_paths(rng, 3), random_paths(rng, 4)]
-        with pytest.raises(InvalidInputError, match="one length"):
-            run_sof(ArrayGeometry(n_t=4, n_r=2), stack_paths(mixed))
-
-    def test_rejects_empty_batch(self):
-        with pytest.raises(InvalidInputError):
-            run_sof(ArrayGeometry(n_t=4, n_r=2), stack_paths([]))
-
     def test_one_set_comes_back_unstacked(self):
         paths = random_paths(np.random.default_rng(87), 3)
         single = run_sof(ArrayGeometry(n_t=4, n_r=2), paths)
@@ -414,3 +409,9 @@ class TestPenaltyBits:
 def test_solve_rejects_shape_mismatch():
     with pytest.raises(InvalidInputError):
         solve_modification_vector(np.zeros((3, 3)), 4)
+
+
+@pytest.mark.parametrize("order", [[0, 0], [1, 0, 2]], ids=["repeated", "too-long"])
+def test_state_rejects_an_order_that_is_no_permutation_of_the_paths(order):
+    with pytest.raises(InvalidInputError, match="order must be a permutation"):
+        SofState(order, np.ones((4, 2)), SubchannelGram(np.eye(2)))
