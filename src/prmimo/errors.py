@@ -10,7 +10,7 @@ class InvalidInputError(PrMimoError, ValueError):
 
 
 class NumericalFailureError(PrMimoError, RuntimeError):
-    """A dense linear-algebra routine failed to converge or collapsed.
+    """A dense linear-algebra routine failed to converge.
 
     The message states the Frobenius norm of the offending matrix, so
     failures on badly scaled inputs can be diagnosed from logs.
@@ -18,7 +18,7 @@ class NumericalFailureError(PrMimoError, RuntimeError):
 
 
 class DegenerateChannelError(PrMimoError):
-    """A channel combination collapsed to zero and cannot be power-scaled."""
+    """A channel combination cancels to zero and cannot be power-scaled."""
 
 
 class CampaignError(PrMimoError, RuntimeError):

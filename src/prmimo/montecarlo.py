@@ -439,7 +439,7 @@ def run_campaign(scenario, schemes=SCHEMES, workers=1, safeguard=False):
 
         failures = [(index, error) for index, _, _, error in outcomes if error is not None]
         ran = [(physical, designed) for _, physical, designed, error in outcomes if error is None]
-        if len(failures) > FAILURE_THRESHOLD * scenario.trials or not ran:
+        if len(failures) > FAILURE_THRESHOLD * scenario.trials:
             raise CampaignError(
                 f"{len(failures)} of {scenario.trials} trials failed; "
                 f"first failure: trial {failures[0][0]}: {failures[0][1]}"

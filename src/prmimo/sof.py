@@ -142,8 +142,8 @@ def solve_modification_vector(b_sum, n_t):
 
     ``b_sum`` may be a stack of shape (..., n_t, n_t); the result then
     has shape (..., n_t), each row bit-identical to its own call. A
-    non-finite ``b_sum`` raises ``InvalidInputError``; an eigensolve that
-    does not converge, or a clipped vector that collapses to zero, raises
+    ``b_sum`` that is non-finite, or overflows when symmetrized, raises
+    ``InvalidInputError``; an eigensolve that does not converge raises
     ``NumericalFailureError`` stating the matrix norm.
     """
     b_sum = np.asarray(b_sum, dtype=float)
@@ -151,11 +151,12 @@ def solve_modification_vector(b_sum, n_t):
         raise InvalidInputError(
             f"coefficient matrix shape {b_sum.shape} does not match n_t={n_t}"
         )
-    if not np.isfinite(b_sum).all():
-        raise InvalidInputError("coefficient matrix contains non-finite entries")
-    # Symmetrized first, so accumulation round-off in ``b_sum`` is
-    # tolerated (a no-op, bit for bit, on symmetric input).
-    sym = b_sum + b_sum.swapaxes(-1, -2)
+    # Symmetrized first, so round-off in ``b_sum`` is tolerated (a no-op, bit
+    # for bit, on symmetric input); the sum is non-finite where ``b_sum`` is or overflows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = b_sum + b_sum.swapaxes(-1, -2)
+    if not np.isfinite(sym).all():
+        raise InvalidInputError("coefficient matrix contains non-finite entries or overflows")
     sym *= 0.5
     try:
         vectors = np.linalg.eigh(sym)[1]
@@ -178,23 +179,12 @@ def solve_modification_vector(b_sum, n_t):
     # The clipped oriented vector; sqrt(n_t) > 0 commutes with the clip.
     candidate = np.where(flip[..., None], neg, pos)
     candidate *= np.sqrt(n_t)
-    # A stacked (1, n) @ (n, 1) product is one BLAS dot per row, as
-    # ``candidate @ candidate`` is for one vector.
+    # Never 0: the kept side of a unit vector has l1 mass >= 1/2. A stacked
+    # (1, n) @ (n, 1) product is one BLAS dot per row, as ``candidate @
+    # candidate`` is for one vector.
     norm_sq = (candidate[..., None, :] @ candidate[..., :, None])[..., 0, 0]
-    if np.count_nonzero(norm_sq) < norm_sq.size:
-        norm = float(np.linalg.norm(b_sum[norm_sq == 0.0][0]))
-        raise NumericalFailureError(f"clipped eigenvector collapsed to zero (norm {norm:.6g})")
     candidate *= np.sqrt(n_t / norm_sq)[..., None]
     return candidate
-
-
-def _next_target(indicator, visited):
-    # Each trial's unvisited subchannel of highest indicator, marked
-    # visited. ``visited`` is -inf on visited indices and 0 elsewhere: added
-    # to the indicator, it masks them without changing any other entry.
-    target = np.argmax(indicator + visited, axis=1)
-    visited[np.arange(len(target)), target] = -np.inf
-    return target
 
 
 def _penalty_matrix(geometry, recv, order, m_prior, sin_prior, step):
@@ -270,7 +260,7 @@ def run_sof(geometry, paths):
         state = run_sof(geometry, PathSet(paths.gains[None], paths.aod[None], paths.aoa[None]))
         return SofState(state.order[0], state.m_hat[0], SubchannelGram(state.gram.g[0]))
     n_trials, n_paths = paths.gains.shape
-    trials = np.arange(n_trials)
+    rows = np.arange(n_trials)[:, None]
     recv, basis, g = _initial_state(geometry, paths, np.ones((geometry.n_t, n_paths)))
     # The squared off-diagonal Gram magnitudes and their row sums (the
     # indicator), refreshed in each target's row and column; with ``recv``
@@ -280,16 +270,15 @@ def run_sof(geometry, paths):
     indicator = sq.sum(axis=2)
     sin_aod = np.sin(paths.aod)
     order = np.empty((n_trials, n_paths), dtype=int)
-    visited = np.zeros((n_trials, n_paths))
     m_prior = np.ones((n_trials, geometry.n_t, n_paths))
-    sin_prior = np.empty((n_trials, n_paths))
 
     for step in range(n_paths):
-        target = _next_target(indicator, visited)
-        order[:, step] = target
-        sin_prior[:, step] = sin_aod[trials, target]
+        # The indicator is fresh each step, so its visited entries are masked in place.
+        indicator[rows, order[:, :step]] = -np.inf
+        target = order[:, step] = np.argmax(indicator, axis=1)
         if step == 0:
             continue
+        sin_prior = sin_aod[rows, order[:, :step + 1]]
         b_sum = _penalty_matrix(geometry, recv, order, m_prior, sin_prior, step)
         new_col = solve_modification_vector(b_sum, geometry.n_t)
         m_prior[:, :, step] = new_col

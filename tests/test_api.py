@@ -22,7 +22,7 @@ def test_public_names_do_not_grow():
 def test_source_lines_do_not_grow():
     # A ratchet on the size of the package: lower it as lines go.
     sources = Path(prmimo.__file__).parent.glob("*.py")
-    assert sum(len(path.read_text().splitlines()) for path in sources) <= 1661
+    assert sum(len(path.read_text().splitlines()) for path in sources) <= 1650
 
 
 def test_readme_library_example_runs():

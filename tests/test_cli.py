@@ -254,6 +254,26 @@ class TestParseConfig:
         expected = resolved(parse_config(["--config", plain]))
         assert resolved(parse_config(["--config", str(marked)])) == expected
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # A NEL (U+0085) inside a comment neither ends the comment nor
+            # moves the line numbers.
+            ("# note\x85more\nnt=0\n", ":2 nt)"),
+            # A form feed stays in its line's value, where it fails to convert.
+            ("trials=3\x0cseed=5\nnt=0\n", ":1: bad value for 'trials'"),
+            # CRLF line ends are stripped with the rest of the whitespace.
+            ("trials=4\r\nnt=0\r\n", ":2 nt)"),
+        ],
+        ids=["nel", "form-feed", "crlf"],
+    )
+    def test_config_lines_end_at_newlines_only(self, text, message, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(UsageError) as raised:
+            parse_config(["--config", str(path)])
+        assert f"{path}{message}" in str(raised.value)
+
     def test_malformed_config_line(self, tmp_path):
         config_file = tmp_path / "run.cfg"
         config_file.write_text("trials\n")

@@ -199,13 +199,14 @@ class TestSolveModificationVector:
         assert str(raised.value) == "symmetric eigendecomposition did not converge (norm 6.40312)"
         assert isinstance(raised.value.__cause__, np.linalg.LinAlgError)
 
-    def test_collapse_message_states_the_norm(self, monkeypatch):
-        # A zero eigenvector clips to zero; the message, which is all a
-        # campaign's failure record keeps, names the matrix's norm.
-        monkeypatch.setattr(np.linalg, "eigh", lambda b: (np.zeros(4), np.zeros((4, 4))))
-        with pytest.raises(NumericalFailureError) as raised:
-            solve_modification_vector(np.diag([3.0, 0.0, 0.0, 4.0]), 4)
-        assert str(raised.value) == "clipped eigenvector collapsed to zero (norm 5)"
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_finite_entries_that_overflow_when_symmetrized(self):
+        # B + B^T overflows to inf: rejected, with no overflow warning and
+        # no NaN vector, alone or as one matrix of a stack.
+        b = np.array([[1e308, 1.7e308], [1.7e308, 1e308]])
+        for coefficients in (b, np.stack([np.eye(2), b])):
+            with pytest.raises(InvalidInputError, match="coefficient matrix contains non-finite"):
+                solve_modification_vector(coefficients, 2)
 
     def test_near_grid_optimum_small_instance(self):
         # 2-degree sweep of the nonnegative octant of the radius-sqrt(3)
