@@ -11,7 +11,6 @@ from .cfpa import allocate_power, cfpa_weights, design_pattern
 from .channel import ArrayGeometry, PathSet, steering_matrix
 from .errors import (
     CampaignError,
-    DegenerateChannelError,
     InvalidInputError,
     NumericalFailureError,
     PrMimoError,
@@ -45,7 +44,6 @@ __all__ = [
     "ArrayGeometry",
     "CampaignError",
     "CapacityCurve",
-    "DegenerateChannelError",
     "InvalidInputError",
     "NumericalFailureError",
     "PathSet",

@@ -8,7 +8,7 @@ matrix as per-path factors.
 
 import numpy as np
 
-from .errors import DegenerateChannelError, InvalidInputError
+from .errors import InvalidInputError, NumericalFailureError
 from .pattern import PatternMatrix
 from .sof import run_sof
 
@@ -46,7 +46,7 @@ def _gram_power(g, c):
     # sum cancels (round-off can take the form below zero).
     power = (c.conj()[..., None, :] @ g @ c[..., :, None])[..., 0, 0].real
     if np.any(power <= 0.0):
-        raise DegenerateChannelError("weighted subchannel sum cancels to zero")
+        raise NumericalFailureError("weighted subchannel sum cancels to zero")
     return power
 
 
@@ -57,20 +57,21 @@ def allocate_power(geometry, paths, m_hat, gram):
     indicator sets the weights ``w_hat`` (``cfpa_weights``) and its Gram
     matrix the power of the pattern channel. Paths with zero gain are
     left out: their weight and factor are 0, and the weight maximum runs
-    over the other paths. The per-path factors are ``w_hat / |gain|``,
-    scaled by one factor so the pattern channel meets the power budget
-    ``tr(H H^H) = n_t*n_r``. The channel's power is read
-    off the Gram matrix, ``Re(c^H G c)`` with ``c = gains * p``, so no
-    channel is assembled. The paper's scale factor, which puts the
+    over the other paths; a path set with no nonzero gain, which drawn
+    paths cannot be, raises ``InvalidInputError``. The per-path factors
+    are ``w_hat / |gain|``, scaled by one factor so the pattern channel
+    meets the power budget ``tr(H H^H) = n_t*n_r``. The channel's power is
+    read off the Gram matrix, ``Re(c^H G c)`` with ``c = gains * p``, so
+    no channel is assembled; a power that cancels to zero raises
+    ``NumericalFailureError``. The paper's scale factor, which puts the
     phase-free sum of the subchannels at the budget, and the
     normalization of the proportions are constant factors of ``p``: this
     one scale absorbs them.
 
     ``paths`` is one path set or a ``PathSet`` of (T, L) arrays, as
     ``draw_paths`` returns, with ``m_hat`` and ``gram`` stacked alike;
-    each row is bit-identical to the call on its path set.
-
-    Returns the ``PatternMatrix``.
+    each row is bit-identical to the call on its path set. Returns the
+    ``PatternMatrix``.
     """
     gains = paths.gains
     if np.shape(m_hat) != gains.shape[:-1] + (geometry.n_t, len(paths)) or (
@@ -79,7 +80,7 @@ def allocate_power(geometry, paths, m_hat, gram):
         raise InvalidInputError("m_hat and gram must match the geometry and path count")
     keep = np.abs(gains) > 0.0
     if not np.all(np.any(keep, axis=-1)):
-        raise DegenerateChannelError("every path gain is zero")
+        raise InvalidInputError("every path gain is zero")
     # A zero indicator entry cannot raise the maximum; the weights of the
     # dropped paths are then zeroed.
     w_hat = np.where(keep, cfpa_weights(np.where(keep, gram.indicator, 0.0)), 0.0)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .numerics import require_integer
+from .numerics import require_integer, require_real
 
 HALF_PI = np.pi / 2.0
 
@@ -21,7 +21,7 @@ class ArrayGeometry:
 
     The transmit array is assumed at least as large as the receive array.
     The counts are integers; numpy integers become ``int``, and a
-    ``bool`` or a float is rejected.
+    ``bool`` or a float is rejected. The spacings are stored as ``float``.
     """
 
     n_t: int
@@ -37,20 +37,20 @@ class ArrayGeometry:
             raise InvalidInputError(
                 f"need n_t >= n_r >= 1, got n_t={self.n_t}, n_r={self.n_r}"
             )
-        _check_spacing(self.n_t, self.spacing_t, "spacing_t")
-        _check_spacing(self.n_r, self.spacing_r, "spacing_r")
+        for name, n in (("spacing_t", self.n_t), ("spacing_r", self.n_r)):
+            object.__setattr__(self, name, _check_spacing(n, getattr(self, name), name))
 
 
 def _check_spacing(n, spacing, name):
-    # The spacing rules of ``ArrayGeometry`` and ``steering_matrix``.
-    # Steering and coupling phases reach 2*pi*d*(n-1) times a sine
-    # difference of up to 2; past that they overflow in every trial.
-    if not np.isfinite(spacing):
-        raise InvalidInputError(f"{name} must be finite")
+    # The spacing rules of ``ArrayGeometry`` and ``steering_matrix``; returns
+    # the spacing as a float. Steering and coupling phases reach 2*pi*d*(n-1)
+    # times a sine difference of up to 2; past that they overflow in every trial.
+    spacing = require_real(spacing, name)
     if spacing <= 0:
         raise InvalidInputError(f"{name} must be positive")
     if not np.isfinite(4.0 * np.pi * spacing * (n - 1)):
         raise InvalidInputError(f"{name} is too large: its phase 4*pi*d*(n-1) overflows")
+    return spacing
 
 
 @dataclass
@@ -100,6 +100,6 @@ def steering_matrix(n, spacing, angles):
     n = require_integer(n, "antenna count")
     if n < 1:
         raise InvalidInputError("antenna count must be >= 1")
-    _check_spacing(n, spacing, "spacing")
+    spacing = _check_spacing(n, spacing, "spacing")
     return steering_phases(n, spacing, angles) / np.sqrt(n)
 

@@ -10,16 +10,13 @@ class InvalidInputError(PrMimoError, ValueError):
 
 
 class NumericalFailureError(PrMimoError, RuntimeError):
-    """A dense linear-algebra routine failed to converge.
+    """The one error a Monte Carlo trial may fail with.
 
-    The message states the Frobenius norm of the offending matrix, so
-    failures on badly scaled inputs can be diagnosed from logs.
+    An eigensolve that does not converge (the message states the matrix's
+    Frobenius norm, so badly scaled inputs can be diagnosed from logs), or
+    a weighted subchannel sum that cancels to zero.
     """
 
 
-class DegenerateChannelError(PrMimoError):
-    """A channel combination cancels to zero and cannot be power-scaled."""
-
-
 class CampaignError(PrMimoError, RuntimeError):
-    """Too many Monte Carlo trials failed, or one raised a non-package error."""
+    """Too many Monte Carlo trials failed numerically, or one raised any other error."""

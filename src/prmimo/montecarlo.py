@@ -18,8 +18,8 @@ import numpy as np
 
 from .cfpa import design_pattern
 from .channel import HALF_PI, ArrayGeometry, PathSet
-from .errors import CampaignError, InvalidInputError, PrMimoError
-from .numerics import one_blas_thread, require_integer, set_blas_threads
+from .errors import CampaignError, InvalidInputError, NumericalFailureError
+from .numerics import one_blas_thread, require_integer, require_real, set_blas_threads
 from .pattern import PatternMatrix, assemble_pattern_channel, capacity, ideal_capacity
 
 SCHEMES = ("physical", "pattern", "ideal")
@@ -62,13 +62,10 @@ def _check_clusters(n_cl, n_ray, angle_spread, condition):
     # ``draw_paths`` draws only from checked settings.
     if n_cl < 1 or n_ray < 1:
         raise InvalidInputError("cluster and ray counts must be >= 1")
-    if not np.isfinite(angle_spread):
-        raise InvalidInputError("angle spread must be finite")
     if angle_spread < 0:
         raise InvalidInputError("angle spread must be nonnegative")
-    with np.errstate(over="ignore"):
-        ray_range = 2.0 * np.sqrt(3.0) * angle_spread  # what ``draw_paths`` draws a ray over
-    if not np.isfinite(ray_range):
+    # What ``draw_paths`` draws a ray over; a Python float overflows without a warning.
+    if not np.isfinite(2.0 * 3.0**0.5 * angle_spread):
         raise InvalidInputError(
             "angle spread is too large: its ray range 2*sqrt(3)*spread overflows"
         )
@@ -94,7 +91,7 @@ class Scenario:
     ``n_cl``, ``n_ray``, ``trials`` and ``master_seed`` are integers;
     numpy integers become ``int``, and a ``bool`` or a float is rejected.
     Fields cannot be assigned once built, and ``snr_db`` is a read-only
-    copy of the given grid.
+    copy of the given grid; ``angle_spread`` is stored as a ``float``.
     """
 
     geometry: ArrayGeometry
@@ -131,6 +128,7 @@ class Scenario:
             raise InvalidInputError("snr grid overflows or underflows in linear units")
         if self.trials < 1:
             raise InvalidInputError("trials must be >= 1")
+        object.__setattr__(self, "angle_spread", require_real(self.angle_spread, "angle spread"))
         _check_clusters(self.n_cl, self.n_ray, self.angle_spread, self.condition)
 
     def __setstate__(self, state):
@@ -290,27 +288,24 @@ def run_trials(scenario, start, stop):
 def _run_batch(scenario, start, stop):
     """Outcome records ``(index, physical, pattern, error)`` of one batch.
 
-    A failing batch is rerun one trial at a time: a ``PrMimoError`` then
-    fails only its own trial, and any other exception is a bug that
-    aborts with the trial index.
+    A failing batch is rerun one trial at a time: a ``NumericalFailureError``
+    then fails only its own trial, and any other exception (an
+    ``InvalidInputError`` too) is a bug that aborts with the trial index.
     """
     try:
         physical, designed = run_trials(scenario, start, stop)
     except Exception as exc:
-        seed = scenario.master_seed
         if stop - start > 1:
-            outcomes = []
-            for index in range(start, stop):
-                outcomes += _run_batch(scenario, index, index + 1)
-            if isinstance(exc, PrMimoError):
+            outcomes = [o for i in range(start, stop) for o in _run_batch(scenario, i, i + 1)]
+            if isinstance(exc, NumericalFailureError):
                 return outcomes
             where = f"trials {start}..{stop - 1} as one batch"
-        elif isinstance(exc, PrMimoError):  # counted, never averaged
+        elif isinstance(exc, NumericalFailureError):  # counted, never averaged
             return [(start, None, None, f"{type(exc).__name__}: {exc}")]
         else:
             where = f"trial {start}"
         raise CampaignError(
-            f"{where} (master_seed {seed}) raised {type(exc).__name__}: {exc}"
+            f"{where} (master_seed {scenario.master_seed}) raised {type(exc).__name__}: {exc}"
         ) from exc
     return [
         (index, physical[row], designed[row], None)
@@ -422,10 +417,10 @@ def run_campaign(scenario, schemes=SCHEMES, workers=1, safeguard=False):
     machinery. Results are reduced in trial order, so the output is
     byte-reproducible for a fixed scenario regardless of workers,
     batching and the environment's BLAS thread count.
-    Trials that raise a ``PrMimoError`` are excluded and counted; more
-    than 1% of failures aborts with ``CampaignError``, and so does any
-    other exception at once, naming the master seed and the trial index;
-    the workers then start no further batch.
+    Trials that raise a ``NumericalFailureError`` are excluded and counted;
+    more than 1% of failures aborts with ``CampaignError``, and so does any
+    other exception at once, an ``InvalidInputError`` too, naming the
+    master seed and the trial index; the workers then start no further batch.
 
     With ``safeguard=True`` (a Python or numpy bool) each trial's pattern
     row is floored at its physical row (the all-ones pattern) where the
@@ -445,11 +440,8 @@ def run_campaign(scenario, schemes=SCHEMES, workers=1, safeguard=False):
                 f"first failure: trial {failures[0][0]}: {failures[0][1]}"
             )
         if failures:
-            warnings.warn(
-                f"excluded {len(failures)} failed trials of {scenario.trials}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            message = f"excluded {len(failures)} failed trials of {scenario.trials}"
+            warnings.warn(message, RuntimeWarning, stacklevel=2)
         physical, designed = (np.array(rows) for rows in zip(*ran))
         if safeguard:
             reference = np.argmax(scenario.snr_db)

@@ -29,6 +29,19 @@ def require_integer(value, name):
     return int(value)
 
 
+def require_real(value, name):
+    """A Python or numpy integer or float (not a ``bool``) as a finite ``float``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # a Python integer past the float range
+        value = np.inf
+    if not np.isfinite(value):
+        raise InvalidInputError(f"{name} must be finite")
+    return value
+
+
 def require_unit_power_columns(m_hat):
     """Check a modification matrix: nonnegative columns of squared norm n_t.
 

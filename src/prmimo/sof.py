@@ -131,7 +131,7 @@ class SofState:
             raise InvalidInputError("order must be a permutation of the path indices")
 
 
-def solve_modification_vector(b_sum, n_t):
+def solve_modification_vector(b_sum):
     """Feasible minimizer of ``m^T B m`` over nonnegative m, ``|m|^2 = n_t``.
 
     Takes a unit eigenvector of the smallest eigenvalue of ``(B + B^T) / 2``
@@ -140,17 +140,16 @@ def solve_modification_vector(b_sum, n_t):
     are eigenvectors, and the wrong one can be annihilated by the clip),
     clips negatives to zero, and rescales to the required norm.
 
-    ``b_sum`` may be a stack of shape (..., n_t, n_t); the result then
-    has shape (..., n_t), each row bit-identical to its own call. A
-    ``b_sum`` that is non-finite, or overflows when symmetrized, raises
-    ``InvalidInputError``; an eigensolve that does not converge raises
-    ``NumericalFailureError`` stating the matrix norm.
+    ``b_sum`` is n_t x n_t, n_t >= 1, or a stack (..., n_t, n_t); the
+    result then has shape (..., n_t), each row bit-identical to its own
+    call. A ``b_sum`` that is non-finite, or overflows when symmetrized,
+    raises ``InvalidInputError``; an eigensolve that does not converge
+    raises ``NumericalFailureError`` stating the matrix norm.
     """
     b_sum = np.asarray(b_sum, dtype=float)
-    if b_sum.shape[-2:] != (n_t, n_t):
-        raise InvalidInputError(
-            f"coefficient matrix shape {b_sum.shape} does not match n_t={n_t}"
-        )
+    n_t = b_sum.shape[-1] if b_sum.ndim >= 2 else 0
+    if n_t < 1 or b_sum.shape[-2] != n_t:
+        raise InvalidInputError(f"coefficient matrix shape {b_sum.shape} is not (..., n, n), n > 0")
     # Symmetrized first, so round-off in ``b_sum`` is tolerated (a no-op, bit
     # for bit, on symmetric input); the sum is non-finite where ``b_sum`` is or overflows.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -280,7 +279,7 @@ def run_sof(geometry, paths):
             continue
         sin_prior = sin_aod[rows, order[:, :step + 1]]
         b_sum = _penalty_matrix(geometry, recv, order, m_prior, sin_prior, step)
-        new_col = solve_modification_vector(b_sum, geometry.n_t)
+        new_col = solve_modification_vector(b_sum)
         m_prior[:, :, step] = new_col
         indicator = _refresh(geometry, recv, basis, g, sq, target, new_col, sin_prior[:, step])
 

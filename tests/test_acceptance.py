@@ -168,7 +168,7 @@ def test_04_eigen_subproblem_grid_oracle():
     for _ in range(50):
         raw = rng.standard_normal((3, 3))
         b = raw @ raw.T
-        solution = solve_modification_vector(b, 3)
+        solution = solve_modification_vector(b)
         objective = float(solution @ b @ solution)
         grid_min = float(np.einsum("ij,jk,ik->i", points, b, points).min())
         # Lipschitz slack: |grad| <= 2*lam_max*sqrt(3) on the sphere, grid

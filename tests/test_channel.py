@@ -39,12 +39,27 @@ class TestArrayGeometry:
         assert (geom.n_t, geom.n_r) == (8, 4)
         assert type(geom.n_t) is int and type(geom.n_r) is int
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    # An integer past the float range is infinite as a float.
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 10**400])
     def test_rejects_non_finite_spacing(self, value):
         with pytest.raises(InvalidInputError, match="finite"):
             ArrayGeometry(n_t=4, n_r=2, spacing_t=value)
         with pytest.raises(InvalidInputError, match="finite"):
             ArrayGeometry(n_t=4, n_r=2, spacing_r=value)
+
+    @pytest.mark.parametrize("value", [True, "0.5", [0.5], 0.5j], ids=repr)
+    def test_rejects_spacing_that_is_not_a_real_number(self, value):
+        # True would build a one-wavelength array; the others failed with
+        # a bare TypeError.
+        for side in ("spacing_t", "spacing_r"):
+            with pytest.raises(InvalidInputError) as raised:
+                ArrayGeometry(n_t=8, n_r=2, **{side: value})
+            assert str(raised.value) == f"{side} must be a real number, got {value!r}"
+
+    def test_stores_spacings_as_float(self):
+        geom = ArrayGeometry(n_t=8, n_r=2, spacing_t=1, spacing_r=np.float32(0.25))
+        assert (geom.spacing_t, geom.spacing_r) == (1.0, 0.25)
+        assert type(geom.spacing_t) is float and type(geom.spacing_r) is float
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -144,6 +159,9 @@ class TestSteeringMatrix:
             (2, np.nan, "spacing must be finite"),
             (2, 1e308, "spacing is too large"),
             (0, 0.5, "antenna count must be >= 1"),
+            (4, True, r"spacing must be a real number, got True"),
+            (4, "0.5", r"spacing must be a real number, got '0.5'"),
+            (4, [0.5, 0.5], r"spacing must be a real number, got \[0.5, 0.5\]"),
         ],
         ids=[
             "fractional-count",
@@ -152,6 +170,9 @@ class TestSteeringMatrix:
             "nan-spacing",
             "overflowing-spacing",
             "zero-count",
+            "bool-spacing",
+            "string-spacing",
+            "list-spacing",
         ],
     )
     def test_rejects_counts_and_spacings_that_give_wrong_columns(self, n, spacing, message):

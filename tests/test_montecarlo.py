@@ -783,6 +783,32 @@ class TestRunCampaign:
         with pytest.raises(CampaignError, match=r"trial 0 \(master_seed 99\) raised TypeError"):
             run_campaign(scenario, workers=2)
 
+    @pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "pool"])
+    def test_invalid_input_in_a_trial_aborts_and_names_it(self, monkeypatch, workers):
+        # Only a NumericalFailureError is a failed trial. The library's own
+        # checks failing inside a trial (a design column of the wrong norm,
+        # say) are a bug: the campaign stops at trial 17 instead of
+        # averaging the other 199 trials with a warning. Batches of four
+        # make fifty, so two workers build a pool, whose processes inherit
+        # the patch by fork.
+        scenario = small_scenario(trials=200, snr_db=np.array([10.0]))
+        force_batch_size(monkeypatch, scenario, 4)
+        pin_cores(monkeypatch, 1)
+        marked = montecarlo.draw_paths(scenario, 17, 18).gains[0, 0]
+        real_design = montecarlo.design_pattern
+
+        def buggy(geometry, paths):
+            if np.any(paths.gains[..., 0] == marked):
+                raise InvalidInputError("synthetic bug")
+            return real_design(geometry, paths)
+
+        monkeypatch.setattr(montecarlo, "design_pattern", buggy)
+        with pytest.raises(
+            CampaignError,
+            match=r"^trial 17 \(master_seed 99\) raised InvalidInputError: synthetic bug$",
+        ):
+            run_campaign(scenario, workers=workers)
+
     def test_pool_names_the_first_failing_trial_whatever_the_schedule(self, monkeypatch):
         # Every batch fails, as above. Whichever worker fails first, each
         # batch before its own still runs, so the campaign always names

@@ -33,7 +33,7 @@ from oracles import (
 )
 from prmimo import (
     ArrayGeometry,
-    DegenerateChannelError,
+    NumericalFailureError,
     PathSet,
     PatternMatrix,
     PrMimoError,
@@ -219,7 +219,7 @@ def test_gram_power_matches_assembled_channel_power(case):
     scale = np.sum(np.abs(c), axis=-1) ** 2
     try:
         power = _gram_power(gram.g, c)
-    except DegenerateChannelError:
+    except NumericalFailureError:
         assert np.any(assembled <= 1e-12 * scale)
         return
     assert np.all(np.abs(power - assembled) <= 1e-12 * scale)

@@ -4,7 +4,8 @@ Each rule is stated once, by the module that owns it: the cluster rules,
 the seed rule, the request rules and the grid's rules all in
 ``montecarlo`` (``_check_clusters``, ``_check_nonnegative``,
 ``_check_request``, ``_check_finite_grid``, and ``Scenario`` itself for
-the grid's shape and type and the geometry's type), and the grid text's
+the grid's shape and type and the geometry's type), the real-number rule
+of the angle spread in ``numerics.require_real``, and the grid text's
 form in ``cli.parse_snr_grid``.
 Whichever door a bad value comes in by, the same check raises it with
 the same message; the CLI adds only its usage-error prefix and, for a
@@ -71,10 +72,16 @@ RULES = [
      "ncl", "0", {"n_cl": 0}, ("Scenario",)),
     ("cluster and ray counts must be >= 1", "_check_clusters",
      "nray", "0", {"n_ray": 0}, ("Scenario",)),
-    ("angle spread must be finite", "_check_clusters",
+    ("angle spread must be finite", "require_real",
      "xi_deg", "nan", {"angle_spread": np.nan}, ("Scenario",)),
-    ("angle spread must be finite", "_check_clusters",
+    ("angle spread must be finite", "require_real",
      "xi_deg", "inf", {"angle_spread": np.inf}, ("Scenario",)),
+    ("angle spread must be a real number, got True", "require_real",
+     "angle_spread", None, {"angle_spread": True}, ("Scenario",)),
+    ("angle spread must be a real number, got '0.1'", "require_real",
+     "angle_spread", None, {"angle_spread": "0.1"}, ("Scenario",)),
+    ("angle spread must be a real number, got 1j", "require_real",
+     "angle_spread", None, {"angle_spread": 1j}, ("Scenario",)),
     ("angle spread must be nonnegative", "_check_clusters",
      "xi_deg", "-1", {"angle_spread": np.deg2rad(-1.0)}, ("Scenario",)),
     # The largest finite --xi-deg is about 3.1e306 rad, too small to break it.
@@ -115,10 +122,16 @@ RULES = [
      "safeguard", None, {"safeguard": np.array([True, False])}, ("run_campaign",)),
 ]
 
+
+def _label(value):
+    # A library-only value in a case id: its repr, or its shape if it is an array.
+    return repr(value) if np.ndim(value) == 0 else np.shape(value)
+
+
 CASES = [
     pytest.param(
         door, message, owner, key, text, value,
-        id=f"{key}={np.shape(value[key]) if text is None else text.strip()}-{door}",
+        id=f"{key}={_label(value[key]) if text is None else text.strip()}-{door}",
     )
     for message, owner, key, text, value, doors in RULES
     for door in (("flag", "config") if text is not None else ()) + doors
