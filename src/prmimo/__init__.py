@@ -7,7 +7,7 @@ physical-channel and ideal-channel baselines via seeded Monte Carlo
 campaigns.
 """
 
-from .cfpa import allocate_power, cfpa_weights, design_pattern
+from .cfpa import allocate_power, design_pattern
 from .channel import ArrayGeometry, PathSet, steering_matrix
 from .errors import (
     CampaignError,
@@ -23,20 +23,8 @@ from .montecarlo import (
     run_trials,
     trial_rng,
 )
-from .pattern import (
-    PatternMatrix,
-    assemble_pattern_channel,
-    assemble_physical,
-    capacity,
-    ideal_capacity,
-)
-from .sof import (
-    SofState,
-    SubchannelGram,
-    run_sof,
-    solve_modification_vector,
-    subchannel_gram,
-)
+from .pattern import PatternMatrix, assemble_pattern_channel, capacity, ideal_capacity
+from .sof import SofState, SubchannelGram, run_sof
 
 __version__ = "0.1.0"
 
@@ -54,17 +42,13 @@ __all__ = [
     "SubchannelGram",
     "allocate_power",
     "assemble_pattern_channel",
-    "assemble_physical",
     "capacity",
-    "cfpa_weights",
     "design_pattern",
     "draw_paths",
     "ideal_capacity",
     "run_campaign",
     "run_sof",
     "run_trials",
-    "solve_modification_vector",
     "steering_matrix",
-    "subchannel_gram",
     "trial_rng",
 ]

@@ -95,11 +95,14 @@ def steering_matrix(n, spacing, angles):
     Entry (k, l) (0-based) is
     ``exp(-j*2*pi*spacing*k*sin(angles[l])) / sqrt(n)``; a (T, L) stack
     of azimuths gives a (T, n, L) stack. ``n`` and ``spacing`` follow the
-    rules of ``ArrayGeometry``.
+    rules of ``ArrayGeometry``, and the azimuths must be finite.
     """
     n = require_integer(n, "antenna count")
     if n < 1:
         raise InvalidInputError("antenna count must be >= 1")
     spacing = _check_spacing(n, spacing, "spacing")
+    angles = np.asarray(angles, dtype=float)
+    if not np.isfinite(angles).all():
+        raise InvalidInputError("angles must be finite")
     return steering_phases(n, spacing, angles) / np.sqrt(n)
 

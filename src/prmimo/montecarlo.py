@@ -91,7 +91,8 @@ class Scenario:
     ``n_cl``, ``n_ray``, ``trials`` and ``master_seed`` are integers;
     numpy integers become ``int``, and a ``bool`` or a float is rejected.
     Fields cannot be assigned once built, and ``snr_db`` is a read-only
-    copy of the given grid; ``angle_spread`` is stored as a ``float``.
+    float copy of the given grid of integers or floats (not a ``bool``,
+    string or complex grid); ``angle_spread`` is stored as a ``float``.
     """
 
     geometry: ArrayGeometry
@@ -110,7 +111,7 @@ class Scenario:
         for name in ("n_cl", "n_ray", "trials"):
             object.__setattr__(self, name, require_integer(getattr(self, name), name))
         object.__setattr__(self, "master_seed", _check_nonnegative(self.master_seed, "master_seed"))
-        if np.iscomplexobj(self.snr_db):
+        if np.asarray(self.snr_db).dtype.kind not in "iuf":
             raise InvalidInputError("snr grid must be real")
         snr_db = np.array(self.snr_db, dtype=float, ndmin=1)
         snr_db.flags.writeable = False

@@ -2,9 +2,10 @@
 
 The transmit pattern enters the channel as a nonnegative per-antenna,
 per-path gain matrix. This module holds the package's one channel
-formula (the physical channel is the all-ones pattern's) and its one
-capacity routine; the design sees the channel only through the Gram
-matrix of the normalized modified subchannels, in ``prmimo.sof``.
+formula (the physical channel is its value at the all-ones
+``PatternMatrix``) and its one capacity routine; the design sees the
+channel only through the Gram matrix of the normalized modified
+subchannels, in ``prmimo.sof``.
 """
 
 from dataclasses import dataclass, field
@@ -126,14 +127,3 @@ def assemble_pattern_channel(geometry, paths, pattern):
     a_t = steering_matrix(geometry.n_t, geometry.spacing_t, paths.aod)
     return (a_r * paths.gains[..., None, :]) @ (a_t * pattern.m).conj().swapaxes(-1, -2)
 
-
-def assemble_physical(geometry, paths):
-    """Channel matrix of the bare scattering geometry, shape (n_r, n_t).
-
-    ``assemble_pattern_channel`` at the all-ones pattern, ``A_R
-    diag(gains) A_T^H``: the legacy MIMO channel. Its one (n_t, L)
-    pattern broadcasts against a stacked path set, which gives stacked
-    channels.
-    """
-    ones = np.ones((geometry.n_t, len(paths)))
-    return assemble_pattern_channel(geometry, paths, PatternMatrix(m_hat=ones, p=ones[0]))

@@ -2,16 +2,16 @@
 
 The design sees the channel only through the Gram matrix of the
 normalized modified subchannels. This module builds it in factored form
-(a receive-side times a transmit-side phase sum) and keeps it current
-while the columns change. Subchannels are visited in decreasing order of
-their correlation level. Each visited column is replaced by a
-nonnegative unit-power vector that (approximately) minimizes its
-accumulated squared correlation with the already-designed columns: the
-quadratic form of that objective is assembled, its smallest eigenvector
-is projected onto the nonnegative orthant, and the result is rescaled to
-the required norm. The procedure is a feasible heuristic, not a global
-optimum; the tests bound its gap against an exhaustive grid search at
-small sizes.
+(a receive-side times a transmit-side phase sum) at the neutral all-ones
+columns and keeps it current while the columns change. Subchannels are
+visited in decreasing order of their correlation level. Each visited
+column is replaced by a nonnegative unit-power vector that
+(approximately) minimizes its accumulated squared correlation with the
+already-designed columns: the quadratic form of that objective is
+assembled, its smallest eigenvector is projected onto the nonnegative
+orthant, and the result is rescaled to the required norm. The procedure
+is a feasible heuristic, not a global optimum; the tests bound its gap
+against an exhaustive grid search at small sizes.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import PathSet, steering_phases
 from .errors import InvalidInputError, NumericalFailureError
-from .numerics import COLUMN_NORM_RTOL, HERMITIAN_TOL, require_unit_power_columns
+from .numerics import COLUMN_NORM_RTOL, HERMITIAN_TOL
 
 
 @dataclass
@@ -28,7 +28,8 @@ class SubchannelGram:
     """Gram matrix of normalized modified subchannels, or T stacked (T, L, L).
 
     It holds the matrix alone, finite, Hermitian within ``HERMITIAN_TOL``
-    and with a unit diagonal; its ``indicator`` is derived from it.
+    and with a unit diagonal; its ``indicator`` is derived from it. The
+    library's Gram is the one ``run_sof`` returns with its columns.
     """
 
     g: np.ndarray
@@ -59,11 +60,12 @@ class SubchannelGram:
         return _squared_off_diagonal(self.g, (..., diagonal, diagonal)).sum(axis=-1)
 
 
-def _initial_state(geometry, paths, m_hat):
-    # The receive factor, the transmit basis (the columns ``m_hat``
-    # weighted by the conjugate transmit phases) and the Gram matrix: the
-    # receive factor times the transmit factor (the Gram of the basis)
-    # over n_r * n_t, made exactly Hermitian: ``0.5 * (g + g^H)`` with
+def _initial_state(geometry, paths):
+    # The receive factor, the transmit basis and the Gram matrix of the
+    # neutral all-ones columns, which ``run_sof`` starts from: the basis is
+    # the conjugate transmit phases, and the Gram matrix is the receive
+    # factor times the transmit factor (the Gram of the basis) over
+    # n_r * n_t, made exactly Hermitian: ``0.5 * (g + g^H)`` with
     # ``g = recv * (B^H B) / (n_r n_t)`` (the sum commutes bit for bit).
     # In place and one matrix at a time, so that a batch's set-up holds no
     # L x L temporary per trial.
@@ -71,8 +73,7 @@ def _initial_state(geometry, paths, m_hat):
     # sin aoa_j)); over n_r, its magnitude is the receive correlation.
     recv = steering_phases(geometry.n_r, geometry.spacing_r, paths.aoa)
     recv = recv.conj().swapaxes(-1, -2) @ recv
-    basis = steering_phases(geometry.n_t, geometry.spacing_t, paths.aod)
-    basis = m_hat * np.conjugate(basis, out=basis)
+    basis = np.conjugate(steering_phases(geometry.n_t, geometry.spacing_t, paths.aod))
     g = basis.conj().swapaxes(-1, -2) @ basis
     np.multiply(recv, g, out=g)
     g /= geometry.n_r * geometry.n_t
@@ -81,28 +82,6 @@ def _initial_state(geometry, paths, m_hat):
         sym += matrix
         np.multiply(0.5, sym, out=matrix)
     return recv, basis, g
-
-
-def subchannel_gram(geometry, paths, m_hat):
-    """Gram matrix of the normalized modified subchannels.
-
-    Entry (i, j) is the trace inner product of subchannels i and j,
-    evaluated as the product of a receive-side phase sum and a
-    transmit-side weighted phase sum divided by ``n_r * n_t``. The tests
-    check it against the direct trace over explicitly assembled
-    subchannels; this factored form is O(L^2 * n_t) instead.
-
-    ``paths`` is one path set or a ``PathSet`` of (T, L) arrays, as
-    ``draw_paths`` returns, with ``m_hat`` stacked alike; each row is
-    bit-identical to the call on its path set.
-    """
-    m_hat = np.asarray(m_hat, dtype=float)
-    if m_hat.shape != paths.gains.shape[:-1] + (geometry.n_t, len(paths)):
-        raise InvalidInputError(
-            f"m_hat shape {m_hat.shape} does not match {len(paths)} paths at n_t={geometry.n_t}"
-        )
-    require_unit_power_columns(m_hat)
-    return SubchannelGram(g=_initial_state(geometry, paths, m_hat)[2])
 
 
 def _squared_off_diagonal(values, diagonal):
@@ -260,7 +239,7 @@ def run_sof(geometry, paths):
         return SofState(state.order[0], state.m_hat[0], SubchannelGram(state.gram.g[0]))
     n_trials, n_paths = paths.gains.shape
     rows = np.arange(n_trials)[:, None]
-    recv, basis, g = _initial_state(geometry, paths, np.ones((geometry.n_t, n_paths)))
+    recv, basis, g = _initial_state(geometry, paths)
     # The squared off-diagonal Gram magnitudes and their row sums (the
     # indicator), refreshed in each target's row and column; with ``recv``
     # and ``g``, the 40 L^2 bytes per trial of ``montecarlo.trial_bytes``.

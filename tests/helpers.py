@@ -9,8 +9,16 @@ import pytest
 
 import prmimo
 import prmimo.sof as sof
-from oracles import full_phase_penalty_matrix
-from prmimo import PathSet, PatternMatrix, draw_paths, run_sof, run_trials
+from oracles import direct_trace_gram, full_phase_penalty_matrix
+from prmimo import (
+    PathSet,
+    PatternMatrix,
+    SubchannelGram,
+    assemble_pattern_channel,
+    draw_paths,
+    run_sof,
+    run_trials,
+)
 from prmimo.cfpa import _gram_power
 
 
@@ -37,6 +45,22 @@ def trial_paths(scenario, index):
 def neutral_pattern(n_t, n_paths):
     """The all-ones pattern: every column all-ones, unit power factors."""
     return PatternMatrix(m_hat=np.ones((n_t, n_paths)), p=np.ones(n_paths))
+
+
+def physical_channel(geometry, paths):
+    """The physical channel: ``assemble_pattern_channel`` at the all-ones pattern.
+
+    Its one (n_t, L) pattern broadcasts against a stacked path set.
+    """
+    return assemble_pattern_channel(geometry, paths, neutral_pattern(geometry.n_t, len(paths)))
+
+
+def subchannel_gram(geometry, paths, m_hat):
+    """``SubchannelGram`` of the columns ``m_hat`` from explicit traces.
+
+    ``paths`` is one path set or a stacked one, with ``m_hat`` stacked alike.
+    """
+    return SubchannelGram(direct_trace_gram(geometry, paths, m_hat))
 
 
 def one_trial(scenario, index):

@@ -44,11 +44,12 @@ def modified_subchannels(geometry, paths, m_hat):
     """Unit-power modified subchannels, one (n_r, n_t) slab per path.
 
     Slab i is the rank-one outer product of the i-th receive steering
-    vector with the pattern-modified i-th transmit steering vector.
+    vector with the pattern-modified i-th transmit steering vector. A
+    stacked path set, with ``m_hat`` stacked alike, gives (T, L, n_r, n_t).
     """
     a_r = steering_matrix(geometry.n_r, geometry.spacing_r, paths.aoa)
     a_t = steering_matrix(geometry.n_t, geometry.spacing_t, paths.aod)
-    return np.einsum("ri,ti->irt", a_r, (a_t * np.asarray(m_hat, dtype=float)).conj())
+    return np.einsum("...ri,...ti->...irt", a_r, (a_t * np.asarray(m_hat, dtype=float)).conj())
 
 
 def tensor_power_scaling(geometry, subchannels, w):
@@ -100,10 +101,10 @@ def direct_trace_gram(geometry, paths, m_hat):
     """Gram matrix of the modified subchannels from explicit traces.
 
     Entry (i, j) is ``tr(S_i^H S_j)`` over the slabs returned by
-    ``modified_subchannels``.
+    ``modified_subchannels``; a stacked path set gives (T, L, L).
     """
     subchannels = modified_subchannels(geometry, paths, m_hat)
-    return np.einsum("irt,jrt->ij", subchannels.conj(), subchannels)
+    return np.einsum("...irt,...jrt->...ij", subchannels.conj(), subchannels)
 
 
 def kept_allocation_factors(geometry, gains, g, indicator):

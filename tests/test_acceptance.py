@@ -13,14 +13,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import trial_paths
+from helpers import physical_channel, trial_paths
 from oracles import kept_allocation_factors, modified_subchannels, singular_values
 from prmimo import (
     ArrayGeometry,
     PatternMatrix,
     Scenario,
     assemble_pattern_channel,
-    assemble_physical,
     capacity,
     design_pattern,
     draw_paths,
@@ -28,11 +27,10 @@ from prmimo import (
     run_campaign,
     run_sof,
     run_trials,
-    solve_modification_vector,
-    subchannel_gram,
 )
 from prmimo.cfpa import allocate_power
 from prmimo.cli import main
+from prmimo.sof import solve_modification_vector
 
 MAIN_TRIALS = int(os.environ.get("PRMIMO_ACCEPT_TRIALS", "1000"))
 GAP_TRIALS = int(os.environ.get("PRMIMO_ACCEPT_GAP_TRIALS", "500"))
@@ -82,7 +80,7 @@ def reference_run():
     order_ok = np.empty(trials, dtype=bool)
     for index in range(trials):
         paths = trial_paths(scenario, index)
-        h = assemble_physical(scenario.geometry, paths)
+        h = physical_channel(scenario.geometry, paths)
         physical[index] = [capacity(h, s) for s in snr]
         pattern, state = design_pattern(scenario.geometry, paths)
         h_pat = assemble_pattern_channel(scenario.geometry, paths, pattern)
@@ -133,6 +131,8 @@ def test_02_capacity_formula_identity():
 
 
 def test_03_gram_closed_form_oracle():
+    # The library's factored Gram: the neutral columns' Gram that SOF
+    # starts from, refreshed as each column is designed.
     rng = np.random.default_rng(2003)
     worst = 0.0
     for _ in range(100):
@@ -146,12 +146,10 @@ def test_03_gram_closed_form_oracle():
         from prmimo import PathSet
 
         paths = PathSet(gains=gains, aod=aod, aoa=aoa)
-        raw = rng.uniform(0.05, 1.0, (n_t, n_paths))
-        m_hat = raw * np.sqrt(n_t / np.sum(raw**2, axis=0))
-        gram = subchannel_gram(geom, paths, m_hat)
-        subs = modified_subchannels(geom, paths, m_hat)
+        state = run_sof(geom, paths)
+        subs = modified_subchannels(geom, paths, state.m_hat)
         direct = np.einsum("irt,jrt->ij", subs.conj(), subs)
-        worst = max(worst, float(np.max(np.abs(gram.g - direct))))
+        worst = max(worst, float(np.max(np.abs(state.gram.g - direct))))
     report(3, "gram closed-form oracle", worst <= 1e-12, f"worst abs dev {worst:.2e}")
 
 
@@ -190,7 +188,7 @@ def test_05_channel_power_normalization():
     total = 0.0
     for start in range(0, scenario.trials, 500):
         paths = draw_paths(scenario, start, min(start + 500, scenario.trials))
-        total += float(np.sum(np.abs(assemble_physical(scenario.geometry, paths)) ** 2))
+        total += float(np.sum(np.abs(physical_channel(scenario.geometry, paths)) ** 2))
     mean_power = total / scenario.trials
     budget = scenario.geometry.n_t * scenario.geometry.n_r
     deviation = abs(mean_power - budget) / budget

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import feasible_m_hat, random_paths, rescaled_to_budget, stack_paths
+from helpers import (
+    feasible_m_hat,
+    random_paths,
+    rescaled_to_budget,
+    stack_paths,
+    subchannel_gram,
+)
 from oracles import kept_allocation_factors, modified_subchannels, tensor_power_scaling
 from prmimo import (
     ArrayGeometry,
@@ -13,12 +19,10 @@ from prmimo import (
     SubchannelGram,
     allocate_power,
     assemble_pattern_channel,
-    cfpa_weights,
     design_pattern,
     run_sof,
-    subchannel_gram,
 )
-from prmimo.cfpa import EPS_FLOOR
+from prmimo.cfpa import EPS_FLOOR, cfpa_weights
 
 
 def proportions(w_hat):

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from helpers import physical_channel
 from oracles import condition_profile, steering_vector
 from prmimo import (
     ArrayGeometry,
     InvalidInputError,
     PathSet,
     Scenario,
-    assemble_physical,
     draw_paths,
     steering_matrix,
 )
@@ -179,6 +179,12 @@ class TestSteeringMatrix:
         with pytest.raises(InvalidInputError, match=message):
             steering_matrix(n, spacing, [0.3])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_angles(self, bad):
+        # As PathSet does: a NaN or infinite azimuth has no column.
+        with pytest.raises(InvalidInputError, match="angles must be finite"):
+            steering_matrix(4, 0.5, [0.3, bad])
+
     def test_spacing_has_the_rule_of_array_geometry(self):
         # The largest phase that ArrayGeometry accepts (n = 8 elements)
         # gives finite columns; just past it, both refuse.
@@ -200,14 +206,14 @@ class TestAssemblePhysical:
     def test_single_broadside_path(self):
         geom = ArrayGeometry(n_t=4, n_r=2)
         paths = PathSet(gains=[1.0], aod=[0.0], aoa=[0.0])
-        h = assemble_physical(geom, paths)
+        h = physical_channel(geom, paths)
         assert_allclose(h, np.ones((2, 4)) / np.sqrt(8), atol=1e-14)
 
     def test_linearity_in_gains(self):
         geom = ArrayGeometry(n_t=4, n_r=2)
         single = PathSet(gains=[1.0], aod=[0.3], aoa=[-0.2])
         double = PathSet(gains=[1.0, 1.0], aod=[0.3, 0.3], aoa=[-0.2, -0.2])
-        assert_allclose(assemble_physical(geom, double), 2.0 * assemble_physical(geom, single), atol=1e-14)
+        assert_allclose(physical_channel(geom, double), 2.0 * physical_channel(geom, single), atol=1e-14)
 
     def test_matches_element_wise_sum(self):
         rng = np.random.default_rng(42)
@@ -216,7 +222,7 @@ class TestAssemblePhysical:
         aod = rng.uniform(-np.pi / 2, np.pi / 2, 6)
         aoa = rng.uniform(-np.pi / 2, np.pi / 2, 6)
         paths = PathSet(gains=gains, aod=aod, aoa=aoa)
-        h = assemble_physical(geom, paths)
+        h = physical_channel(geom, paths)
         # Independent oracle: accumulate each entry from the rank-one terms.
         expected = np.zeros((2, 4), dtype=complex)
         root = np.sqrt(geom.n_r * geom.n_t)
@@ -266,7 +272,7 @@ class TestDrawPaths:
         scenario = cluster_scenario(angle_spread=np.deg2rad(3.0), trials=2000)
         total = 0.0
         for start in range(0, 2000, 500):
-            h = assemble_physical(geom, draw_paths(scenario, start, start + 500))
+            h = physical_channel(geom, draw_paths(scenario, start, start + 500))
             total += np.sum(np.abs(h) ** 2)
         expected = geom.n_t * geom.n_r
         assert abs(total / 2000 - expected) <= 0.05 * expected

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import fresh_interpreter, one_trial, trial_paths
+from helpers import fresh_interpreter, one_trial, physical_channel, trial_paths
 import prmimo.montecarlo as montecarlo
 import prmimo.numerics as numerics
 from prmimo import (
@@ -22,7 +22,6 @@ from prmimo import (
     PatternMatrix,
     Scenario,
     assemble_pattern_channel,
-    assemble_physical,
     capacity,
     design_pattern,
     ideal_capacity,
@@ -214,7 +213,7 @@ class TestOneTrial:
         geom = scenario.geometry
         # One path: the designed channel is the physical one rescaled to
         # the full power budget.
-        h = assemble_physical(geom, paths)
+        h = physical_channel(geom, paths)
         scale = np.sqrt(geom.n_t * geom.n_r) / abs(paths.gains[0])
         expected = [capacity(h * scale, s) for s in 10.0 ** (scenario.snr_db / 10.0)]
         assert_allclose(designed, expected, rtol=1e-9)
@@ -370,7 +369,7 @@ class TestRunTrials:
                 p=np.stack([np.ones_like(pattern.p), pattern.p]),
             )
             physical, designed = assemble_pattern_channel(geometry, paths, both)
-            assert physical.tobytes() == assemble_physical(geometry, paths).tobytes()
+            assert physical.tobytes() == physical_channel(geometry, paths).tobytes()
             a_r = steering_matrix(geometry.n_r, geometry.spacing_r, paths.aoa)
             a_t = steering_matrix(geometry.n_t, geometry.spacing_t, paths.aod)
             product = (a_r * paths.gains[..., None, :]) @ a_t.conj().swapaxes(-1, -2)
@@ -400,7 +399,7 @@ class TestRunTrials:
             paths = montecarlo.draw_paths(scenario, 0, trials)
             pattern = design_pattern(scenario.geometry, paths)[0]
             snr = montecarlo._linear(scenario.snr_db)
-            alone = capacity(assemble_physical(scenario.geometry, paths), snr)
+            alone = capacity(physical_channel(scenario.geometry, paths), snr)
             assert np.array_equal(physical, alone)
             channel = assemble_pattern_channel(scenario.geometry, paths, pattern)
             assert np.array_equal(designed, capacity(channel, snr))
@@ -731,31 +730,35 @@ class TestRunCampaign:
         )
 
     def test_rare_failure_excluded_with_warning(self, monkeypatch):
+        # Up to 1% of the trials may fail: 2 of 200 are kept, as 1 is.
         scenario = small_scenario(trials=200, snr_db=np.array([10.0]))
         real_draw_paths = montecarlo.draw_paths
+        for failing in ((17,), (17, 101)):
 
-        def flaky(sc, start, stop):
-            if start <= 17 < stop:
-                raise NumericalFailureError("synthetic failure")
-            return real_draw_paths(sc, start, stop)
+            def flaky(sc, start, stop, failing=failing):
+                if any(start <= i < stop for i in failing):
+                    raise NumericalFailureError("synthetic failure")
+                return real_draw_paths(sc, start, stop)
 
-        monkeypatch.setattr(montecarlo, "draw_paths", flaky)
-        with pytest.warns(RuntimeWarning, match="excluded 1 failed"):
-            curves = {c.scheme: c for c in run_campaign(scenario, schemes=("physical",))}
-        assert curves["physical"].trials == 199
+            monkeypatch.setattr(montecarlo, "draw_paths", flaky)
+            with pytest.warns(RuntimeWarning, match=f"excluded {len(failing)} failed"):
+                curves = {c.scheme: c for c in run_campaign(scenario, schemes=("physical",))}
+            assert curves["physical"].trials == 200 - len(failing)
 
     def test_excess_failures_abort(self, monkeypatch):
-        scenario = small_scenario(trials=50, snr_db=np.array([10.0]))
+        # More than 1% of the trials: 2 of 50, and 3 of 200.
         real_draw_paths = montecarlo.draw_paths
+        for trials, failing in ((50, (3, 11)), (200, (3, 11, 150))):
+            scenario = small_scenario(trials=trials, snr_db=np.array([10.0]))
 
-        def flaky(sc, start, stop):
-            if any(start <= i < stop for i in (3, 11)):
-                raise NumericalFailureError("synthetic failure")
-            return real_draw_paths(sc, start, stop)
+            def flaky(sc, start, stop, failing=failing):
+                if any(start <= i < stop for i in failing):
+                    raise NumericalFailureError("synthetic failure")
+                return real_draw_paths(sc, start, stop)
 
-        monkeypatch.setattr(montecarlo, "draw_paths", flaky)
-        with pytest.raises(CampaignError):
-            run_campaign(scenario, schemes=("physical",))
+            monkeypatch.setattr(montecarlo, "draw_paths", flaky)
+            with pytest.raises(CampaignError, match=f"{len(failing)} of {trials} trials failed"):
+                run_campaign(scenario, schemes=("physical",))
 
     def test_unexpected_error_aborts_and_names_trial(self, monkeypatch):
         # A bug is not a numerical failure: one TypeError stops the

@@ -21,8 +21,10 @@ from hypothesis import strategies as st
 from helpers import (
     assert_sof_bits_match_full_phase_penalty,
     one_trial,
+    physical_channel,
     rescaled_to_budget,
     stack_paths,
+    subchannel_gram,
 )
 from oracles import (
     direct_trace_gram,
@@ -40,17 +42,14 @@ from prmimo import (
     Scenario,
     allocate_power,
     assemble_pattern_channel,
-    assemble_physical,
     capacity,
-    cfpa_weights,
     design_pattern,
     draw_paths,
     ideal_capacity,
     run_sof,
     run_trials,
-    subchannel_gram,
 )
-from prmimo.cfpa import _gram_power
+from prmimo.cfpa import _gram_power, cfpa_weights
 from prmimo.numerics import COLUMN_NORM_RTOL, one_blas_thread
 
 HALF_PI = np.pi / 2.0
@@ -335,7 +334,7 @@ def evaluate(geometry, paths):
     """Physical and designed capacities on ``SYMMETRY_SNR``, and the SOF state."""
     with one_blas_thread():
         pattern, state = design_pattern(geometry, paths)
-        physical = capacity(assemble_physical(geometry, paths), SYMMETRY_SNR)
+        physical = capacity(physical_channel(geometry, paths), SYMMETRY_SNR)
         designed = capacity(assemble_pattern_channel(geometry, paths, pattern), SYMMETRY_SNR)
     return physical, designed, state
 

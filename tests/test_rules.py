@@ -103,6 +103,12 @@ RULES = [
      "snr_db", None, {"snr_db": [[0.0, 10.0], [5.0, 20.0]]}, ("Scenario",)),
     ("snr grid must be real", "__post_init__",
      "snr_db", None, {"snr_db": [10 + 5j]}, ("Scenario",)),
+    ("snr grid must be real", "__post_init__",
+     "snr_db", None, {"snr_db": "10"}, ("Scenario",)),
+    ("snr grid must be real", "__post_init__",
+     "snr_db", None, {"snr_db": ["1", "2"]}, ("Scenario",)),
+    ("snr grid must be real", "__post_init__",
+     "snr_db", None, {"snr_db": [True, False]}, ("Scenario",)),
     ("geometry must be an ArrayGeometry, got (32, 8)", "__post_init__",
      "geometry", None, {"geometry": (32, 8)}, ("Scenario",)),
     ("at least one scheme is required", "_check_request",
@@ -124,8 +130,11 @@ RULES = [
 
 
 def _label(value):
-    # A library-only value in a case id: its repr, or its shape if it is an array.
-    return repr(value) if np.ndim(value) == 0 else np.shape(value)
+    # A library-only value in a case id: its repr if it is a scalar or a
+    # list of strings or bools, else its shape.
+    if np.ndim(value) == 0 or isinstance(value, list) and np.asarray(value).dtype.kind in "bU":
+        return repr(value)
+    return np.shape(value)
 
 
 CASES = [

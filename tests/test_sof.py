@@ -7,6 +7,7 @@ from helpers import (
     feasible_m_hat,
     random_paths,
     stack_paths,
+    subchannel_gram,
 )
 from oracles import b_vector, quadratic_matrix, receiver_correlation
 from prmimo import (
@@ -17,11 +18,10 @@ from prmimo import (
     SofState,
     SubchannelGram,
     run_sof,
-    solve_modification_vector,
-    subchannel_gram,
 )
 import prmimo.montecarlo as montecarlo
 import prmimo.sof as sof
+from prmimo.sof import solve_modification_vector
 
 
 class TestReceiverCorrelation:
@@ -127,6 +127,18 @@ class TestSolveModificationVector:
         solution = solve_modification_vector(b)
         assert np.all(solution >= 0)
         assert abs(solution @ solution - 4.0) <= 1e-10
+
+    def test_exact_tie_gives_one_column_for_both_signs(self, monkeypatch):
+        # The null vector of [[1, 1], [1, 1]] is u = [1, -1] / sqrt(2); u and
+        # -u clip to the same l1 mass, so the first nonzero entry is made
+        # positive and LAPACK's sign cannot move the column.
+        u = np.array([1.0, -1.0]) / np.sqrt(2.0)
+        for sign in (1.0, -1.0):
+            vectors = np.column_stack([sign * u, np.abs(u)])
+            monkeypatch.setattr(np.linalg, "eigh", lambda a, v=vectors: (np.array([0.0, 2.0]), v))
+            solution = solve_modification_vector(np.ones((2, 2)))
+            assert_allclose(solution, [np.sqrt(2.0), 0.0], rtol=1e-15)
+            assert solution[1] == 0.0
 
     def test_feasibility_on_random_instances(self):
         rng = np.random.default_rng(75)
