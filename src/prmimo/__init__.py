@@ -8,7 +8,7 @@ campaigns.
 """
 
 from .cfpa import allocate_power, design_pattern
-from .channel import ArrayGeometry, PathSet, steering_matrix
+from .channel import ArrayGeometry, PathSet
 from .errors import (
     CampaignError,
     InvalidInputError,
@@ -21,7 +21,6 @@ from .montecarlo import (
     draw_paths,
     run_campaign,
     run_trials,
-    trial_rng,
 )
 from .pattern import PatternMatrix, assemble_pattern_channel, capacity, ideal_capacity
 from .sof import SofState, SubchannelGram, run_sof
@@ -49,6 +48,4 @@ __all__ = [
     "run_campaign",
     "run_sof",
     "run_trials",
-    "steering_matrix",
-    "trial_rng",
 ]

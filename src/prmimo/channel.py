@@ -34,23 +34,16 @@ class ArrayGeometry:
             # Through object, as the dataclass is frozen.
             object.__setattr__(self, name, require_integer(getattr(self, name), name))
         if self.n_r < 1 or self.n_t < self.n_r:
-            raise InvalidInputError(
-                f"need n_t >= n_r >= 1, got n_t={self.n_t}, n_r={self.n_r}"
-            )
+            raise InvalidInputError(f"need n_t >= n_r >= 1, got n_t={self.n_t}, n_r={self.n_r}")
+        # Steering and coupling phases reach 2*pi*d*(n-1) times a sine
+        # difference of up to 2; past that they overflow in every trial.
         for name, n in (("spacing_t", self.n_t), ("spacing_r", self.n_r)):
-            object.__setattr__(self, name, _check_spacing(n, getattr(self, name), name))
-
-
-def _check_spacing(n, spacing, name):
-    # The spacing rules of ``ArrayGeometry`` and ``steering_matrix``; returns
-    # the spacing as a float. Steering and coupling phases reach 2*pi*d*(n-1)
-    # times a sine difference of up to 2; past that they overflow in every trial.
-    spacing = require_real(spacing, name)
-    if spacing <= 0:
-        raise InvalidInputError(f"{name} must be positive")
-    if not np.isfinite(4.0 * np.pi * spacing * (n - 1)):
-        raise InvalidInputError(f"{name} is too large: its phase 4*pi*d*(n-1) overflows")
-    return spacing
+            spacing = require_real(getattr(self, name), name)
+            if spacing <= 0:
+                raise InvalidInputError(f"{name} must be positive")
+            if not np.isfinite(4.0 * np.pi * spacing * (n - 1)):
+                raise InvalidInputError(f"{name} is too large: its phase 4*pi*d*(n-1) overflows")
+            object.__setattr__(self, name, spacing)
 
 
 @dataclass
@@ -62,10 +55,13 @@ class PathSet:
     aoa: np.ndarray
 
     def __post_init__(self):
-        self.gains = np.atleast_1d(np.asarray(self.gains, dtype=complex))
-        self.aod = np.atleast_1d(np.asarray(self.aod, dtype=float))
-        self.aoa = np.atleast_1d(np.asarray(self.aoa, dtype=float))
-        shapes = {self.gains.shape, self.aod.shape, self.aoa.shape}
+        try:
+            self.gains = np.atleast_1d(np.asarray(self.gains, dtype=complex))
+            self.aod = np.atleast_1d(np.asarray(self.aod, dtype=float))
+            self.aoa = np.atleast_1d(np.asarray(self.aoa, dtype=float))
+            shapes = {self.gains.shape, self.aod.shape, self.aoa.shape}
+        except ValueError:  # a ragged list, such as [[1, 2], [1]], has no shape
+            shapes = set()
         if len(shapes) != 1 or self.gains.ndim > 2 or self.gains.size < 1:
             raise InvalidInputError("gains, aod and aoa must share one length >= 1")
         for name, values in (("gains", self.gains), ("aod", self.aod), ("aoa", self.aoa)):
@@ -80,29 +76,9 @@ class PathSet:
 
 
 def steering_phases(n, spacing, angles):
-    """Entry (k, l) is ``exp(-j*2*pi*spacing*k*sin(angles[l]))``.
+    """Entry (..., k, l) is ``exp(-j*2*pi*spacing*k*sin(angles[..., l]))``.
 
-    ``steering_matrix`` before its 1/sqrt(n); the factored Gram matrix of
-    ``prmimo.sof`` takes these phases unnormalized.
+    Over sqrt(n), the unit-norm steering matrices of the channel formula;
+    the factored Gram matrix of ``prmimo.sof`` takes them unnormalized.
     """
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
     return np.exp(-2j * np.pi * spacing * (np.arange(n)[:, None] * np.sin(angles)[..., None, :]))
-
-
-def steering_matrix(n, spacing, angles):
-    """Unit-norm n-element ULA responses, one column per azimuth.
-
-    Entry (k, l) (0-based) is
-    ``exp(-j*2*pi*spacing*k*sin(angles[l])) / sqrt(n)``; a (T, L) stack
-    of azimuths gives a (T, n, L) stack. ``n`` and ``spacing`` follow the
-    rules of ``ArrayGeometry``, and the azimuths must be finite.
-    """
-    n = require_integer(n, "antenna count")
-    if n < 1:
-        raise InvalidInputError("antenna count must be >= 1")
-    spacing = _check_spacing(n, spacing, "spacing")
-    angles = np.asarray(angles, dtype=float)
-    if not np.isfinite(angles).all():
-        raise InvalidInputError("angles must be finite")
-    return steering_phases(n, spacing, angles) / np.sqrt(n)
-

@@ -75,15 +75,6 @@ def _check_clusters(n_cl, n_ray, angle_spread, condition):
         raise InvalidInputError(f"ill-conditioned profile needs n_cl >= {ILL_MIN_CLUSTERS}")
 
 
-def _check_nonnegative(value, name):
-    # The rule of ``trial_rng``'s arguments, an integer >= 0: the master
-    # seed's rule, which ``Scenario`` checks here too.
-    value = require_integer(value, name)
-    if value < 0:
-        raise InvalidInputError(f"{name.replace('_', ' ')} must be >= 0, got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One reproducible experiment configuration.
@@ -108,10 +99,15 @@ class Scenario:
         if not isinstance(self.geometry, ArrayGeometry):
             raise InvalidInputError(f"geometry must be an ArrayGeometry, got {self.geometry!r}")
         # Through object, as the dataclass is frozen.
-        for name in ("n_cl", "n_ray", "trials"):
+        for name in ("n_cl", "n_ray", "trials", "master_seed"):
             object.__setattr__(self, name, require_integer(getattr(self, name), name))
-        object.__setattr__(self, "master_seed", _check_nonnegative(self.master_seed, "master_seed"))
-        if np.asarray(self.snr_db).dtype.kind not in "iuf":
+        if self.master_seed < 0:
+            raise InvalidInputError(f"master seed must be >= 0, got {self.master_seed}")
+        try:
+            kind = np.asarray(self.snr_db).dtype.kind
+        except ValueError as exc:  # a ragged grid, such as [[1, 2], [3]]
+            raise InvalidInputError("snr grid must be one-dimensional") from exc
+        if kind not in "iuf":
             raise InvalidInputError("snr grid must be real")
         snr_db = np.array(self.snr_db, dtype=float, ndmin=1)
         snr_db.flags.writeable = False
@@ -163,30 +159,17 @@ class CapacityCurve:
             raise InvalidInputError("curve statistics must be finite")
 
 
-def trial_rng(master_seed, trial_index):
-    """Independent per-trial generator, a pure function of (seed, index).
-
-    The stream is derived by hashing the master seed with the trial index
-    as a spawn key, so trials can run in any order on any worker and
-    still reproduce bit-identically. Both are integers >= 0.
-    """
-    seq = np.random.SeedSequence(
-        _check_nonnegative(master_seed, "master_seed"),
-        spawn_key=(_check_nonnegative(trial_index, "trial_index"),),
-    )
-    return np.random.default_rng(seq)
-
-
 def draw_paths(scenario, start, stop):
     """The path sets of trials ``start .. stop-1``, as (stop - start, L) arrays.
 
-    Each trial draws from its own stream, ``trial_rng(master_seed,
-    index)``, in this order: the ``good`` regime's cluster power ratios
-    (magnitudes of ``n_cl`` standard normals; ``ill`` fixes them at
-    100:50:50:1:...:1 and draws none), the cluster mean departures, then
-    arrivals (uniform on [-pi/2, pi/2]), the ray gains' real parts, then
-    imaginary parts, and the ray departures, then arrivals. So a
-    (seed, index) pair maps to exactly one path set, whatever the batch.
+    Each trial draws from its own stream,
+    ``default_rng(SeedSequence(master_seed, spawn_key=(index,)))``, in
+    this order: the ``good`` regime's cluster power ratios (magnitudes of
+    ``n_cl`` standard normals; ``ill`` fixes them at 100:50:50:1:...:1 and
+    draws none), the cluster mean departures, then arrivals (uniform on
+    [-pi/2, pi/2]), the ray gains' real parts, then imaginary parts, and
+    the ray departures, then arrivals. So a (seed, index) pair maps to
+    exactly one path set, whatever the batch, worker or order of trials.
 
     The cluster powers ``sigma_sq`` are the ratios rescaled to total
     ``n_t*n_r/n_ray``, which keeps the expected squared Frobenius norm of
@@ -204,13 +187,13 @@ def draw_paths(scenario, start, stop):
         raise InvalidInputError(
             f"trial range [{start}, {stop}) is empty or outside [0, {scenario.trials})"
         )
-    n_cl, n_ray = scenario.n_cl, scenario.n_ray
+    n_cl, n_ray, seed = scenario.n_cl, scenario.n_ray, scenario.master_seed
     ratios = np.empty((stop - start, n_cl))
     real, imag, aod, aoa = np.empty((4, stop - start, n_cl * n_ray))
     half = np.sqrt(3.0) * scenario.angle_spread
     good = scenario.condition == "good"
     for row, index in enumerate(range(start, stop)):
-        rng = trial_rng(scenario.master_seed, index)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
         if good:
             ratios[row] = rng.standard_normal(n_cl)
         centers_t = np.repeat(rng.uniform(-HALF_PI, HALF_PI, n_cl), n_ray)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import steering_matrix
+from .channel import steering_phases
 from .errors import InvalidInputError, NumericalFailureError
 from .numerics import require_unit_power_columns
 
@@ -44,6 +44,8 @@ class PatternMatrix:
                 f"p must have one entry per column, got {self.p.shape} for {columns} columns"
             )
         require_unit_power_columns(self.m_hat)
+        if not np.isfinite(self.p).all():
+            raise InvalidInputError("power factors must be finite")
         if np.any(self.p < 0):
             raise InvalidInputError("power factors must be nonnegative")
         self.m = self.m_hat * self.p[..., None, :]
@@ -123,7 +125,7 @@ def assemble_pattern_channel(geometry, paths, pattern):
             f"pattern shape {pattern.m.shape} does not fit n_t={geometry.n_t} "
             f"and paths of shape {paths.gains.shape}"
         )
-    a_r = steering_matrix(geometry.n_r, geometry.spacing_r, paths.aoa)
-    a_t = steering_matrix(geometry.n_t, geometry.spacing_t, paths.aod)
+    a_r = steering_phases(geometry.n_r, geometry.spacing_r, paths.aoa) / np.sqrt(geometry.n_r)
+    a_t = steering_phases(geometry.n_t, geometry.spacing_t, paths.aod) / np.sqrt(geometry.n_t)
     return (a_r * paths.gains[..., None, :]) @ (a_t * pattern.m).conj().swapaxes(-1, -2)
 

@@ -8,9 +8,9 @@ from collections import namedtuple
 
 import numpy as np
 
-from prmimo import InvalidInputError, PathSet, steering_matrix, trial_rng
+from prmimo import InvalidInputError, PathSet
 from prmimo.cfpa import EPS_FLOOR
-from prmimo.channel import HALF_PI
+from prmimo.channel import HALF_PI, steering_phases
 
 
 def steering_vector(n, spacing, angle):
@@ -24,6 +24,17 @@ def steering_vector(n, spacing, angle):
         raise InvalidInputError("spacing must be positive")
     phase = -2j * np.pi * spacing * np.sin(angle) * np.arange(n)
     return np.exp(phase) / np.sqrt(n)
+
+
+def steering_matrix(n, spacing, angles):
+    """Unit-norm n-element ULA responses, one column per azimuth.
+
+    The library's per-side expression in ``assemble_pattern_channel``,
+    so that a product built from it carries the library's bits; a (T, L)
+    stack of azimuths gives a (T, n, L) stack. ``steering_vector`` states
+    each column on its own.
+    """
+    return steering_phases(n, spacing, angles) / np.sqrt(n)
 
 
 def singular_values(a):
@@ -159,13 +170,15 @@ ClusterProfile = namedtuple("ClusterProfile", "n_cl n_ray sigma_sq angle_spread"
 
 
 def per_trial_draw(scenario, trial_index):
-    """One trial's path set, drawn alone from ``trial_rng(seed, index)``.
+    """One trial's path set, drawn alone from its own stream.
 
-    Draw order within the trial stream: cluster power profile (randomized
-    only for the good-conditioned regime), cluster mean departures,
-    cluster mean arrivals, then the per-ray path set.
+    The stream hashes the master seed with the trial index as a spawn
+    key. Draw order within it: cluster power profile (randomized only for
+    the good-conditioned regime), cluster mean departures, cluster mean
+    arrivals, then the per-ray path set.
     """
-    rng = trial_rng(scenario.master_seed, trial_index)
+    seq = np.random.SeedSequence(scenario.master_seed, spawn_key=(trial_index,))
+    rng = np.random.default_rng(seq)
     profile = condition_profile(
         scenario.condition,
         scenario.geometry,

@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import fresh_interpreter, one_trial, physical_channel, trial_paths
+from oracles import steering_matrix
 import prmimo.montecarlo as montecarlo
 import prmimo.numerics as numerics
 from prmimo import (
@@ -27,8 +28,6 @@ from prmimo import (
     ideal_capacity,
     run_campaign,
     run_trials,
-    steering_matrix,
-    trial_rng,
 )
 
 
@@ -136,38 +135,6 @@ class TestScenario:
         assert not scenario.snr_db.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             scenario.snr_db[0] = 40.0
-
-
-class TestTrialRng:
-    def test_reproducible(self):
-        a = trial_rng(123, 7).standard_normal(5)
-        b = trial_rng(123, 7).standard_normal(5)
-        assert np.array_equal(a, b)
-
-    def test_independent_indices(self):
-        a = trial_rng(123, 0).standard_normal(5)
-        b = trial_rng(123, 1).standard_normal(5)
-        assert not np.allclose(a, b)
-
-    @pytest.mark.parametrize("index", [1.5, True, "1"])
-    def test_rejects_a_trial_index_that_is_not_an_integer(self, index):
-        with pytest.raises(InvalidInputError, match="trial_index must be an integer"):
-            trial_rng(123, index)
-
-    @pytest.mark.parametrize("seed", [1.5, False])
-    def test_rejects_a_seed_that_is_not_an_integer(self, seed):
-        with pytest.raises(InvalidInputError, match="master_seed must be an integer"):
-            trial_rng(seed, 0)
-
-    def test_rejects_negative_arguments(self):
-        with pytest.raises(InvalidInputError, match="trial index must be >= 0, got -1"):
-            trial_rng(123, -1)
-        with pytest.raises(InvalidInputError, match="master seed must be >= 0, got -2"):
-            trial_rng(-2, 0)
-
-    def test_numpy_integers_give_the_int_stream(self):
-        a = trial_rng(np.int64(123), np.uint8(7)).standard_normal(5)
-        assert np.array_equal(a, trial_rng(123, 7).standard_normal(5))
 
 
 class TestIdealCapacity:

@@ -13,7 +13,7 @@ from helpers import (
     stack_paths,
     subchannel_gram,
 )
-from oracles import modified_subchannels, singular_values
+from oracles import modified_subchannels, singular_values, steering_matrix
 from prmimo import (
     ArrayGeometry,
     InvalidInputError,
@@ -21,7 +21,6 @@ from prmimo import (
     PatternMatrix,
     assemble_pattern_channel,
     capacity,
-    steering_matrix,
 )
 from prmimo.numerics import COLUMN_NORM_RTOL, HERMITIAN_TOL
 import prmimo.sof as sof
@@ -91,6 +90,14 @@ class TestPatternMatrix:
     def test_rejects_negative_power_factor(self):
         with pytest.raises(InvalidInputError):
             PatternMatrix(m_hat=np.ones((4, 1)), p=np.array([-1.0]))
+
+    # A NaN factor passed the nonnegative check, and an infinite one too;
+    # either gave an all-NaN channel with numpy warnings.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_power_factors(self, bad):
+        with pytest.raises(InvalidInputError, match="power factors must be finite"):
+            PatternMatrix(m_hat=np.ones((2, 2)), p=[bad, 1.0])
 
     def test_rejects_factors_that_do_not_match_the_columns(self):
         message = r"p must have one entry per column, got \(3,\) for \(2,\) columns"

@@ -2,9 +2,9 @@
 
 Each rule is stated once, by the module that owns it: the cluster rules,
 the seed rule, the request rules and the grid's rules all in
-``montecarlo`` (``_check_clusters``, ``_check_nonnegative``,
-``_check_request``, ``_check_finite_grid``, and ``Scenario`` itself for
-the grid's shape and type and the geometry's type), the real-number rule
+``montecarlo`` (``_check_clusters``, ``_check_request``,
+``_check_finite_grid``, and ``Scenario`` itself for the seed, the grid's
+shape and type and the geometry's type), the real-number rule
 of the angle spread in ``numerics.require_real``, and the grid text's
 form in ``cli.parse_snr_grid``.
 Whichever door a bad value comes in by, the same check raises it with
@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
-from prmimo import ArrayGeometry, InvalidInputError, Scenario, run_campaign, trial_rng
+from prmimo import ArrayGeometry, InvalidInputError, Scenario, run_campaign
 from prmimo.cli import UsageError, main, parse_config
 from prmimo.montecarlo import ILL_MIN_CLUSTERS, SCHEMES
 
@@ -49,7 +49,6 @@ LIBRARY = {
         snr_db=s["snr_db"],
         master_seed=s["master_seed"],
     ),
-    "trial_rng": lambda s: trial_rng(s["master_seed"], 0),
     "run_campaign": lambda s: run_campaign(
         Scenario(GEOMETRY, trials=2),
         schemes=s["schemes"],
@@ -91,8 +90,8 @@ RULES = [
      "condition", "bad", {"condition": "bad"}, ("Scenario",)),
     (f"ill-conditioned profile needs n_cl >= {ILL_MIN_CLUSTERS}", "_check_clusters",
      "ncl", str(ILL_MIN_CLUSTERS - 1), {"n_cl": ILL_MIN_CLUSTERS - 1}, ("Scenario",)),
-    ("master seed must be >= 0, got -1", "_check_nonnegative",
-     "seed", "-1", {"master_seed": -1}, ("Scenario", "trial_rng")),
+    ("master seed must be >= 0, got -1", "__post_init__",
+     "seed", "-1", {"master_seed": -1}, ("Scenario",)),
     ("bad snr grid 'a:1:2': could not convert string to float: 'a'", "parse_snr_grid",
      "snr_db", "a:1:2", {}, ()),
     ("snr grid values must be finite", "_check_finite_grid",
@@ -101,6 +100,9 @@ RULES = [
      "snr_db", "0:1:inf", {"snr_db": np.array([0.0, np.inf])}, ("Scenario",)),
     ("snr grid must be one-dimensional", "__post_init__",
      "snr_db", None, {"snr_db": [[0.0, 10.0], [5.0, 20.0]]}, ("Scenario",)),
+    # numpy's own ValueError escaped for a ragged grid.
+    ("snr grid must be one-dimensional", "__post_init__",
+     "snr_db", None, {"snr_db": [[1, 2], [3]]}, ("Scenario",)),
     ("snr grid must be real", "__post_init__",
      "snr_db", None, {"snr_db": [10 + 5j]}, ("Scenario",)),
     ("snr grid must be real", "__post_init__",
@@ -130,11 +132,15 @@ RULES = [
 
 
 def _label(value):
-    # A library-only value in a case id: its repr if it is a scalar or a
-    # list of strings or bools, else its shape.
-    if np.ndim(value) == 0 or isinstance(value, list) and np.asarray(value).dtype.kind in "bU":
+    # A library-only value in a case id: its repr if it is a scalar, a
+    # ragged list or a list of strings or bools, else its shape.
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged
         return repr(value)
-    return np.shape(value)
+    if array.ndim == 0 or isinstance(value, list) and array.dtype.kind in "bU":
+        return repr(value)
+    return array.shape
 
 
 CASES = [
