@@ -4,8 +4,10 @@ Each rule is stated once, by the module that owns it: the cluster rules,
 the seed rule, the request rules and the grid's rules all in
 ``montecarlo`` (``_check_clusters``, ``_check_request``,
 ``_check_finite_grid``, and ``Scenario`` itself for the seed, the grid's
-shape and type and the geometry's type), the real-number rule
-of the angle spread in ``numerics.require_real``, and the grid text's
+shape and type and the geometry's type), the array's count and spacing
+rules in ``channel.ArrayGeometry``, the integer rule of the counts and the
+seed in ``numerics.require_integer``, the real-number rule of the angle
+spread and the spacings in ``numerics.require_real``, and the grid text's
 form in ``cli.parse_snr_grid``.
 Whichever door a bad value comes in by, the same check raises it with
 the same message; the CLI adds only its usage-error prefix and, for a
@@ -33,6 +35,10 @@ SETTINGS = {
     "condition": "ill",
     "snr_db": np.array([0.0, 10.0]),
     "master_seed": 12345,
+    # The array as the CLI builds it by default: one spacing at both ends.
+    "n_t": 32,
+    "n_r": 8,
+    "spacing": 0.5,
     "schemes": SCHEMES,
     "workers": 1,
     "safeguard": False,
@@ -40,6 +46,9 @@ SETTINGS = {
 
 # The library doors, each called with the settings.
 LIBRARY = {
+    "ArrayGeometry": lambda s: ArrayGeometry(
+        s["n_t"], s["n_r"], spacing_t=s["spacing"], spacing_r=s["spacing"]
+    ),
     "Scenario": lambda s: Scenario(
         s["geometry"],
         n_cl=s["n_cl"],
@@ -67,6 +76,27 @@ READ_KEYS = ("snr_db",)
 # line) accept every rule with a CLI text; one without (text None) can
 # only come in by a library door.
 RULES = [
+    ("need n_t >= n_r >= 1, got n_t=32, n_r=0", "__post_init__",
+     "nr", "0", {"n_r": 0}, ("ArrayGeometry",)),
+    # The CLI's counts are read as ints, so these come in by the library only.
+    ("n_t must be an integer, got 2.5", "require_integer",
+     "n_t", None, {"n_t": 2.5}, ("ArrayGeometry",)),
+    ("n_r must be an integer, got True", "require_integer",
+     "n_r", None, {"n_r": True}, ("ArrayGeometry",)),
+    ("spacing_t must be positive", "__post_init__",
+     "spacing", "0", {"spacing": 0.0}, ("ArrayGeometry",)),
+    ("spacing_t must be finite", "require_real",
+     "spacing", "nan", {"spacing": np.nan}, ("ArrayGeometry",)),
+    ("spacing_t must be finite", "require_real",
+     "spacing", "inf", {"spacing": np.inf}, ("ArrayGeometry",)),
+    ("spacing_t is too large: its phase 4*pi*d*(n-1) overflows", "__post_init__",
+     "spacing", "1e308", {"spacing": 1e308}, ("ArrayGeometry",)),
+    ("spacing_t must be a real number, got True", "require_real",
+     "spacing", None, {"spacing": True}, ("ArrayGeometry",)),
+    ("spacing_t must be a real number, got '0.5'", "require_real",
+     "spacing", None, {"spacing": "0.5"}, ("ArrayGeometry",)),
+    ("spacing_t must be a real number, got [0.5, 0.5]", "require_real",
+     "spacing", None, {"spacing": [0.5, 0.5]}, ("ArrayGeometry",)),
     ("cluster and ray counts must be >= 1", "_check_clusters",
      "ncl", "0", {"n_cl": 0}, ("Scenario",)),
     ("cluster and ray counts must be >= 1", "_check_clusters",
@@ -92,6 +122,11 @@ RULES = [
      "ncl", str(ILL_MIN_CLUSTERS - 1), {"n_cl": ILL_MIN_CLUSTERS - 1}, ("Scenario",)),
     ("master seed must be >= 0, got -1", "__post_init__",
      "seed", "-1", {"master_seed": -1}, ("Scenario",)),
+    # The CLI's seed is read as an int, so these come in by the library only.
+    ("master_seed must be an integer, got 1.5", "require_integer",
+     "master_seed", None, {"master_seed": 1.5}, ("Scenario",)),
+    ("master_seed must be an integer, got False", "require_integer",
+     "master_seed", None, {"master_seed": False}, ("Scenario",)),
     ("bad snr grid 'a:1:2': could not convert string to float: 'a'", "parse_snr_grid",
      "snr_db", "a:1:2", {}, ()),
     ("snr grid values must be finite", "_check_finite_grid",
