@@ -23,7 +23,7 @@ from .montecarlo import (
     run_trials,
 )
 from .pattern import PatternMatrix, assemble_pattern_channel, capacity, ideal_capacity
-from .sof import SofState, SubchannelGram, run_sof
+from .sof import SofState, run_sof
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,6 @@ __all__ = [
     "PrMimoError",
     "Scenario",
     "SofState",
-    "SubchannelGram",
     "allocate_power",
     "assemble_pattern_channel",
     "capacity",

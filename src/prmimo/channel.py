@@ -48,20 +48,26 @@ class ArrayGeometry:
 
 @dataclass
 class PathSet:
-    """Complex path gains with their departure and arrival azimuths (or T stacked)."""
+    """Complex path gains with their departure and arrival azimuths (or T stacked).
+
+    Gains are integers, floats or complex, azimuths integers or floats.
+    """
 
     gains: np.ndarray
     aod: np.ndarray
     aoa: np.ndarray
 
     def __post_init__(self):
-        try:
-            self.gains = np.atleast_1d(np.asarray(self.gains, dtype=complex))
-            self.aod = np.atleast_1d(np.asarray(self.aod, dtype=float))
-            self.aoa = np.atleast_1d(np.asarray(self.aoa, dtype=float))
-            shapes = {self.gains.shape, self.aod.shape, self.aoa.shape}
-        except ValueError:  # a ragged list, such as [[1, 2], [1]], has no shape
-            shapes = set()
+        # Each array's type before its conversion, as ``Scenario`` checks its grid's.
+        for name, number in (("gains", "real or complex"), ("aod", "real"), ("aoa", "real")):
+            try:
+                values = np.atleast_1d(np.asarray(getattr(self, name)))
+            except ValueError:  # a ragged list, such as [[1, 2], [1]], fails the length rule
+                values = np.empty(0)
+            if values.dtype.kind not in ("iufc" if name == "gains" else "iuf"):
+                raise InvalidInputError(f"path {name} must be {number}, got dtype {values.dtype}")
+            setattr(self, name, values.astype(complex if name == "gains" else float, copy=False))
+        shapes = {self.gains.shape, self.aod.shape, self.aoa.shape}
         if len(shapes) != 1 or self.gains.ndim > 2 or self.gains.size < 1:
             raise InvalidInputError("gains, aod and aoa must share one length >= 1")
         for name, values in (("gains", self.gains), ("aod", self.aod), ("aoa", self.aoa)):

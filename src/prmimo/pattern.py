@@ -5,7 +5,7 @@ per-path gain matrix. This module holds the package's one channel
 formula (the physical channel is its value at the all-ones
 ``PatternMatrix``) and its one capacity routine; the design sees the
 channel only through the Gram matrix of the normalized modified
-subchannels, in ``prmimo.sof``.
+subchannels, which ``prmimo.sof.SofState`` holds.
 """
 
 from dataclasses import dataclass, field

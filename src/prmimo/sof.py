@@ -1,4 +1,4 @@
-"""The subchannel Gram matrix and the sequential correlation modification.
+"""The sequential correlation modification and the state it leaves.
 
 The design sees the channel only through the Gram matrix of the
 normalized modified subchannels. This module builds it in factored form
@@ -11,7 +11,9 @@ already-designed columns: the quadratic form of that objective is
 assembled, its smallest eigenvector is projected onto the nonnegative
 orthant, and the result is rescaled to the required norm. The procedure
 is a feasible heuristic, not a global optimum; the tests bound its gap
-against an exhaustive grid search at small sizes.
+against an exhaustive grid search at small sizes. The finished
+``SofState`` holds the columns with their Gram matrix, the one value the
+power allocation is based on.
 """
 
 from dataclasses import dataclass
@@ -21,43 +23,6 @@ import numpy as np
 from .channel import PathSet, steering_phases
 from .errors import InvalidInputError, NumericalFailureError
 from .numerics import COLUMN_NORM_RTOL, HERMITIAN_TOL
-
-
-@dataclass
-class SubchannelGram:
-    """Gram matrix of normalized modified subchannels, or T stacked (T, L, L).
-
-    It holds the matrix alone, finite, Hermitian within ``HERMITIAN_TOL``
-    and with a unit diagonal; its ``indicator`` is derived from it. The
-    library's Gram is the one ``run_sof`` returns with its columns.
-    """
-
-    g: np.ndarray
-
-    def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=complex)
-        if self.g.ndim not in (2, 3) or self.g.shape[-1] != self.g.shape[-2]:
-            raise InvalidInputError("gram matrix must be square")
-        # One matrix at a time, so the checks hold two L x L temporaries
-        # (g^H - g, then its magnitudes) whatever the batch.
-        for g in self.g.reshape((-1,) + self.g.shape[-2:]):
-            if not np.isfinite(g).all():
-                raise InvalidInputError("gram matrix contains non-finite entries")
-            asymmetry = np.conjugate(g.T, order="C")  # numpy buffers a transposed operand
-            asymmetry -= g
-            if np.max(np.abs(asymmetry)) > HERMITIAN_TOL:
-                raise InvalidInputError("gram matrix is not Hermitian within tolerance")
-        if not np.all(np.abs(np.diagonal(self.g, axis1=-2, axis2=-1) - 1.0) <= COLUMN_NORM_RTOL):
-            raise InvalidInputError("gram diagonal must be 1 for normalized subchannels")
-
-    @property
-    def indicator(self):
-        """Per-row sums of squared off-diagonal magnitudes, (L,) or (T, L).
-
-        Entry l is the total correlation of subchannel l with all others.
-        """
-        diagonal = np.arange(self.g.shape[-1])
-        return _squared_off_diagonal(self.g, (..., diagonal, diagonal)).sum(axis=-1)
 
 
 def _initial_state(geometry, paths):
@@ -95,19 +60,52 @@ def _squared_off_diagonal(values, diagonal):
 
 @dataclass
 class SofState:
-    """Finished state of one sequential modification run, or T stacked."""
+    """Finished state of one sequential modification run, or T stacked.
+
+    The visiting ``order`` (a permutation of the path indices), the (n_t, L)
+    columns ``m_hat`` and the (L, L) Gram matrix ``gram`` of the normalized
+    modified subchannels: finite, Hermitian within ``HERMITIAN_TOL``, with
+    a unit diagonal. A stack adds a leading (T,) axis to each.
+    """
 
     order: np.ndarray
     m_hat: np.ndarray
-    gram: SubchannelGram
+    gram: np.ndarray
 
     def __post_init__(self):
         self.order = np.asarray(self.order, dtype=int)
-        n_paths = self.m_hat.shape[-1]
-        if self.order.shape != self.m_hat.shape[:-2] + (n_paths,) or np.any(
+        self.m_hat = np.asarray(self.m_hat, dtype=float)
+        self.gram = np.asarray(self.gram, dtype=complex)
+        if self.m_hat.ndim not in (2, 3) or self.m_hat.shape[-1] < 1:
+            raise InvalidInputError("m_hat must be (n_t, L) or (T, n_t, L) with L >= 1")
+        stack, n_paths = self.m_hat.shape[:-2], self.m_hat.shape[-1]
+        fit = stack + (n_paths, n_paths)
+        if self.gram.shape != fit:
+            raise InvalidInputError(f"gram shape {self.gram.shape} does not fit m_hat: need {fit}")
+        if self.order.shape != stack + (n_paths,) or np.any(
             np.sort(self.order, axis=-1) != np.arange(n_paths)
         ):
             raise InvalidInputError("order must be a permutation of the path indices")
+        # One matrix at a time, so the checks hold two L x L temporaries
+        # (g^H - g, then its magnitudes) whatever the batch.
+        for g in self.gram.reshape((-1, n_paths, n_paths)):
+            if not np.isfinite(g).all():
+                raise InvalidInputError("gram matrix contains non-finite entries")
+            asymmetry = np.conjugate(g.T, order="C")  # numpy buffers a transposed operand
+            asymmetry -= g
+            if np.max(np.abs(asymmetry)) > HERMITIAN_TOL:
+                raise InvalidInputError("gram matrix is not Hermitian within tolerance")
+        if not np.all(np.abs(np.diagonal(self.gram, axis1=-2, axis2=-1) - 1.0) <= COLUMN_NORM_RTOL):
+            raise InvalidInputError("gram diagonal must be 1 for normalized subchannels")
+
+    @property
+    def indicator(self):
+        """Per-row sums of squared off-diagonal Gram magnitudes, (L,) or (T, L).
+
+        Entry l is the total correlation of subchannel l with all others.
+        """
+        diagonal = np.arange(self.gram.shape[-1])
+        return _squared_off_diagonal(self.gram, (..., diagonal, diagonal)).sum(axis=-1)
 
 
 def solve_modification_vector(b_sum):
@@ -236,7 +234,7 @@ def run_sof(geometry, paths):
     """
     if paths.gains.ndim == 1:
         state = run_sof(geometry, PathSet(paths.gains[None], paths.aod[None], paths.aoa[None]))
-        return SofState(state.order[0], state.m_hat[0], SubchannelGram(state.gram.g[0]))
+        return SofState(state.order[0], state.m_hat[0], state.gram[0])
     n_trials, n_paths = paths.gains.shape
     rows = np.arange(n_trials)[:, None]
     recv, basis, g = _initial_state(geometry, paths)
@@ -266,4 +264,4 @@ def run_sof(geometry, paths):
     del recv, sq, basis
     m_hat = np.empty_like(m_prior)
     np.put_along_axis(m_hat, order[:, None, :], m_prior, axis=2)
-    return SofState(order=order, m_hat=m_hat, gram=SubchannelGram(g=g))
+    return SofState(order=order, m_hat=m_hat, gram=g)

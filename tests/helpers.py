@@ -13,7 +13,7 @@ from oracles import direct_trace_gram, full_phase_penalty_matrix
 from prmimo import (
     PathSet,
     PatternMatrix,
-    SubchannelGram,
+    SofState,
     assemble_pattern_channel,
     draw_paths,
     run_sof,
@@ -55,12 +55,23 @@ def physical_channel(geometry, paths):
     return assemble_pattern_channel(geometry, paths, neutral_pattern(geometry.n_t, len(paths)))
 
 
-def subchannel_gram(geometry, paths, m_hat):
-    """``SubchannelGram`` of the columns ``m_hat`` from explicit traces.
+def gram_state(g, m_hat=None):
+    """A ``SofState`` holding the Gram matrix ``g`` (or a stack), in index order.
+
+    ``m_hat`` defaults to one all-ones row per path: unit-power columns
+    for a one-antenna array, which the state's own checks accept.
+    """
+    g = np.asarray(g)
+    m_hat = np.ones(g.shape[:-2] + (1, g.shape[-1])) if m_hat is None else m_hat
+    return SofState(np.broadcast_to(np.arange(g.shape[-1]), g.shape[:-1]), m_hat, g)
+
+
+def traced_state(geometry, paths, m_hat):
+    """The ``SofState`` of the columns ``m_hat`` with a Gram from explicit traces.
 
     ``paths`` is one path set or a stacked one, with ``m_hat`` stacked alike.
     """
-    return SubchannelGram(direct_trace_gram(geometry, paths, m_hat))
+    return gram_state(direct_trace_gram(geometry, paths, m_hat), m_hat)
 
 
 def one_trial(scenario, index):
@@ -97,7 +108,7 @@ def assert_sof_bits_match_full_phase_penalty(geometry, paths):
         expected = run_sof(geometry, paths)
     for name in ("order", "m_hat"):
         assert getattr(state, name).tobytes() == getattr(expected, name).tobytes(), name
-    assert state.gram.g.tobytes() == expected.gram.g.tobytes()
+    assert state.gram.tobytes() == expected.gram.tobytes()
 
 
 def fresh_interpreter(code, *args, **env):

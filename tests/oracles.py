@@ -118,22 +118,33 @@ def direct_trace_gram(geometry, paths, m_hat):
     return np.einsum("...irt,...jrt->...ij", subchannels.conj(), subchannels)
 
 
+def kept_weights(gains, indicator):
+    """The paper's inverse-correlation weights, zero-gain paths removed first.
+
+    Over the paths of nonzero gain only, ``max(I) / max(I_l, EPS_FLOOR *
+    max(I))`` (all ones for an all-zero indicator); the removed paths get
+    weight 0.
+    """
+    keep = np.abs(gains) > 0.0
+    kept = np.asarray(indicator, dtype=float)[keep]
+    top = kept.max()
+    w_hat = np.zeros(np.shape(gains))
+    w_hat[keep] = 1.0 if top == 0.0 else top / np.maximum(kept, EPS_FLOOR * top)
+    return w_hat
+
+
 def kept_allocation_factors(geometry, gains, g, indicator):
     """The paper's closed-form power factors, zero-gain paths removed first.
 
     ``allocate_power`` returns these factors rescaled by one factor to the
     power budget of the gain-weighted sum. Over the paths of nonzero gain
-    only: weights
-    ``max(I) / max(I_l, EPS_FLOOR * max(I))`` (all ones for an all-zero
-    indicator), proportions ``w = w_hat / sum(w_hat)``, scale factor
-    ``delta = sqrt(n_t*n_r / w^T Re(G) w)`` on the kept rows and columns
-    of the Gram matrix, and factors ``w * delta / |gain|``. The removed
-    paths get factor 0.
+    only: weights ``kept_weights``, proportions ``w = w_hat / sum(w_hat)``,
+    scale factor ``delta = sqrt(n_t*n_r / w^T Re(G) w)`` on the kept rows
+    and columns of the Gram matrix, and factors ``w * delta / |gain|``.
+    The removed paths get factor 0.
     """
     keep = np.abs(gains) > 0.0
-    kept = np.asarray(indicator, dtype=float)[keep]
-    top = kept.max()
-    w_hat = np.ones(kept.size) if top == 0.0 else top / np.maximum(kept, EPS_FLOOR * top)
+    w_hat = kept_weights(gains, indicator)[keep]
     w = w_hat / w_hat.sum()
     delta = np.sqrt(geometry.n_t * geometry.n_r / (w @ np.real(g)[np.ix_(keep, keep)] @ w))
     p = np.zeros(np.shape(gains))

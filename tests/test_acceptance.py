@@ -149,7 +149,7 @@ def test_03_gram_closed_form_oracle():
         state = run_sof(geom, paths)
         subs = modified_subchannels(geom, paths, state.m_hat)
         direct = np.einsum("irt,jrt->ij", subs.conj(), subs)
-        worst = max(worst, float(np.max(np.abs(state.gram.g - direct))))
+        worst = max(worst, float(np.max(np.abs(state.gram - direct))))
     report(3, "gram closed-form oracle", worst <= 1e-12, f"worst abs dev {worst:.2e}")
 
 
@@ -208,10 +208,10 @@ def test_06_power_constraint_audit():
     for index in range(scenario.trials):
         paths = trial_paths(scenario, index)
         state = run_sof(scenario.geometry, paths)
-        pattern = allocate_power(scenario.geometry, paths, state.m_hat, state.gram)
+        pattern = allocate_power(scenario.geometry, paths, state)
         # Renormalization on: the pattern; off: the paper's closed-form factors.
         closed = kept_allocation_factors(
-            scenario.geometry, paths.gains, state.gram.g, state.gram.indicator
+            scenario.geometry, paths.gains, state.gram, state.indicator
         )
         literal = PatternMatrix(m_hat=state.m_hat, p=closed)
         for renormalize, chosen in ((True, pattern), (False, literal)):

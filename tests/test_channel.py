@@ -88,6 +88,33 @@ class TestPathSet:
         with pytest.raises(InvalidInputError, match="must share one length >= 1"):
             PathSet(gains=[[1, 2], [1]], aod=[[0.0, 0.1], [0.0]], aoa=[[0.0, 0.2], [0.0]])
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            # Reported as a length mismatch.
+            ("gains", ["a"], "path gains must be real or complex, got dtype <U1"),
+            # A bare TypeError escaped.
+            ("aod", [1j], "path aod must be real, got dtype complex128"),
+            # Accepted: a string angle, and a bool gain.
+            ("aod", "0.1", "path aod must be real, got dtype <U3"),
+            ("gains", [True], "path gains must be real or complex, got dtype bool"),
+            ("aoa", [False], "path aoa must be real, got dtype bool"),
+            ("aoa", [None], "path aoa must be real, got dtype object"),
+        ],
+        ids=["string-gain", "complex-aod", "string-aod", "bool-gain", "bool-aoa", "object-aoa"],
+    )
+    def test_rejects_arrays_of_the_wrong_type(self, field, value, message):
+        fields = {"gains": [1.0], "aod": [0.0], "aoa": [0.0], field: value}
+        with pytest.raises(InvalidInputError) as raised:
+            PathSet(**fields)
+        assert str(raised.value) == message
+
+    def test_accepts_integer_float_and_complex_entries(self):
+        paths = PathSet(gains=[1, 2.5, 1j], aod=[0, 1, np.float32(0.5)], aoa=np.zeros(3, dtype=int))
+        assert paths.gains.dtype == complex and paths.aod.dtype == paths.aoa.dtype == float
+        assert np.array_equal(paths.gains, [1.0, 2.5, 1j])
+        assert np.array_equal(paths.aod, [0.0, 1.0, 0.5])
+
     def test_rejects_out_of_range_angles(self):
         with pytest.raises(InvalidInputError):
             PathSet(gains=[1.0], aod=[2.0], aoa=[0.0])

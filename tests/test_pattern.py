@@ -7,11 +7,12 @@ from numpy.testing import assert_allclose
 
 from helpers import (
     feasible_m_hat,
+    gram_state,
     neutral_pattern,
     physical_channel,
     random_paths,
     stack_paths,
-    subchannel_gram,
+    traced_state,
 )
 from oracles import modified_subchannels, singular_values, steering_matrix
 from prmimo import (
@@ -19,12 +20,12 @@ from prmimo import (
     InvalidInputError,
     PathSet,
     PatternMatrix,
+    SofState,
     assemble_pattern_channel,
     capacity,
 )
 from prmimo.numerics import COLUMN_NORM_RTOL, HERMITIAN_TOL
 import prmimo.sof as sof
-from prmimo.sof import SubchannelGram
 
 
 class TestPatternMatrix:
@@ -299,8 +300,8 @@ class TestSubchannelGram:
         rng = np.random.default_rng(56)
         geom = ArrayGeometry(n_t=8, n_r=4)
         paths = random_paths(rng, 6)
-        gram = subchannel_gram(geom, paths, feasible_m_hat(rng, 8, 6))
-        assert_allclose(np.diag(gram.g), np.ones(6), atol=1e-10)
+        traced = traced_state(geom, paths, feasible_m_hat(rng, 8, 6))
+        assert_allclose(np.diag(traced.gram), np.ones(6), atol=1e-10)
 
     def test_orthogonal_receive_angles_cancel(self):
         # Two elements at half-wavelength spacing null out when the sines
@@ -308,14 +309,14 @@ class TestSubchannelGram:
         geom = ArrayGeometry(n_t=4, n_r=2)
         paths = PathSet(gains=[1.0, 1.0], aod=[0.2, -0.4], aoa=[0.0, np.pi / 2])
         rng = np.random.default_rng(57)
-        gram = subchannel_gram(geom, paths, feasible_m_hat(rng, 4, 2))
-        assert abs(gram.g[0, 1]) <= 1e-12
+        traced = traced_state(geom, paths, feasible_m_hat(rng, 4, 2))
+        assert abs(traced.gram[0, 1]) <= 1e-12
 
     def test_identical_paths_fully_correlated(self):
         geom = ArrayGeometry(n_t=4, n_r=2)
         paths = PathSet(gains=[1.0, 2.0], aod=[0.3, 0.3], aoa=[-0.2, -0.2])
-        gram = subchannel_gram(geom, paths, np.ones((4, 2)))
-        assert_allclose(gram.g[0, 1], 1.0, atol=1e-12)
+        traced = traced_state(geom, paths, np.ones((4, 2)))
+        assert_allclose(traced.gram[0, 1], 1.0, atol=1e-12)
 
     def test_matches_direct_trace(self):
         # The library's factored Gram, at the neutral columns it starts from.
@@ -331,32 +332,32 @@ class TestSubchannelGram:
         rng = np.random.default_rng(59)
         geom = ArrayGeometry(n_t=8, n_r=4)
         paths = random_paths(rng, 10)
-        gram = subchannel_gram(geom, paths, feasible_m_hat(rng, 8, 10))
-        assert np.max(np.abs(gram.g)) <= 1.0 + 1e-12
+        traced = traced_state(geom, paths, feasible_m_hat(rng, 8, 10))
+        assert np.max(np.abs(traced.gram)) <= 1.0 + 1e-12
 
     @pytest.mark.parametrize(
         "g, message",
         [
-            (np.ones((2, 3)), "gram matrix must be square"),
-            (np.ones(3), "gram matrix must be square"),
+            (np.ones((2, 3)), r"gram shape \(2, 3\) does not fit m_hat: need \(2, 2\)"),
+            (np.ones(2), r"gram shape \(2,\) does not fit m_hat: need \(2, 2\)"),
             (2.0 * np.eye(2), "gram diagonal must be 1 for normalized subchannels"),
         ],
         ids=["two-by-three", "vector", "diagonal-two"],
     )
     def test_rejects_a_matrix_that_is_no_gram_of_unit_subchannels(self, g, message):
         with pytest.raises(InvalidInputError, match=message):
-            SubchannelGram(g)
+            SofState([0, 1], np.ones((1, 2)), g)
 
     def test_stack_matches_one_set_calls_bit_for_bit(self):
         # The library's factored Gram, at the neutral columns it starts from.
         rng = np.random.default_rng(65)
         geom = ArrayGeometry(n_t=8, n_r=4)
         sets = [random_paths(rng, 6) for _ in range(3)]
-        stacked = SubchannelGram(sof._initial_state(geom, stack_paths(sets))[2])
-        assert stacked.g.shape == (3, 6, 6) and stacked.indicator.shape == (3, 6)
+        stacked = gram_state(sof._initial_state(geom, stack_paths(sets))[2])
+        assert stacked.gram.shape == (3, 6, 6) and stacked.indicator.shape == (3, 6)
         for row, paths in enumerate(sets):
-            single = SubchannelGram(sof._initial_state(geom, paths)[2])
-            assert np.array_equal(stacked.g[row], single.g)
+            single = gram_state(sof._initial_state(geom, paths)[2])
+            assert np.array_equal(stacked.gram[row], single.gram)
             assert np.array_equal(stacked.indicator[row], single.indicator)
 
 
@@ -371,20 +372,19 @@ def hermitian_stack(rng, count, n):
 class TestStackedGramCheck:
     def test_hermitian_stack_passes(self):
         g = hermitian_stack(np.random.default_rng(62), 4, 5)
-        gram = SubchannelGram(g)
-        assert np.array_equal(gram.g, g)
+        assert np.array_equal(gram_state(g).gram, g)
 
     @pytest.mark.parametrize("bad", [0, 2, 3])
     def test_one_non_hermitian_matrix_is_rejected(self, bad):
         g = hermitian_stack(np.random.default_rng(63), 4, 5)
         g[bad, 1, 3] += 2 * HERMITIAN_TOL
         with pytest.raises(InvalidInputError, match="not Hermitian within tolerance"):
-            SubchannelGram(g)
+            gram_state(g)
 
     def test_asymmetry_within_tolerance_passes(self):
         g = hermitian_stack(np.random.default_rng(64), 4, 5)
         g[2, 1, 3] += 0.5 * HERMITIAN_TOL
-        SubchannelGram(g)
+        gram_state(g)
 
     # An off-diagonal NaN compares False with the tolerance, and an inf
     # pair makes inf - inf = NaN in the Hermitian check.
@@ -397,27 +397,27 @@ class TestStackedGramCheck:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match="gram matrix contains non-finite entries"):
-                SubchannelGram(g)
+                gram_state(g)
 
-    def test_gram_is_its_only_field(self):
+    def test_the_indicator_is_derived_not_stored(self):
         g = hermitian_stack(np.random.default_rng(68), 2, 3)
-        assert [f.name for f in dataclasses.fields(SubchannelGram)] == ["g"]
+        assert [f.name for f in dataclasses.fields(SofState)] == ["order", "m_hat", "gram"]
         with pytest.raises(AttributeError):
-            SubchannelGram(g).indicator = np.zeros((2, 3))
+            gram_state(g).indicator = np.zeros((2, 3))
 
 
 class TestCorrelationIndicator:
     def test_identity_gram(self):
-        assert_allclose(SubchannelGram(np.eye(4)).indicator, np.zeros(4))
+        assert_allclose(gram_state(np.eye(4)).indicator, np.zeros(4))
 
     def test_two_by_two(self):
         c = 0.3
         g = np.array([[1.0, c], [c, 1.0]], dtype=complex)
-        assert_allclose(SubchannelGram(g).indicator, [c**2, c**2])
+        assert_allclose(gram_state(g).indicator, [c**2, c**2])
 
     def test_matches_brute_force(self):
         g = hermitian_stack(np.random.default_rng(61), 2, 6)
-        indicator = SubchannelGram(g).indicator
+        indicator = gram_state(g).indicator
         assert indicator.shape == (2, 6)
         for t in range(2):
             for l in range(6):

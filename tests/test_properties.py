@@ -24,11 +24,12 @@ from helpers import (
     physical_channel,
     rescaled_to_budget,
     stack_paths,
-    subchannel_gram,
+    traced_state,
 )
 from oracles import (
     direct_trace_gram,
     kept_allocation_factors,
+    kept_weights,
     modified_subchannels,
     per_trial_draw,
     tensor_power_scaling,
@@ -49,7 +50,7 @@ from prmimo import (
     run_sof,
     run_trials,
 )
-from prmimo.cfpa import _gram_power, cfpa_weights
+from prmimo.cfpa import _gram_power
 from prmimo.numerics import COLUMN_NORM_RTOL, one_blas_thread
 
 HALF_PI = np.pi / 2.0
@@ -97,19 +98,19 @@ def path_sets(draw, max_paths=12, n_paths=None):
 @given(geometry=geometries(), paths=path_sets())
 def test_gram_scale_factor_matches_tensor_oracle(geometry, paths):
     state = run_sof(geometry, paths)
-    pattern = allocate_power(geometry, paths, state.m_hat, state.gram)
+    pattern = allocate_power(geometry, paths, state)
 
     # The paper's closed form, w * delta / |gain| with delta from the
     # explicit slabs: zero-gain paths have proportion 0, so they add
     # nothing to the sum, and their factor is 0.
     magnitudes = np.abs(paths.gains)
     keep = magnitudes > 0.0
-    w_hat = np.where(keep, cfpa_weights(np.where(keep, state.gram.indicator, 0.0)), 0.0)
+    w_hat = kept_weights(paths.gains, state.indicator)
     w = w_hat / w_hat.sum()
     subchannels = modified_subchannels(geometry, paths, state.m_hat)
     delta = tensor_power_scaling(geometry, subchannels, w)
     closed = w * delta / np.where(keep, magnitudes, 1.0)
-    expected = rescaled_to_budget(geometry, paths.gains, state.gram.g, closed)
+    expected = rescaled_to_budget(geometry, paths.gains, state.gram, closed)
     assert np.all(np.abs(pattern.p - expected) <= 1e-13 * expected)
 
     h = assemble_pattern_channel(geometry, paths, pattern)
@@ -135,10 +136,10 @@ def test_lockstep_sof_matches_single_runs_and_keeps_gram_invariants(batch):
         single = run_sof(geometry, paths)
         assert np.array_equal(stacked.order[row], single.order)
         assert np.array_equal(stacked.m_hat[row], single.m_hat)
-        assert np.array_equal(stacked.gram.g[row], single.gram.g)
-        assert np.array_equal(stacked.gram.indicator[row], single.gram.indicator)
+        assert np.array_equal(stacked.gram[row], single.gram)
+        assert np.array_equal(stacked.indicator[row], single.indicator)
 
-        g = stacked.gram.g[row]
+        g = stacked.gram[row]
         assert np.array_equal(g, g.conj().T)
         assert np.all(np.abs(np.diag(g) - 1.0) <= COLUMN_NORM_RTOL)
         assert np.max(np.abs(g - direct_trace_gram(geometry, paths, stacked.m_hat[row]))) <= 1e-12
@@ -164,10 +165,8 @@ def test_zero_gain_paths_are_left_out_of_the_allocation(batch):
         assert np.array_equal(pattern.p[row], single_pattern.p)
 
         keep = np.abs(paths.gains) > 0.0
-        closed = kept_allocation_factors(
-            geometry, paths.gains, state.gram.g, state.gram.indicator
-        )
-        expected = rescaled_to_budget(geometry, paths.gains, state.gram.g, closed)
+        closed = kept_allocation_factors(geometry, paths.gains, state.gram, state.indicator)
+        expected = rescaled_to_budget(geometry, paths.gains, state.gram, closed)
         p = single_pattern.p
         assert p.shape == paths.gains.shape
         assert np.all(p[~keep] == 0.0)
@@ -211,13 +210,13 @@ def test_gram_power_matches_assembled_channel_power(case):
     # error is relative to (sum |c_l|)^2, the power when nothing cancels;
     # a sum that cancels has no relative accuracy in either form.
     geometry, paths, pattern = case
-    gram = subchannel_gram(geometry, paths, pattern.m_hat)
+    traced = traced_state(geometry, paths, pattern.m_hat)
     h = assemble_pattern_channel(geometry, paths, pattern)
     assembled = np.sum(np.abs(h.reshape(h.shape[:-2] + (-1,))) ** 2, axis=-1)
     c = paths.gains * pattern.p
     scale = np.sum(np.abs(c), axis=-1) ** 2
     try:
-        power = _gram_power(gram.g, c)
+        power = _gram_power(traced.gram, c)
     except NumericalFailureError:
         assert np.any(assembled <= 1e-12 * scale)
         return
@@ -365,8 +364,8 @@ def test_relabeling_the_paths_permutes_the_design(shape, seed):
     assert_close(physical_r, physical)
     assert_close(designed_r, designed)
 
-    initial = subchannel_gram(geometry, paths, np.ones(state.m_hat.shape)).indicator
-    untied = separated(initial) & separated(state.gram.indicator)
+    initial = traced_state(geometry, paths, np.ones(state.m_hat.shape)).indicator
+    untied = separated(initial) & separated(state.indicator)
     assert np.any(untied)
     for t in np.flatnonzero(untied):
         assert np.array_equal(perm[t][state_r.order[t]], state.order[t])

@@ -3,12 +3,13 @@
 Each rule is stated once, by the module that owns it: the cluster rules,
 the seed rule, the request rules and the grid's rules all in
 ``montecarlo`` (``_check_clusters``, ``_check_request``,
-``_check_finite_grid``, and ``Scenario`` itself for the seed, the grid's
-shape and type and the geometry's type), the array's count and spacing
-rules in ``channel.ArrayGeometry``, the integer rule of the counts and the
-seed in ``numerics.require_integer``, the real-number rule of the angle
-spread and the spacings in ``numerics.require_real``, and the grid text's
-form in ``cli.parse_snr_grid``.
+``_check_finite_grid``, and ``Scenario`` itself for the seed, the trial
+count, the grid's shape, type, size and linear range and the geometry's
+type), the array's count and spacing rules in ``channel.ArrayGeometry``,
+the integer rule of the counts and the seed in
+``numerics.require_integer``, the real-number rule of the angle spread
+and the spacings in ``numerics.require_real``, and the grid text's form
+in ``cli.parse_snr_grid``.
 Whichever door a bad value comes in by, the same check raises it with
 the same message; the CLI adds only its usage-error prefix and, for a
 config-file value, the file line. It exits 1 before any output directory
@@ -34,6 +35,7 @@ SETTINGS = {
     "angle_spread": np.deg2rad(3.0),
     "condition": "ill",
     "snr_db": np.array([0.0, 10.0]),
+    "trials": 2,
     "master_seed": 12345,
     # The array as the CLI builds it by default: one spacing at both ends.
     "n_t": 32,
@@ -56,6 +58,7 @@ LIBRARY = {
         condition=s["condition"],
         angle_spread=s["angle_spread"],
         snr_db=s["snr_db"],
+        trials=s["trials"],
         master_seed=s["master_seed"],
     ),
     "run_campaign": lambda s: run_campaign(
@@ -66,9 +69,10 @@ LIBRARY = {
     ),
 }
 
-# The keys whose text the CLI checks as it reads it: a config-file line
-# that fails names its line before the message, not after it.
-READ_KEYS = ("snr_db",)
+# The checks the CLI runs on a key's text as it reads it: a config-file
+# line that fails one names its line before the message, not after it.
+# A rule of the same key that ``Scenario`` checks names it after.
+READ_OWNERS = ("parse_snr_grid", "_check_finite_grid")
 
 # One row per broken rule: its message, its owning check, the CLI key and
 # text that break it, the same value as the library takes it, and the
@@ -78,6 +82,8 @@ READ_KEYS = ("snr_db",)
 RULES = [
     ("need n_t >= n_r >= 1, got n_t=32, n_r=0", "__post_init__",
      "nr", "0", {"n_r": 0}, ("ArrayGeometry",)),
+    ("need n_t >= n_r >= 1, got n_t=4, n_r=8", "__post_init__",
+     "nt", "4", {"n_t": 4}, ("ArrayGeometry",)),
     # The CLI's counts are read as ints, so these come in by the library only.
     ("n_t must be an integer, got 2.5", "require_integer",
      "n_t", None, {"n_t": 2.5}, ("ArrayGeometry",)),
@@ -91,6 +97,9 @@ RULES = [
      "spacing", "inf", {"spacing": np.inf}, ("ArrayGeometry",)),
     ("spacing_t is too large: its phase 4*pi*d*(n-1) overflows", "__post_init__",
      "spacing", "1e308", {"spacing": 1e308}, ("ArrayGeometry",)),
+    # 4*pi*6e305*31 overflows at the 32 transmit antennas, not at the 8 receive ones.
+    ("spacing_t is too large: its phase 4*pi*d*(n-1) overflows", "__post_init__",
+     "spacing", "6e305", {"spacing": 6e305}, ("ArrayGeometry",)),
     ("spacing_t must be a real number, got True", "require_real",
      "spacing", None, {"spacing": True}, ("ArrayGeometry",)),
     ("spacing_t must be a real number, got '0.5'", "require_real",
@@ -133,6 +142,18 @@ RULES = [
      "snr_db", "nan:1:5", {"snr_db": np.array([np.nan])}, ("Scenario",)),
     ("snr grid values must be finite", "_check_finite_grid",
      "snr_db", "0:1:inf", {"snr_db": np.array([0.0, np.inf])}, ("Scenario",)),
+    ("snr grid values must be finite", "_check_finite_grid",
+     "snr_db", "-inf:1:5", {"snr_db": np.array([-np.inf, 0.0])}, ("Scenario",)),
+    ("snr grid values must be finite", "_check_finite_grid",
+     "snr_db", "0:inf:5", {"snr_db": np.array([0.0, np.inf])}, ("Scenario",)),
+    # Each point is finite in dB, but 10^(dB / 10) overflows to inf or underflows to 0.
+    ("snr grid overflows or underflows in linear units", "__post_init__",
+     "snr_db", "0:1000:4000", {"snr_db": np.arange(0.0, 4001.0, 1000.0)}, ("Scenario",)),
+    ("snr grid overflows or underflows in linear units", "__post_init__",
+     "snr_db", "-4000:1000:0", {"snr_db": np.arange(-4000.0, 1.0, 1000.0)}, ("Scenario",)),
+    # The CLI's grid has at least one point.
+    ("snr grid must be nonempty", "__post_init__",
+     "snr_db", None, {"snr_db": []}, ("Scenario",)),
     ("snr grid must be one-dimensional", "__post_init__",
      "snr_db", None, {"snr_db": [[0.0, 10.0], [5.0, 20.0]]}, ("Scenario",)),
     # numpy's own ValueError escaped for a ragged grid.
@@ -148,6 +169,11 @@ RULES = [
      "snr_db", None, {"snr_db": [True, False]}, ("Scenario",)),
     ("geometry must be an ArrayGeometry, got (32, 8)", "__post_init__",
      "geometry", None, {"geometry": (32, 8)}, ("Scenario",)),
+    ("trials must be >= 1", "__post_init__",
+     "trials", "0", {"trials": 0}, ("Scenario",)),
+    # The CLI splits its text into names, so this comes in by the library only.
+    ("schemes must be a collection of names, not a string: 'physical'", "_check_request",
+     "schemes", None, {"schemes": "physical"}, ("run_campaign",)),
     ("at least one scheme is required", "_check_request",
      "schemes", " , ", {"schemes": ()}, ("run_campaign",)),
     ("unknown schemes: ['psychic']", "_check_request",
@@ -218,9 +244,10 @@ def test_a_rule_has_one_check_and_one_message_at_every_door(
         path.write_text(f"{key}={text}\n")
         argv, line = ["--config", str(path)], f" (from {path}:1 {key})"
     expected = f"{message}{line}"
-    if door == "config" and key in READ_KEYS:
+    if door == "config" and owner in READ_OWNERS:
         expected = f"{path}:1: bad value for {key!r}: {message}"
-    argv += ["--trials", "2"]
+    if key != "trials":
+        argv += ["--trials", "2"]
     with pytest.raises(UsageError) as raised:
         parse_config(argv)
     assert raised_in(raised.value) == owner

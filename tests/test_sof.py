@@ -5,9 +5,10 @@ from numpy.testing import assert_allclose
 from helpers import (
     assert_sof_bits_match_full_phase_penalty,
     feasible_m_hat,
+    gram_state,
     random_paths,
     stack_paths,
-    subchannel_gram,
+    traced_state,
 )
 from oracles import b_vector, quadratic_matrix, receiver_correlation
 from prmimo import (
@@ -16,7 +17,6 @@ from prmimo import (
     NumericalFailureError,
     PathSet,
     SofState,
-    SubchannelGram,
     run_sof,
 )
 import prmimo.montecarlo as montecarlo
@@ -64,15 +64,15 @@ class TestBVector:
         geom = ArrayGeometry(n_t=8, n_r=4)
         paths = random_paths(rng, 5)
         m_hat = feasible_m_hat(rng, 8, 5)
-        gram = subchannel_gram(geom, paths, m_hat)
+        traced = traced_state(geom, paths, m_hat)
         new, fixed = 0, 1
         rho = receiver_correlation(geom, paths.aoa[new], paths.aoa[fixed])
         b = b_vector(geom, m_hat[:, fixed], paths.aod[new], paths.aod[fixed])
         product = rho * (b @ m_hat[:, new])
         # The factored product lands on the transposed Gram entry; the
         # magnitude (all the optimization uses) is shared by both.
-        assert_allclose(product, gram.g[fixed, new], atol=1e-12)
-        assert_allclose(abs(product), abs(gram.g[new, fixed]), atol=1e-12)
+        assert_allclose(product, traced.gram[fixed, new], atol=1e-12)
+        assert_allclose(abs(product), abs(traced.gram[new, fixed]), atol=1e-12)
 
 
 class TestQuadraticMatrix:
@@ -97,13 +97,13 @@ class TestQuadraticMatrix:
         geom = ArrayGeometry(n_t=8, n_r=4)
         paths = random_paths(rng, 4)
         m_hat = feasible_m_hat(rng, 8, 4)
-        gram = subchannel_gram(geom, paths, m_hat)
+        traced = traced_state(geom, paths, m_hat)
         new, fixed = 2, 0
         rho = receiver_correlation(geom, paths.aoa[new], paths.aoa[fixed])
         b = b_vector(geom, m_hat[:, fixed], paths.aod[new], paths.aod[fixed])
         mat = quadratic_matrix(rho, b)
         form = m_hat[:, new] @ mat @ m_hat[:, new]
-        assert_allclose(form, abs(gram.g[new, fixed]) ** 2, atol=1e-10)
+        assert_allclose(form, abs(traced.gram[new, fixed]) ** 2, atol=1e-10)
 
 
 class TestSolveModificationVector:
@@ -277,9 +277,9 @@ class TestRunSof:
         geom = ArrayGeometry(n_t=32, n_r=8)
         paths = random_paths(rng, 80)
         state = run_sof(geom, paths)
-        fresh = subchannel_gram(geom, paths, state.m_hat)
-        assert np.max(np.abs(state.gram.g - fresh.g)) <= 1e-10
-        assert np.max(np.abs(state.gram.indicator - fresh.indicator)) <= 1e-10
+        fresh = traced_state(geom, paths, state.m_hat)
+        assert np.max(np.abs(state.gram - fresh.gram)) <= 1e-10
+        assert np.max(np.abs(state.indicator - fresh.indicator)) <= 1e-10
 
     def test_each_step_indicator_equals_full_recompute(self, monkeypatch):
         # The loop refreshes only the changed row and column of the squared
@@ -290,7 +290,7 @@ class TestRunSof:
 
         def checked(geometry, recv, basis, g, sq, *args):
             indicator = refresh(geometry, recv, basis, g, sq, *args)
-            assert np.array_equal(indicator, SubchannelGram(g).indicator)
+            assert np.array_equal(indicator, gram_state(g).indicator)
             steps.append(indicator.shape)
             return indicator
 
@@ -303,7 +303,7 @@ class TestRunSof:
         ):
             steps.clear()
             state = run_sof(geom, paths)
-            assert state.gram.indicator.shape == paths.gains.shape
+            assert state.indicator.shape == paths.gains.shape
             assert steps == [shape] * (shape[1] - 1)
 
     def test_objective_matches_gram_definition(self):
@@ -313,7 +313,7 @@ class TestRunSof:
         geom = ArrayGeometry(n_t=8, n_r=4)
         paths = random_paths(rng, 12)
         state = run_sof(geom, paths)
-        gram = subchannel_gram(geom, paths, state.m_hat)
+        traced = traced_state(geom, paths, state.m_hat)
         for i in range(1, 12):
             target = state.order[i]
             accumulated = np.zeros((8, 8))
@@ -322,7 +322,7 @@ class TestRunSof:
                 b = b_vector(geom, state.m_hat[:, k], paths.aod[target], paths.aod[k])
                 accumulated += quadratic_matrix(rho, b)
             objective = state.m_hat[:, target] @ accumulated @ state.m_hat[:, target]
-            expected = sum(abs(gram.g[target, k]) ** 2 for k in state.order[:i])
+            expected = sum(abs(traced.gram[target, k]) ** 2 for k in state.order[:i])
             assert abs(objective - expected) <= 1e-9 * max(1.0, expected)
 
     def test_deterministic(self):
@@ -360,8 +360,8 @@ class TestRunSofOnStacks:
             single = run_sof(geom, paths)
             assert np.array_equal(batch.order[row], single.order)
             assert np.array_equal(batch.m_hat[row], single.m_hat)
-            assert np.array_equal(batch.gram.g[row], single.gram.g)
-            assert np.array_equal(batch.gram.indicator[row], single.gram.indicator)
+            assert np.array_equal(batch.gram[row], single.gram)
+            assert np.array_equal(batch.indicator[row], single.indicator)
 
     def test_states_match_recomputation(self):
         rng = np.random.default_rng(85)
@@ -369,18 +369,18 @@ class TestRunSofOnStacks:
         path_sets = [random_paths(rng, 40) for _ in range(3)]
         batch = run_sof(geom, stack_paths(path_sets))
         for row, paths in enumerate(path_sets):
-            g = batch.gram.g[row]
-            fresh = subchannel_gram(geom, paths, batch.m_hat[row])
-            assert np.max(np.abs(g - fresh.g)) <= 1e-10
+            g = batch.gram[row]
+            fresh = traced_state(geom, paths, batch.m_hat[row])
+            assert np.max(np.abs(g - fresh.gram)) <= 1e-10
 
     def test_one_set_comes_back_unstacked(self):
         paths = random_paths(np.random.default_rng(87), 3)
         single = run_sof(ArrayGeometry(n_t=4, n_r=2), paths)
         stacked = run_sof(ArrayGeometry(n_t=4, n_r=2), stack_paths([paths]))
         assert single.order.shape == (3,) and single.m_hat.shape == (4, 3)
-        assert single.gram.g.shape == (3, 3) and single.gram.indicator.shape == (3,)
+        assert single.gram.shape == (3, 3) and single.indicator.shape == (3,)
         assert np.array_equal(single.m_hat, stacked.m_hat[0])
-        assert np.array_equal(single.gram.g, stacked.gram.g[0])
+        assert np.array_equal(single.gram, stacked.gram[0])
 
 
 class TestPenaltyBits:
@@ -416,4 +416,29 @@ class TestPenaltyBits:
 @pytest.mark.parametrize("order", [[0, 0], [1, 0, 2]], ids=["repeated", "too-long"])
 def test_state_rejects_an_order_that_is_no_permutation_of_the_paths(order):
     with pytest.raises(InvalidInputError, match="order must be a permutation"):
-        SofState(order, np.ones((4, 2)), SubchannelGram(np.eye(2)))
+        SofState(order, np.ones((4, 2)), np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "m_hat, gram, message",
+    [
+        # It built, with a Gram that fits no set of the columns.
+        (np.ones((2, 2)), np.eye(3), r"gram shape \(3, 3\) does not fit m_hat: need \(2, 2\)"),
+        (np.ones((3, 4, 2)), np.eye(2), r"\(2, 2\) does not fit m_hat: need \(3, 2, 2\)"),
+        (np.ones(2), np.eye(2), "m_hat must be"),
+        (np.ones((4, 0)), np.ones((0, 0)), "m_hat must be"),
+    ],
+    ids=["gram-too-large", "gram-unstacked", "vector-columns", "no-paths"],
+)
+def test_state_rejects_a_gram_that_does_not_fit_the_columns(m_hat, gram, message):
+    order = np.broadcast_to(np.arange(m_hat.shape[-1]), m_hat.shape[:-2] + m_hat.shape[-1:])
+    with pytest.raises(InvalidInputError, match=message):
+        SofState(order, m_hat, gram)
+
+
+def test_state_converts_list_columns():
+    # A list raised AttributeError: 'list' object has no attribute 'shape'.
+    state = SofState([1, 0], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.5], [0.5, 1.0]])
+    assert state.m_hat.dtype == float and state.m_hat.shape == (2, 2)
+    assert state.gram.dtype == complex
+    assert np.array_equal(state.indicator, [0.25, 0.25])
